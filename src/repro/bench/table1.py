@@ -30,9 +30,8 @@ class Table1Row:
     oversized_patterns: int
     #: phase name -> seconds for the unclustered build.
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: spectral solver the build ran under and its batching profile
-    #: (stacked kernel dispatches; batch size -> stacked-call count).
-    eigen_solver: str = "real"
+    #: the eigensolve's batching profile (stacked kernel dispatches;
+    #: batch size -> stacked-call count).
     eigen_batches: int = 0
     eigen_batch_sizes: dict[int, int] = field(default_factory=dict)
 
@@ -71,7 +70,6 @@ def run_table1(
                 clustered_bytes=clustered.total_size_bytes(),
                 oversized_patterns=unclustered.report.stats.oversized_patterns,
                 phase_seconds=unclustered.report.timings.as_dict(),
-                eigen_solver=unclustered.report.eigen_solver,
                 eigen_batches=unclustered.report.stats.eigen_batches,
                 eigen_batch_sizes=dict(
                     unclustered.report.stats.eigen_batch_sizes
@@ -110,6 +108,6 @@ def print_table1(rows: list[Table1Row]) -> str:
         )
         print(
             f"  {row.dataset:9s} phases: {phases}  "
-            f"[solver={row.eigen_solver}, {row.eigen_batches} batches]"
+            f"[{row.eigen_batches} eigen batches]"
         )
     return table

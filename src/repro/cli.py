@@ -92,12 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable the cross-document spectral feature cache",
     )
     build.add_argument(
-        "--eigen-solver", choices=["real", "legacy"], default=None,
-        help="spectral solver: 'real' (batched real-arithmetic kernel, the "
-        "default) or 'legacy' (per-pattern complex eigvalsh, for A/B "
-        "verification); default honours REPRO_SPECTRAL_SOLVER",
-    )
-    build.add_argument(
         "--prune-backend", choices=["btree", "rtree"], default="btree",
         help="default pruning backend baked into the index config",
     )
@@ -322,7 +316,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         workers=args.workers,
         feature_cache=not args.no_cache,
         prune_backend=args.prune_backend,
-        eigen_solver=args.eigen_solver,
         shards=args.shards,
         shard_affinity=args.shard_affinity,
         shard_workers=args.shard_workers,
@@ -366,8 +359,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         )
         print(f"  phases: {phases}")
         print(
-            f"  eigen: {stats.eigen_computations} solved "
-            f"(solver={index.report.eigen_solver}), "
+            f"  eigen: {stats.eigen_computations} solved, "
             f"{stats.cache_hits} cache hits, "
             f"{stats.oversized_patterns} oversized"
         )

@@ -19,17 +19,15 @@ eigenproblem for a pattern, its canonical signature is looked up, so
 isomorphic subpatterns recurring *across* documents pay the O(n³)
 decomposition once per distinct pattern rather than once per document.
 
-Under the default real-arithmetic solver (DESIGN.md §9), the cache
-misses of a document are not solved one by one: each miss contributes
-its anti-symmetric matrix to a batch queue, and when the document's
-event stream ends the queue is flushed through
-:func:`repro.spectral.kernel.solve_batch` — matrices grouped by
-dimension, one stacked-LAPACK call (or vectorized closed form) per
-bucket — before the entries are yielded.  Batching changes *when*
-ranges are computed, never their bytes (the kernel's determinism
+In subpattern mode the cache misses of a document are not solved one
+by one (DESIGN.md §9): each miss contributes its anti-symmetric matrix
+to a batch queue, and when the document's event stream ends the queue
+is flushed through :func:`repro.spectral.kernel.solve_batch` — matrices
+grouped by dimension, one stacked-LAPACK call (or vectorized closed
+form) per bucket — before the entries are yielded.  Batching changes
+*when* ranges are computed, never their bytes (the kernel's determinism
 contract), so the staged entry stream is identical to per-pattern
-solving.  The legacy complex solver (``solver="legacy"``) bypasses the
-queue and reproduces the seed's per-pattern behaviour for A/B runs.
+solving.
 
 Patterns whose unfolding or matrix exceeds the configured caps fall back
 to the all-covering feature range (Section 6.1's artificial ``[0, ∞]``),
@@ -50,7 +48,6 @@ from repro.bisim.graph import BisimVertex
 from repro.obs import MetricsRegistry, Obs
 from repro.spectral import (
     ALL_COVERING_RANGE,
-    SOLVER_LEGACY,
     EdgeLabelEncoder,
     FeatureCache,
     FeatureKey,
@@ -58,7 +55,6 @@ from repro.spectral import (
     eigenvalue_range,
     pattern_matrix,
     pattern_signature,
-    resolve_solver,
     solve_batch,
 )
 from repro.xmltree import Document, parse_xml_events, tree_events
@@ -83,7 +79,6 @@ class ConstructionStats:
     cache_misses: int = 0
     #: stacked-kernel dispatches: total bucket solves, and a histogram
     #: of their sizes (matrices per stacked call -> number of calls).
-    #: Both stay 0/empty under the legacy per-pattern solver.
     eigen_batches: int = 0
     eigen_batch_sizes: dict[int, int] = field(default_factory=dict)
     per_document_vertices: list[int] = field(default_factory=list)
@@ -161,8 +156,8 @@ class PhaseTimings:
         matrix: canonical-order anti-symmetric matrix assembly
             (:func:`~repro.spectral.matrix.pattern_matrix`; cache
             misses only).
-        eigen:  the eigensolve proper — stacked real-kernel dispatches
-            or per-pattern ``eigvalsh`` (cache misses only).
+        eigen:  the eigensolve proper — stacked kernel dispatches
+            (cache misses only).
         insert: B-tree loading (and clustered copy-out, when applicable).
 
     Since the ``repro.obs`` layer (DESIGN.md §10) this is a *view over a
@@ -331,7 +326,6 @@ class EntryGenerator:
         max_pattern_vertices: int = 800,
         max_unfolding_opens: int = 20000,
         cache: FeatureCache | None = None,
-        solver: str | None = None,
         obs: Obs | None = None,
     ) -> None:
         self.encoder = encoder
@@ -340,7 +334,6 @@ class EntryGenerator:
         self.max_pattern_vertices = max_pattern_vertices
         self.max_unfolding_opens = max_unfolding_opens
         self.cache = cache
-        self.solver = resolve_solver(solver)
         #: observability context: span capture plus the registry the
         #: phase timings are a view over (a private, non-tracing one
         #: unless the owning index passes its own).
@@ -399,7 +392,6 @@ class EntryGenerator:
         # Builder vids restart per document, so the signature memo must
         # not leak across documents.
         self._sig_memo = {}
-        batched = self.solver != SOLVER_LEGACY
         staged: list[tuple[FeatureKey | _PendingFeature, int]] = []
         builder = BisimGraphBuilder(text_label=self.text_label)
         for event in tree_events(
@@ -409,72 +401,32 @@ class EntryGenerator:
             if closed is not None:
                 # GEN-SUBPATTERN runs per closing event; by close time the
                 # vertex's children are final, so its depth-L view is
-                # computable immediately.
+                # computable immediately.  Misses join the batch queue;
+                # the entry is staged against the (possibly pending)
+                # feature and yielded after the end-of-document flush.
                 vertex, start_ptr = closed
                 self.stats.entries += 1
-                if batched:
-                    # Misses join the batch queue; the entry is staged
-                    # against the (possibly pending) feature and yielded
-                    # after the end-of-document flush.
-                    staged.append((self._vertex_features_batched(vertex), start_ptr))
-                else:
-                    yield Entry(self._vertex_features(vertex), start_ptr)
+                staged.append((self._vertex_features(vertex), start_ptr))
         graph = builder.finish()
         self.stats.bisim_vertices += graph.vertex_count()
         self.stats.per_document_vertices.append(graph.vertex_count())
-        if batched:
-            self._flush_eigen_batch()
-            for feature, start_ptr in staged:
-                if isinstance(feature, _PendingFeature):
-                    assert feature.key is not None  # set by the flush
-                    yield Entry(feature.key, start_ptr)
-                else:
-                    yield Entry(feature, start_ptr)
+        self._flush_eigen_batch()
+        for feature, start_ptr in staged:
+            if isinstance(feature, _PendingFeature):
+                assert feature.key is not None  # set by the flush
+                yield Entry(feature.key, start_ptr)
+            else:
+                yield Entry(feature, start_ptr)
 
     # ------------------------------------------------------------------ #
     # Feature extraction with memoization, caching, and fallback
     # ------------------------------------------------------------------ #
 
-    def _vertex_features(self, vertex: BisimVertex) -> FeatureKey:
-        """GEN-SUBPATTERN + BTREE-INSERT's feature half: memoized per
-        bisimulation vertex (Algorithm 1's ``u.eigs`` check).
-
-        With a cache attached, the pattern's signature is computed
-        *directly on the vertex* (:func:`~repro.bisim.dag
-        .depth_signature`), so a hit skips not just ``eigvalsh`` but the
-        whole BISIM-TRAVELER unfolding — the unfolding of a shared
-        subpattern can be exponentially larger than its DAG."""
-        if vertex.eigs is not None:
-            return vertex.eigs
-        signature = None
-        if self.cache is not None:
-            signature = depth_signature(vertex, self.depth_limit, self._sig_memo)
-            cached = self.cache.lookup(signature)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                vertex.eigs = cached
-                return cached
-            self.stats.cache_misses += 1
-        started = time.perf_counter()
-        try:
-            pattern = depth_limited_graph(
-                vertex, self.depth_limit, max_opens=self.max_unfolding_opens
-            )
-        except PatternTooLargeError:
-            self.timings.unfold += time.perf_counter() - started
-            self.stats.oversized_patterns += 1
-            key = FeatureKey(vertex.label, ALL_COVERING_RANGE)
-            vertex.eigs = key
-            return key
-        self.timings.unfold += time.perf_counter() - started
-        key = self._features_of_graph(pattern, signature=signature)
-        vertex.eigs = key
-        return key
-
-    def _vertex_features_batched(
+    def _vertex_features(
         self, vertex: BisimVertex
     ) -> FeatureKey | _PendingFeature:
-        """The batch-queue variant of :meth:`_vertex_features`.
+        """GEN-SUBPATTERN + BTREE-INSERT's feature half: memoized per
+        bisimulation vertex (Algorithm 1's ``u.eigs`` check).
 
         Resolved features (memoized, cached, or the oversized fallback)
         come back as :class:`FeatureKey`\\ s immediately; a genuine miss
@@ -484,6 +436,12 @@ class EntryGenerator:
         vertex (or, with a cache, of an in-flight signature) join the
         existing pending feature, preserving the solve-once-per-class
         accounting of Algorithm 1.
+
+        With a cache attached, the pattern's signature is computed
+        *directly on the vertex* (:func:`~repro.bisim.dag
+        .depth_signature`), so a hit skips not just the eigensolve but
+        the whole BISIM-TRAVELER unfolding — the unfolding of a shared
+        subpattern can be exponentially larger than its DAG.
         """
         if vertex.eigs is not None:
             return vertex.eigs
@@ -496,8 +454,8 @@ class EntryGenerator:
             pending = self._pending_by_sig.get(signature)
             if pending is not None:
                 # A distinct vertex whose depth-L view is already queued:
-                # an in-flight hit (the legacy path would have stored and
-                # re-read it by now, so it counts as a cache hit).
+                # an in-flight hit (per-pattern solving would have stored
+                # and re-read it by now, so it counts as a cache hit).
                 self.stats.cache_hits += 1
                 self._pending_by_vid[vertex.vid] = pending
                 return pending
@@ -553,9 +511,7 @@ class EntryGenerator:
             return
         started = time.perf_counter()
         with self.obs.span("build.eigen.batch", matrices=len(pending)) as span:
-            ranges, buckets = solve_batch(
-                [item.matrix for item in pending], solver=self.solver
-            )
+            ranges, buckets = solve_batch([item.matrix for item in pending])
             span.set(buckets=len(buckets))
         self.timings.eigen += time.perf_counter() - started
         self.stats.eigen_computations += len(pending)
@@ -576,18 +532,12 @@ class EntryGenerator:
         self._pending_by_vid = {}
         self._pending_by_sig = {}
 
-    def _features_of_graph(
-        self, graph, signature: bytes | None = None
-    ) -> FeatureKey:
-        """Features of a pattern graph, consulting the cache.
-
-        ``signature`` carries a precomputed cache signature whose lookup
-        already missed (the ``_vertex_features`` path); when ``None`` and
-        a cache is attached, the signature is derived from the graph
-        itself (the unit-mode path) and looked up here.
-        """
+    def _features_of_graph(self, graph) -> FeatureKey:
+        """Features of a whole-document pattern graph (unit mode),
+        consulting the cache under the graph's own signature."""
         size = graph.vertex_count()
-        if self.cache is not None and signature is None:
+        signature = None
+        if self.cache is not None:
             signature = pattern_signature(graph)
             cached = self.cache.lookup(signature)
             if cached is not None:
@@ -606,12 +556,12 @@ class EntryGenerator:
             return FeatureKey(graph.root.label, ALL_COVERING_RANGE)
         self.timings.matrix += time.perf_counter() - started
         started = time.perf_counter()
-        lmin, lmax = eigenvalue_range(matrix, solver=self.solver)
+        lmin, lmax = eigenvalue_range(matrix)
         self.timings.eigen += time.perf_counter() - started
         key = FeatureKey(graph.root.label, FeatureRange(lmin, lmax))
         self.stats.eigen_computations += 1
         if size > self.stats.largest_pattern:
             self.stats.largest_pattern = size
-        if self.cache is not None and signature is not None:
+        if signature is not None:
             self.cache.store(signature, key)
         return key

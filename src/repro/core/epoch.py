@@ -12,6 +12,9 @@ This module provides the real thing:
   global epoch plus a per-root-label epoch vector.  A consumer that
   cached something at snapshot ``S`` asks a *later* snapshot which
   labels moved since ``S.epoch`` and refreshes only those slices.
+* :class:`EpochCachedView` — the one place that decision lives: a
+  derived view (λ_max histogram, spatial partitions) revalidated
+  against a snapshot by full rebuild, scoped refresh, or not at all.
 * :class:`EpochManager` — publishes snapshots and coordinates readers
   and writers.  Readers :meth:`pin` the snapshot they started on (a
   shared latch); a writer's :meth:`mutation` waits for pinned readers to
@@ -47,7 +50,9 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Any, Callable, Generic, Iterable, Mapping, TypeVar
+
+V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -293,3 +298,53 @@ class EpochManager:
             f"EpochManager(epoch={snapshot.epoch}, floor={snapshot.floor}, "
             f"labels={len(snapshot.label_epochs)})"
         )
+
+
+class EpochCachedView(Generic[V]):
+    """A view derived from an index, revalidated against its epochs.
+
+    The policy every derived view shares: built on first use; kept as
+    is while the epoch stands (or moved without touching a label);
+    repaired by ``refresh(view, labels)`` over exactly the root labels
+    mutated since it was last validated; rebuilt wholesale only after a
+    full invalidation (a floor bump).  Refreshes and rebuilds are
+    counted on the index's manager (``epoch.invalidations.*``).
+
+    The index is handed to :meth:`get`, never stored: an index owns its
+    spatial view, and a view that pointed back would put the index (and
+    its B-tree, pager and store) in a reference cycle, freed only
+    whenever the cyclic collector next runs instead of when the last
+    reference goes.
+    """
+
+    def __init__(
+        self,
+        build: Callable[[Any], V],
+        refresh: Callable[[Any, V, list[str]], None],
+    ) -> None:
+        self._build = build
+        self._refresh = refresh
+        #: the view and the snapshot it was last validated against
+        #: (``None`` until first use).
+        self.value: V | None = None
+        self.snapshot: EpochSnapshot | None = None
+
+    def get(self, index, snapshot: EpochSnapshot | None = None) -> V:
+        """The view of ``index``, valid for ``snapshot`` (default:
+        ``index.epochs``' current one; a running query passes the
+        snapshot it pinned)."""
+        epochs: EpochManager = index.epochs
+        if snapshot is None:
+            snapshot = epochs.current
+        if self.snapshot is None:
+            self.value = self._build(index)
+        elif snapshot.epoch != self.snapshot.epoch:
+            stale = snapshot.changed_labels_since(self.snapshot.epoch)
+            if stale is None:
+                self.value = self._build(index)
+                epochs.note_full_refresh()
+            elif stale:
+                self._refresh(index, self.value, stale)
+                epochs.note_scoped_refresh(len(stale))
+        self.snapshot = snapshot
+        return self.value

@@ -20,6 +20,7 @@ label.  Values:
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from collections.abc import Iterator
@@ -32,9 +33,9 @@ from repro.core.construction import (
     PhaseTimings,
     seed_encoder,
 )
-from repro.core.epoch import EpochManager, EpochSnapshot
+from repro.core.epoch import EpochCachedView, EpochManager
 from repro.core.values import ValueHasher
-from repro.errors import IndexCoverageError, UnsupportedQueryError
+from repro.errors import IndexCoverageError, StorageError, UnsupportedQueryError
 from repro.obs import Obs, ObsConfig
 from repro.query.ast import Axis
 from repro.query.twig import TwigQuery
@@ -45,7 +46,6 @@ from repro.spectral import (
     FeatureKey,
     FeatureRange,
     pattern_features,
-    resolve_solver,
 )
 from repro.errors import PatternTooLargeError
 from repro.spectral.features import ALL_COVERING_RANGE
@@ -86,14 +86,6 @@ class FixIndexConfig:
             range scan) or ``"rtree"`` (per-label R-trees answering
             the containment predicate as a 2-D dominance query,
             DESIGN.md §8).  Both produce identical candidate sets.
-        eigen_solver: spectral solver for build- and query-side
-            feature extraction — ``"real"`` (the batched real-arithmetic
-            kernel, DESIGN.md §9) or ``"legacy"`` (the seed's
-            per-pattern complex Hermitian ``eigvalsh``, kept for A/B
-            verification).  ``None`` resolves the process default
-            (``REPRO_SPECTRAL_SOLVER`` environment variable, else
-            ``"real"``).  Both solvers agree within 1e-9, inside the
-            guard band, so answers are identical either way.
         obs: observability settings (:class:`~repro.obs.ObsConfig`,
             DESIGN.md §10).  ``None`` means the metrics registry is
             live but span tracing is off; with ``ObsConfig(trace=True)``
@@ -141,7 +133,6 @@ class FixIndexConfig:
     workers: int = 1
     feature_cache: bool = True
     prune_backend: str = "btree"
-    eigen_solver: str | None = None
     obs: ObsConfig | None = None
     shards: int = 1
     shard_affinity: str = "hash"
@@ -156,8 +147,6 @@ class FixIndexConfig:
                 f"unknown prune backend {self.prune_backend!r} "
                 "(expected 'btree' or 'rtree')"
             )
-        if self.eigen_solver is not None:
-            resolve_solver(self.eigen_solver)  # validates the name
         if self.shards < 1:
             raise ValueError(f"need at least one shard, got {self.shards}")
         if self.shard_affinity not in ("hash", "root-label"):
@@ -184,6 +173,38 @@ class FixIndexConfig:
             raise ValueError(
                 f"btree_node_cache must be >= 1, got {self.btree_node_cache}"
             )
+
+    def to_dict(self) -> dict:
+        """The persisted form (``meta.json`` / ``sharded.json``): every
+        field except the runtime-only ``obs``; ``spill_dir`` is saved as
+        ``None`` because it is a build-time location, not an index
+        property — a reattached index reads its pages from the save
+        directory."""
+        persisted = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name != "obs"
+        }
+        persisted["spill_dir"] = None
+        return persisted
+
+    @classmethod
+    def from_dict(cls, persisted) -> "FixIndexConfig":
+        """Inverse of :meth:`to_dict`.  Keys this version no longer has
+        (options retired since the index was saved) are dropped, so old
+        index directories keep loading.
+
+        Raises:
+            StorageError: ``persisted`` is not a mapping, or a value is
+                ill-typed or out of range.
+        """
+        if not isinstance(persisted, dict):
+            raise StorageError("index config section is missing or malformed")
+        known = {f.name for f in dataclasses.fields(cls)} - {"obs"}
+        try:
+            return cls(**{k: v for k, v in persisted.items() if k in known})
+        except (TypeError, ValueError) as exc:
+            raise StorageError(f"invalid index config: {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,10 +256,6 @@ class BuildReport:
     timings: PhaseTimings = field(default_factory=PhaseTimings)
     btree_bytes: int = 0
     clustered_bytes: int = 0
-    #: the resolved spectral solver the build ran under ("real" or
-    #: "legacy"); batch counts live in ``stats.eigen_batches`` /
-    #: ``stats.eigen_batch_sizes``.
-    eigen_solver: str = "real"
     #: distinct patterns held by the cross-document spectral feature
     #: cache at the end of the build (0 when the cache is disabled).
     feature_cache_patterns: int = 0
@@ -263,7 +280,6 @@ class BuildReport:
             "cache_hits": self.stats.cache_hits,
             "cache_misses": self.stats.cache_misses,
             "feature_cache_patterns": self.feature_cache_patterns,
-            "eigen_solver": self.eigen_solver,
             "eigen_batches": self.stats.eigen_batches,
             "eigen_batch_sizes": {
                 str(size): count
@@ -273,6 +289,14 @@ class BuildReport:
             "btree_bytes": self.btree_bytes,
             "clustered_bytes": self.clustered_bytes,
         }
+
+
+def _build_spatial_view(index: "FixIndex"):
+    # Imported here: repro.spatial.feature_index imports this module
+    # for the IndexEntry type.
+    from repro.spatial.feature_index import SpatialFeatureIndex
+
+    return SpatialFeatureIndex(index)
 
 
 class FixIndex:
@@ -310,9 +334,6 @@ class FixIndex:
             self.feature_cache = (
                 FeatureCache() if self.config.feature_cache else None
             )
-        #: the resolved spectral solver (config choice, else the
-        #: process default), shared by build and query feature paths.
-        self.eigen_solver = resolve_solver(self.config.eigen_solver)
         #: the observability context (DESIGN.md §10): the metrics
         #: registry every view over this index reads, plus the span
         #: tracer (enabled via ``config.obs``).  Shared by the entry
@@ -325,20 +346,18 @@ class FixIndex:
             max_pattern_vertices=self.config.max_pattern_vertices,
             max_unfolding_opens=self.config.max_unfolding_opens,
             cache=self.feature_cache,
-            solver=self.eigen_solver,
             obs=self.obs,
         )
         self.report = BuildReport(
-            stats=self._generator.stats,
-            timings=self._generator.timings,
-            eigen_solver=self.eigen_solver,
+            stats=self._generator.stats, timings=self._generator.timings
         )
         #: the epoch layer: readers pin snapshots, mutations publish
         #: per-root-label epochs, and every cached view (plans,
         #: histograms, spatial partitions) validates against it.
         self.epochs = EpochManager()
-        self._spatial_view = None
-        self._spatial_snapshot: EpochSnapshot | None = None
+        self._spatial = EpochCachedView(
+            _build_spatial_view, lambda index, view, labels: view.refresh(labels)
+        )
         #: incremental-maintenance accounting, kept apart from the batch
         #: build's stats so Table-1 phase totals never drift after
         #: mutations (published under ``build.incremental.*``).
@@ -388,7 +407,6 @@ class FixIndex:
             "build",
             depth_limit=self.config.depth_limit,
             workers=self.config.workers,
-            solver=self.eigen_solver,
             clustered=self.config.clustered,
         ) as build_span:
             with self.obs.span("build.stage") as stage_span:
@@ -426,8 +444,6 @@ class FixIndex:
         in the worker, overlapped with other shards.
         """
         if self.config.clustered:
-            from repro.errors import StorageError
-
             raise StorageError("clustered indexes cannot load staged entries")
         started = time.perf_counter()
         self._generator.stats.merge(staged.stats)
@@ -513,7 +529,6 @@ class FixIndex:
                 max_unfolding_opens=self.config.max_unfolding_opens,
                 feature_cache=self.config.feature_cache,
                 doc_ids=doc_ids,
-                eigen_solver=self.eigen_solver,
                 trace=self.obs.tracing,
             )
             self._generator.stats.merge(staged.stats)
@@ -657,7 +672,6 @@ class FixIndex:
             max_pattern_vertices=self.config.max_pattern_vertices,
             max_unfolding_opens=self.config.max_unfolding_opens,
             cache=self.feature_cache,
-            solver=self.eigen_solver,
         )
 
     def stage_document(self, doc_id: int, document) -> StagedMutation:
@@ -708,8 +722,6 @@ class FixIndex:
         self._publish_incremental_metrics()
 
     def _require_unclustered(self) -> None:
-        from repro.errors import StorageError
-
         if self.config.clustered:
             raise StorageError(
                 "clustered FIX indexes are build-once (the copy store is "
@@ -848,7 +860,6 @@ class FixIndex:
                 pattern,
                 self.encoder,
                 max_vertices=self.config.max_pattern_vertices,
-                solver=self.eigen_solver,
             )
         except PatternTooLargeError:
             # An absurdly large query: fall back to the always-covered
@@ -955,24 +966,7 @@ class FixIndex:
         Returns:
             :class:`~repro.spatial.feature_index.SpatialFeatureIndex`.
         """
-        # Imported here: repro.spatial.feature_index imports this
-        # module for the IndexEntry type.
-        from repro.spatial.feature_index import SpatialFeatureIndex
-
-        snapshot = self.epochs.current
-        if self._spatial_view is None or self._spatial_snapshot is None:
-            self._spatial_view = SpatialFeatureIndex(self)
-            self._spatial_snapshot = snapshot
-        elif self._spatial_snapshot.epoch != snapshot.epoch:
-            stale = snapshot.changed_labels_since(self._spatial_snapshot.epoch)
-            if stale is None:
-                self._spatial_view = SpatialFeatureIndex(self)
-                self.epochs.note_full_refresh()
-            elif stale:
-                self._spatial_view.refresh(stale)
-                self.epochs.note_scoped_refresh(len(stale))
-            self._spatial_snapshot = snapshot
-        return self._spatial_view
+        return self._spatial.get(self)
 
     def iter_label_entries(self, label: str) -> Iterator[IndexEntry]:
         """Every entry carrying ``label``, in key order — the per-label

@@ -57,8 +57,9 @@ from repro.core.construction import (
     PhaseTimings,
 )
 from repro.core.values import ValueHasher
+from repro.engine import refine_candidates
 from repro.obs import Obs
-from repro.spectral import EdgeLabelEncoder, FeatureCache, resolve_solver
+from repro.spectral import EdgeLabelEncoder, FeatureCache
 from repro.storage import PrimaryXMLStore
 from repro.xmltree import parse_xml
 
@@ -98,9 +99,6 @@ class _WorkerTask:
     max_pattern_vertices: int
     max_unfolding_opens: int
     feature_cache: bool
-    #: resolved spectral solver ("real"/"legacy"); resolved by the
-    #: coordinator so every worker ignores its own environment.
-    eigen_solver: str
     #: capture spans in the worker (the coordinator's tracing state).
     trace: bool
     #: the worker's position in the chunk sequence (its ``proc`` tag).
@@ -130,7 +128,6 @@ def _stage_documents(task, documents, proc: str) -> StagedBuild:
         max_pattern_vertices=task.max_pattern_vertices,
         max_unfolding_opens=task.max_unfolding_opens,
         cache=FeatureCache() if task.feature_cache else None,
-        solver=task.eigen_solver,
         obs=obs,
     )
     entries: list[StagedEntry] = []
@@ -195,7 +192,6 @@ def parallel_stage(
     max_unfolding_opens: int = 20000,
     feature_cache: bool = True,
     doc_ids: list[int] | None = None,
-    eigen_solver: str | None = None,
     trace: bool = False,
 ) -> StagedBuild:
     """Stage every document of ``store`` across ``workers`` processes.
@@ -209,7 +205,6 @@ def parallel_stage(
     serial staging order (doc_id order, generation order within a doc).
     """
     ids = list(store.doc_ids()) if doc_ids is None else list(doc_ids)
-    solver = resolve_solver(eigen_solver)
     workers = max(1, min(workers, len(ids)))
     chunk_size = (len(ids) + workers - 1) // workers
     chunks = [ids[i : i + chunk_size] for i in range(0, len(ids), chunk_size)]
@@ -227,7 +222,6 @@ def parallel_stage(
                 max_pattern_vertices=max_pattern_vertices,
                 max_unfolding_opens=max_unfolding_opens,
                 feature_cache=feature_cache,
-                eigen_solver=solver,
                 trace=trace,
                 worker_id=worker_id,
                 documents=documents,
@@ -295,7 +289,6 @@ class ShardBuildTask:
     max_pattern_vertices: int
     max_unfolding_opens: int
     feature_cache: bool
-    eigen_solver: str
     trace: bool
     documents: tuple[tuple[int, str], ...] | None = None
     store_ref: ShardStoreRef | None = None
@@ -345,8 +338,8 @@ def _shard_build_worker(
 
 # Shard-build pools persist across rebuilds for the same reason the
 # refinement pools do (one spawn cost per process lifetime, not per
-# build); tasks are self-contained — encoder snapshot, store reference,
-# solver — so reuse cannot leak state between coordinators.
+# build); tasks are self-contained — encoder snapshot, store reference —
+# so reuse cannot leak state between coordinators.
 _SHARD_POOLS: dict[int, "multiprocessing.pool.Pool"] = {}
 
 
@@ -425,12 +418,11 @@ def _shutdown_scan_executors() -> None:
 # Query refinement fan-out (DESIGN.md §8)
 # --------------------------------------------------------------------- #
 
-#: One refinement unit: candidates sharing a parsed tree.  ``kind`` is
-#: ``"doc"`` (a primary document; candidates address elements by
-#: node_id) or ``"copy"`` (a clustered unit copy; the single candidate
-#: binds the copy root).  ``candidates`` pairs each candidate's opaque
-#: sequence number with its node id.
-RefineGroup = tuple[str, str, tuple[tuple[int, int], ...]]
+#: One refinement unit: the serialized tree (a primary document, or a
+#: clustered unit copy whose single candidate is its root, node id 0)
+#: and the candidates sharing it, each an opaque sequence number paired
+#: with its node id.
+RefineGroup = tuple[str, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -458,32 +450,20 @@ def _make_refiner(kind: str):
     return NavigationalEngine(PrimaryXMLStore())
 
 
-def refine_groups(refiner, twig, groups: "list[RefineGroup] | tuple[RefineGroup, ...]") -> list[int]:
-    """Refine ``groups`` with ``refiner``; returns surviving sequence
-    numbers.  Shared by the in-worker path and (for a single worker or
-    pre-parsed documents) the coordinator."""
-    from repro.query.ast import Axis
-    from repro.xmltree import parse_xml
-
+def refine_groups(
+    refiner, twig, groups: "list[RefineGroup] | tuple[RefineGroup, ...]"
+) -> list[int]:
+    """Refine ``groups`` with ``refiner`` (runs in a worker process);
+    returns surviving sequence numbers."""
     surviving: list[int] = []
-    for kind, source, candidates in groups:
-        document = parse_xml(source)
-        if twig.leading_axis is Axis.CHILD:
-            if kind == "copy":
-                if refiner.refine(twig, document.root):
-                    surviving.extend(seq for seq, _ in candidates)
-            else:
-                flags = refiner.refine_group(
-                    twig, document, [node_id for _, node_id in candidates]
-                )
-                surviving.extend(
-                    seq for (seq, _), ok in zip(candidates, flags) if ok
-                )
-        # A '//'-leading twig reaches this path only on collection
-        # indexes, where a unit survives iff the query matches anywhere
-        # inside it — one evaluation answers the whole group.
-        elif refiner.evaluate_document(twig, document):
-            surviving.extend(seq for seq, _ in candidates)
+    for source, candidates in groups:
+        flags = refine_candidates(
+            refiner,
+            twig,
+            parse_xml(source),
+            [node_id for _, node_id in candidates],
+        )
+        surviving.extend(seq for (seq, _), ok in zip(candidates, flags) if ok)
     return surviving
 
 

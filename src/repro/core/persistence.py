@@ -45,26 +45,7 @@ def save_index(index: FixIndex, directory: str) -> None:
         clustered_units = index.clustered_store.unit_count
     meta = {
         "format_version": _FORMAT_VERSION,
-        "config": {
-            "depth_limit": index.config.depth_limit,
-            "clustered": index.config.clustered,
-            "value_buckets": index.config.value_buckets,
-            "max_pattern_vertices": index.config.max_pattern_vertices,
-            "max_unfolding_opens": index.config.max_unfolding_opens,
-            "guard_band": index.config.guard_band,
-            "workers": index.config.workers,
-            "feature_cache": index.config.feature_cache,
-            "prune_backend": index.config.prune_backend,
-            "eigen_solver": index.config.eigen_solver,
-            "shards": index.config.shards,
-            "shard_affinity": index.config.shard_affinity,
-            "shard_workers": index.config.shard_workers,
-            "page_cache_pages": index.config.page_cache_pages,
-            # spill_dir is a build-time location, not an index property:
-            # a reattached index reads its pages from the save directory.
-            "spill_dir": None,
-            "btree_node_cache": index.config.btree_node_cache,
-        },
+        "config": index.config.to_dict(),
         "encoder": index.encoder.to_dict(),
         "btree": {
             "root_page": index.btree.root_page,
@@ -79,7 +60,6 @@ def save_index(index: FixIndex, directory: str) -> None:
             "cache_hits": index.report.stats.cache_hits,
             "cache_misses": index.report.stats.cache_misses,
             "feature_cache_patterns": index.report.feature_cache_patterns,
-            "eigen_solver": index.report.eigen_solver,
             "eigen_batches": index.report.stats.eigen_batches,
             "eigen_batch_sizes": {
                 str(size): count
@@ -111,7 +91,8 @@ def load_index(
             session (the on-disk config is not modified).
 
     Raises:
-        StorageError: missing/unreadable directory or format mismatch.
+        StorageError: missing/unreadable directory, format mismatch, or
+            a missing or ill-typed metadata section.
     """
     meta_path = os.path.join(directory, _META_FILE)
     try:
@@ -127,24 +108,37 @@ def load_index(
             f"supported (expected {_FORMAT_VERSION})"
         )
 
-    config = FixIndexConfig(**meta["config"])
+    try:
+        config = FixIndexConfig.from_dict(meta["config"])
+        encoder = EdgeLabelEncoder.from_dict(meta["encoder"])
+        root_page, entry_count, page_size = (
+            int(meta["btree"][field])
+            for field in ("root_page", "entry_count", "page_size")
+        )
+        report = meta["report"]
+        report_seconds, report_entries, report_oversized = (
+            report[field]
+            for field in ("seconds", "entries", "oversized_patterns")
+        )
+        clustered_units = int(meta["clustered_units"]) if config.clustered else 0
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StorageError(
+            f"index metadata at {meta_path!r} has a missing or ill-typed "
+            f"section ({type(exc).__name__}: {exc})"
+        ) from exc
     if page_cache_pages is not None:
         config = dataclasses.replace(config, page_cache_pages=page_cache_pages)
     index = FixIndex(store, config)
-    index.encoder = EdgeLabelEncoder.from_dict(meta["encoder"])
+    index.encoder = encoder
     index._generator.encoder = index.encoder
 
-    btree_meta = meta["btree"]
     pager = Pager(
         os.path.join(directory, _BTREE_FILE),
-        page_size=btree_meta["page_size"],
+        page_size=page_size,
         cache_pages=config.page_cache_pages,
     )
     index.btree = BPlusTree.open(
-        pager,
-        btree_meta["root_page"],
-        btree_meta["entry_count"],
-        node_cache=config.btree_node_cache,
+        pager, root_page, entry_count, node_cache=config.btree_node_cache
     )
     if config.clustered:
         clustered_path = os.path.join(directory, _CLUSTERED_FILE)
@@ -153,17 +147,15 @@ def load_index(
                 f"clustered index at {directory!r} is missing its copy pages"
             )
         index.clustered_store = ClusteredStore(
-            Pager(clustered_path), preloaded_units=meta["clustered_units"]
+            Pager(clustered_path), preloaded_units=clustered_units
         )
-    report = meta["report"]
-    index.report.seconds = report["seconds"]
-    index.report.stats.entries = report["entries"]
-    index.report.stats.oversized_patterns = report["oversized_patterns"]
+    index.report.seconds = report_seconds
+    index.report.stats.entries = report_entries
+    index.report.stats.oversized_patterns = report_oversized
     # Additive report fields (absent in indexes saved by older builds).
     index.report.stats.cache_hits = report.get("cache_hits", 0)
     index.report.stats.cache_misses = report.get("cache_misses", 0)
     index.report.feature_cache_patterns = report.get("feature_cache_patterns", 0)
-    index.report.eigen_solver = report.get("eigen_solver", index.eigen_solver)
     index.report.stats.eigen_batches = report.get("eigen_batches", 0)
     index.report.stats.eigen_batch_sizes = {
         int(size): count

@@ -4,10 +4,10 @@ Algorithm 2's lines 1-5 — parse the path expression, decompose it at
 interior ``//`` edges, extract each pruning fragment's feature key —
 are pure functions of the query text and the index's encoder, yet they
 contain the query side's only O(n³) step (the eigensolve inside
-:meth:`FixIndex.query_features`, which runs on the index's configured
-spectral solver — the real-arithmetic kernel of :mod:`repro.spectral.kernel`
-by default, so build- and query-side ranges come from the same
-arithmetic).  A :class:`QueryPlan` captures that work once; a
+:meth:`FixIndex.query_features`, which runs on the same real-arithmetic
+kernel of :mod:`repro.spectral.kernel` as the build, so build- and
+query-side ranges come from the same arithmetic).  A
+:class:`QueryPlan` captures that work once; a
 :class:`PlanCache` memoizes plans per (query source, index
 generation), so repeated queries pay only the pruning scan and the
 refinement.
@@ -19,9 +19,7 @@ labels (``EpochSnapshot.max_epoch_over(plan.labels) <= plan.generation``).
 This is sound because the encoder assigns edge-label codes in first-seen
 order and never reassigns them — a cached plan's feature keys stay
 byte-valid forever, so only entry-population changes (which a mutation
-confines to the touched root labels) matter to plan freshness.  Legacy
-callers that pass a plain ``int`` generation get the old exact-match
-behavior.
+confines to the touched root labels) matter to plan freshness.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.core.epoch import EpochSnapshot
 from repro.query.ast import Axis
 from repro.query.decompose import decompose
 from repro.query.twig import TwigQuery, twig_of
@@ -115,12 +114,11 @@ def build_plan(index, query: TwigQuery | str) -> QueryPlan:
 class PlanCache:
     """Bounded LRU of :class:`QueryPlan`\\ s keyed by query source.
 
-    A hit requires the cached plan to still be *valid*: under an
-    :class:`~repro.core.epoch.EpochSnapshot` (or manager) that means no
-    mutation has touched the plan's root labels since it was computed —
-    plans over untouched labels survive mutations to other labels.
-    Under a plain ``int`` generation (legacy callers), validity is the
-    old exact-match test.  Stale plans are evicted on lookup.
+    A hit requires the cached plan to still be *valid* under the
+    caller's :class:`~repro.core.epoch.EpochSnapshot`: no mutation has
+    touched the plan's root labels since it was computed — plans over
+    untouched labels survive mutations to other labels.  Stale plans
+    are evicted on lookup.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -137,30 +135,20 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def get(self, source: str, epochs) -> QueryPlan | None:
+    def get(self, source: str, snapshot: EpochSnapshot) -> QueryPlan | None:
         """The cached plan for ``source``, if still valid under
-        ``epochs`` — an :class:`EpochSnapshot`, an
-        :class:`EpochManager`, or a legacy ``int`` generation."""
+        ``snapshot``."""
         plan = self._plans.get(source)
         if plan is None:
             self.misses += 1
             return None
-        retained = False
-        if isinstance(epochs, int):
-            valid = plan.generation == epochs
-        else:
-            snapshot = getattr(epochs, "current", epochs)
-            valid = (
-                snapshot.max_epoch_over(plan.labels) <= plan.generation
-            )
-            retained = valid and snapshot.epoch != plan.generation
-        if not valid:
+        if snapshot.max_epoch_over(plan.labels) > plan.generation:
             del self._plans[source]
             self.misses += 1
             return None
         self._plans.move_to_end(source)
         self.hits += 1
-        if retained:
+        if snapshot.epoch != plan.generation:
             self.scoped_retained += 1
         return plan
 

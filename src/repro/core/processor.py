@@ -39,17 +39,20 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.btree import encode_feature_key
+from repro.core.epoch import EpochSnapshot
 from repro.core.index import FixIndex, IndexEntry
 from repro.core.plan import PlanCache, QueryPlan, build_plan
-from repro.engine.navigational import NavigationalEngine
-from repro.engine.structural_join import StructuralJoinEngine
+from repro.core.stats import histogram_view
+from repro.engine import (
+    NavigationalEngine,
+    StructuralJoinEngine,
+    refine_candidates,
+)
 from repro.errors import BTreeError, ShardError, StorageError
 from repro.obs import Obs
-from repro.query.ast import Axis
 from repro.query.twig import TwigQuery
 from repro.spectral import FeatureKey
 from repro.storage import NodePointer
@@ -106,9 +109,8 @@ class FixQueryProcessor:
     The refinement operator is pluggable — the paper's point that FIX
     "can be coupled with any path processing operator that can perform
     query refinement".  Both shipped engines satisfy the contract
-    (``refine``, ``refine_pointer``, ``refine_group``,
-    ``evaluate_document``); the navigational one is the default,
-    matching the paper's NoK pairing.
+    (``refine``, ``refine_group``, ``evaluate_document``); the
+    navigational one is the default, matching the paper's NoK pairing.
 
     Args:
         index: the index to prune against.
@@ -117,10 +119,6 @@ class FixQueryProcessor:
         workers: refinement worker processes.  ``1`` refines in
             process; ``k > 1`` fans document groups out across ``k``
             processes with results identical to serial.
-        grouped: group candidates by document and fetch each document
-            once (the default).  ``False`` restores the per-pointer
-            fetch loop — the serial baseline benchmarks compare
-            against.
         plan_cache: ``True`` (a fresh 256-entry cache), ``False``
             (plan every query), or a :class:`PlanCache` to share
             between processors.
@@ -161,7 +159,6 @@ class FixQueryProcessor:
         refiner: NavigationalEngine | StructuralJoinEngine | None = None,
         *,
         workers: int = 1,
-        grouped: bool = True,
         plan_cache: bool | PlanCache = True,
         prune_backend: str | None = None,
         pushdown: bool = False,
@@ -172,7 +169,6 @@ class FixQueryProcessor:
         self.index = index
         self.refiner = refiner or NavigationalEngine(index.store)
         self.workers = max(1, workers)
-        self.grouped = grouped
         self.pushdown = pushdown
         backend = prune_backend or index.config.prune_backend
         if backend not in ("btree", "rtree"):
@@ -191,8 +187,9 @@ class FixQueryProcessor:
             # Derived thresholds read this processor's query.seconds
             # sketch unless the caller attached their own registry.
             slow_log.registry = self.obs.registry
-        self._histogram = None
-        self._histogram_snapshot = None
+        #: the λ_max histogram fragment ordering consults, kept fresh
+        #: per epoch (touched label slices only).
+        self._histogram = histogram_view()
         #: per-thread pinned EpochSnapshot for the duration of query();
         #: plan-cache validity and histogram freshness are judged
         #: against it, so one query sees one consistent epoch.
@@ -202,18 +199,12 @@ class FixQueryProcessor:
     # Epoch plumbing
     # ------------------------------------------------------------------ #
 
-    def _epoch_view(self):
+    def _epoch_view(self) -> EpochSnapshot:
         """The epoch state queries validate against: the snapshot pinned
         by the running query when there is one, the index's live
-        snapshot otherwise, or the legacy ``int`` generation for index
-        objects without an epoch manager."""
+        snapshot otherwise."""
         pinned = getattr(self._pin_local, "snapshot", None)
-        if pinned is not None:
-            return pinned
-        epochs = getattr(self.index, "epochs", None)
-        if epochs is not None:
-            return epochs.current
-        return self.index.generation
+        return pinned if pinned is not None else self.index.epochs.current
 
     # ------------------------------------------------------------------ #
     # Planning phase
@@ -245,13 +236,65 @@ class FixQueryProcessor:
         return self._pruned_candidates(self._plan_for(query)[0])
 
     def _pruned_candidates(self, plan: QueryPlan) -> list[IndexEntry]:
-        if len(plan.fragments) == 1:
+        return self._prune_in(self.index, plan, self._fragment_order(plan))
+
+    def _fragment_order(self, plan: QueryPlan) -> list[int]:
+        """Fragment scan order, most selective first by the λ_max
+        histogram's candidate estimate (the whole index's, so every
+        shard of a push-down scans fragments in the same sequence)."""
+        order = list(range(len(plan.fragments)))
+        if len(order) > 1:
+            order.sort(
+                key=lambda i: self._estimate_candidates(
+                    plan.feature_keys[i], plan.anchored[i]
+                )
+            )
+        return order
+
+    def _prune_in(
+        self, index, plan: QueryPlan, order: list[int]
+    ) -> list[IndexEntry]:
+        """``plan``'s candidates out of ``index`` — the whole index, or
+        one shard of it (pointers partition by shard, so intersecting
+        per shard and unioning is exact).
+
+        A single fragment is one range scan.  Collection-mode plans
+        intersect every fragment's candidates: fragments are scanned in
+        ``order``, and each later stream is only membership-tested
+        against the running survivor set — no full candidate dict is
+        materialized beyond the first, and an empty survivor set exits
+        early.
+        """
+        source = index.spatial_view() if self.prune_backend == "rtree" else index
+        if len(order) == 1:
             entries = sorted(
-                self._scan(plan.feature_keys[0], plan.anchored[0]),
+                source.candidates_for_key(
+                    plan.feature_keys[0], anchored=plan.anchored[0]
+                ),
                 key=_entry_sort_key,
             )
         else:
-            entries = self._intersect_fragments(plan)
+            surviving: dict[NodePointer, IndexEntry] = {}
+            for position, i in enumerate(order):
+                stream = source.candidates_for_key(
+                    plan.feature_keys[i], anchored=plan.anchored[i]
+                )
+                if position == 0:
+                    surviving = {entry.pointer: entry for entry in stream}
+                else:
+                    seen = {
+                        entry.pointer
+                        for entry in stream
+                        if entry.pointer in surviving
+                    }
+                    surviving = {
+                        pointer: entry
+                        for pointer, entry in surviving.items()
+                        if pointer in seen
+                    }
+                if not surviving:
+                    break
+            entries = sorted(surviving.values(), key=lambda entry: entry.pointer)
         if plan.root_filter:
             # A '/'-rooted query can only bind the document root, but
             # subpattern entries exist for *every* element; discarding
@@ -260,91 +303,9 @@ class FixQueryProcessor:
             entries = [e for e in entries if e.pointer.node_id == 0]
         return entries
 
-    def _scan(self, key: FeatureKey, anchored: bool):
-        """One fragment's candidate stream from the selected backend."""
-        if self.prune_backend == "rtree":
-            return self.index.spatial_view().candidates_for_key(
-                key, anchored=anchored
-            )
-        return self.index.candidates_for_key(key, anchored=anchored)
-
-    def _intersect_fragments(self, plan: QueryPlan) -> list[IndexEntry]:
-        """Collection-mode pruning: intersect every fragment's candidates.
-
-        The fragments are scanned most-selective-first (λ_max-histogram
-        estimate), and each later stream is only membership-tested
-        against the running survivor set — no full candidate dict is
-        materialized beyond the first, and an empty survivor set exits
-        early.
-        """
-        order = sorted(
-            range(len(plan.fragments)),
-            key=lambda i: self._estimate_candidates(
-                plan.feature_keys[i], plan.anchored[i]
-            ),
-        )
-        surviving: dict[NodePointer, IndexEntry] | None = None
-        for i in order:
-            stream = self._scan(plan.feature_keys[i], plan.anchored[i])
-            if surviving is None:
-                surviving = {entry.pointer: entry for entry in stream}
-            else:
-                seen = {
-                    entry.pointer for entry in stream if entry.pointer in surviving
-                }
-                surviving = {
-                    pointer: entry
-                    for pointer, entry in surviving.items()
-                    if pointer in seen
-                }
-            if not surviving:
-                return []
-        assert surviving is not None
-        return sorted(surviving.values(), key=lambda entry: entry.pointer)
-
     def _estimate_candidates(self, key: FeatureKey, anchored: bool) -> float:
-        return self._histogram_for_epoch().estimate_candidates(
-            key, anchored=anchored
-        )
-
-    def _histogram_for_epoch(self):
-        """The processor's λ_max histogram, kept fresh per epoch.
-
-        Under the epoch layer, a stale histogram is repaired by
-        recomputing only the label slices mutated since it was built
-        (``FeatureHistogram.refresh``); a full rebuild only happens on
-        first use or after a floor bump (index rebuild).
-        """
-        from repro.core.stats import FeatureHistogram
-
-        view = self._epoch_view()
-        if isinstance(view, int):  # legacy index without an epoch layer
-            if self._histogram is None or self._histogram_snapshot != view:
-                self._histogram = FeatureHistogram(self.index)
-                self._histogram_snapshot = view
-            return self._histogram
-        cached = self._histogram_snapshot
-        if self._histogram is None or cached is None:
-            self._histogram = FeatureHistogram(self.index)
-            self._histogram_snapshot = view
-            return self._histogram
-        if isinstance(cached, int) or view.epoch != cached.epoch:
-            epochs = getattr(self.index, "epochs", None)
-            stale = (
-                None
-                if isinstance(cached, int)
-                else view.changed_labels_since(cached.epoch)
-            )
-            if stale is None:
-                self._histogram = FeatureHistogram(self.index)
-                if epochs is not None:
-                    epochs.note_full_refresh()
-            elif stale:
-                self._histogram.refresh(self.index, stale)
-                if epochs is not None:
-                    epochs.note_scoped_refresh(len(stale))
-            self._histogram_snapshot = view
-        return self._histogram
+        histogram = self._histogram.get(self.index, self._epoch_view())
+        return histogram.estimate_candidates(key, anchored=anchored)
 
     # ------------------------------------------------------------------ #
     # Shard-local push-down
@@ -379,13 +340,7 @@ class FixQueryProcessor:
         """
         kind = self._parallel_refiner_kind()
         assert kind is not None  # _pushdown_order gated on it
-        frag_order = list(range(len(plan.fragments)))
-        if len(frag_order) > 1:
-            frag_order.sort(
-                key=lambda i: self._estimate_candidates(
-                    plan.feature_keys[i], plan.anchored[i]
-                )
-            )
+        frag_order = self._fragment_order(plan)
         concurrency = max(
             self.workers, getattr(self.index.config, "shard_workers", 1)
         )
@@ -445,75 +400,19 @@ class FixQueryProcessor:
         cache, fresh engine) belongs to this shard alone."""
         shard = self.index.shards[shard_id]
         prune_started = time.perf_counter()
-        if self.prune_backend == "rtree":
-            view = shard.spatial_view()
-
-            def scan(i: int):
-                return view.candidates_for_key(
-                    plan.feature_keys[i], anchored=plan.anchored[i]
-                )
-
-        else:
-
-            def scan(i: int):
-                return shard.candidates_for_key(
-                    plan.feature_keys[i], anchored=plan.anchored[i]
-                )
-
-        if len(plan.fragments) == 1:
-            entries = sorted(scan(0), key=_entry_sort_key)
-        else:
-            # The shard-local slice of _intersect_fragments: the running
-            # survivor dict only ever holds this shard's pointers, so
-            # intersecting per shard and unioning is exact.
-            surviving: dict[NodePointer, IndexEntry] | None = None
-            for i in frag_order:
-                stream = scan(i)
-                if surviving is None:
-                    surviving = {entry.pointer: entry for entry in stream}
-                else:
-                    seen = {
-                        entry.pointer
-                        for entry in stream
-                        if entry.pointer in surviving
-                    }
-                    surviving = {
-                        pointer: entry
-                        for pointer, entry in surviving.items()
-                        if pointer in seen
-                    }
-                if not surviving:
-                    break
-            entries = sorted(
-                (surviving or {}).values(), key=lambda entry: entry.pointer
-            )
-        if plan.root_filter:
-            entries = [e for e in entries if e.pointer.node_id == 0]
+        entries = self._prune_in(shard, plan, frag_order)
         prune_seconds = time.perf_counter() - prune_started
 
         refine_started = time.perf_counter()
-        twig = plan.refined
         refiner = (
             StructuralJoinEngine(shard.store)
             if kind == "structural_join"
             else NavigationalEngine(shard.store)
         )
-        doc_groups: dict[int, list[IndexEntry]] = {}
-        for entry in entries:
-            doc_groups.setdefault(entry.pointer.doc_id, []).append(entry)
-        survivors: list[NodePointer] = []
-        for doc_id in sorted(doc_groups):
-            members = doc_groups[doc_id]
-            document = shard.store.get_document(doc_id)
-            if twig.leading_axis is Axis.CHILD:
-                flags = refiner.refine_group(
-                    twig, document, [e.pointer.node_id for e in members]
-                )
-                survivors.extend(
-                    entry.pointer for entry, ok in zip(members, flags) if ok
-                )
-            elif refiner.evaluate_document(twig, document):
-                survivors.extend(entry.pointer for entry in members)
+        doc_groups = _group_by_document(entries)
+        survivors = _refine_doc_groups(
+            refiner, shard.store, plan.refined, doc_groups
+        )
         refine_seconds = time.perf_counter() - refine_started
         return (
             len(entries),
@@ -538,23 +437,20 @@ class FixQueryProcessor:
         """
         result = FixQueryResult(backend=self.prune_backend, workers=self.workers)
         source = query if isinstance(query, str) else query.source
-        epochs = getattr(self.index, "epochs", None)
-        pin = epochs.pin() if epochs is not None else nullcontext(None)
         tracer = self.obs.tracer
         # Everything the tracer buffers from here on belongs to this
         # query — the slice a slow-query exemplar captures.
         events_start = len(tracer.events) if tracer.enabled else 0
         epoch_info: dict = {}
         try:
-            with pin as snapshot, self.obs.span(
+            with self.index.epochs.pin() as snapshot, self.obs.span(
                 "query",
                 source=source,
                 backend=self.prune_backend,
                 workers=self.workers,
             ) as query_span:
                 self._pin_local.snapshot = snapshot
-                if snapshot is not None:
-                    epoch_info["epoch"] = snapshot.epoch
+                epoch_info["epoch"] = snapshot.epoch
                 vector_fn = getattr(self.index, "epoch_vector", None)
                 if callable(vector_fn):
                     # Per-shard global epochs, JSON-friendly — enough to
@@ -589,17 +485,9 @@ class FixQueryProcessor:
 
                     with self.obs.span("query.refine") as refine_span:
                         started = time.perf_counter()
-                        if self.grouped or self.workers > 1:
-                            survivors, fetched = self._refine_grouped(
-                                plan.refined, candidates
-                            )
-                        else:
-                            survivors = [
-                                entry.pointer
-                                for entry in candidates
-                                if self._refine_entry(plan.refined, entry)
-                            ]
-                            fetched = len(candidates)
+                        survivors, fetched = self._refine_grouped(
+                            plan.refined, candidates
+                        )
                         survivors.sort()
                         result.results = survivors
                         result.documents_fetched = fetched
@@ -637,9 +525,7 @@ class FixQueryProcessor:
             self.index.spatial_view().publish(registry)
         if self.plan_cache is not None:
             self.plan_cache.publish(registry)
-        epochs = getattr(self.index, "epochs", None)
-        if epochs is not None:
-            epochs.publish(registry)
+        self.index.epochs.publish(registry)
         if (
             self.metrics_log is not None
             and getattr(self.metrics_log, "registry", None) is registry
@@ -660,12 +546,13 @@ class FixQueryProcessor:
         once, validate all of its candidates against it."""
         use_copy = self._copy_suffices(twig)
         copy_entries: list[IndexEntry] = []
-        doc_groups: dict[int, list[IndexEntry]] = {}
+        doc_entries: list[IndexEntry] = []
         for entry in candidates:
             if entry.record is not None and use_copy:
                 copy_entries.append(entry)
             else:
-                doc_groups.setdefault(entry.pointer.doc_id, []).append(entry)
+                doc_entries.append(entry)
+        doc_groups = _group_by_document(doc_entries)
 
         group_count = len(copy_entries) + len(doc_groups)
         if self.workers > 1 and group_count > 1:
@@ -680,27 +567,14 @@ class FixQueryProcessor:
         for entry in copy_entries:
             assert self.index.clustered_store is not None
             unit = self.index.clustered_store.get_unit(entry.record)
-            if twig.leading_axis is Axis.CHILD:
-                ok = self.refiner.refine(twig, unit.root)
-            else:
-                ok = bool(self.refiner.evaluate_document(twig, unit))
+            (ok,) = refine_candidates(
+                self.refiner, twig, unit, [unit.root.node_id]
+            )
             if ok:
                 survivors.append(entry.pointer)
-        for doc_id in sorted(doc_groups):
-            entries = doc_groups[doc_id]
-            document = self.index.store.get_document(doc_id)
-            if twig.leading_axis is Axis.CHILD:
-                flags = self.refiner.refine_group(
-                    twig, document, [e.pointer.node_id for e in entries]
-                )
-                survivors.extend(
-                    entry.pointer for entry, ok in zip(entries, flags) if ok
-                )
-            # A '//'-leading twig only reaches refinement on collection
-            # indexes (depth-limited rewrites it to '/'), where a unit
-            # survives iff the query matches anywhere inside it.
-            elif self.refiner.evaluate_document(twig, document):
-                survivors.extend(entry.pointer for entry in entries)
+        survivors.extend(
+            _refine_doc_groups(self.refiner, self.index.store, twig, doc_groups)
+        )
         return survivors, group_count
 
     def _refine_parallel(
@@ -720,7 +594,6 @@ class FixQueryProcessor:
             pointers.append(entry.pointer)
             groups.append(
                 (
-                    "copy",
                     self.index.clustered_store.get_unit_source(entry.record),
                     ((seq, 0),),
                 )
@@ -730,7 +603,7 @@ class FixQueryProcessor:
             for entry in doc_groups[doc_id]:
                 members.append((len(pointers), entry.pointer.node_id))
                 pointers.append(entry.pointer)
-            groups.append(("doc", self.index.store.get_source(doc_id), tuple(members)))
+            groups.append((self.index.store.get_source(doc_id), tuple(members)))
         surviving, trace_events = parallel_refine(
             groups, twig, refiner_kind, self.workers, trace=self.obs.tracing
         )
@@ -751,21 +624,6 @@ class FixQueryProcessor:
             return "navigational"
         return None
 
-    def _refine_entry(self, twig: TwigQuery, entry: IndexEntry) -> bool:
-        """Per-pointer refinement (the ungrouped baseline path)."""
-        if entry.record is not None and self._copy_suffices(twig):
-            assert self.index.clustered_store is not None
-            unit = self.index.clustered_store.get_unit(entry.record)
-            if twig.leading_axis is Axis.CHILD:
-                return self.refiner.refine(twig, unit.root)
-            return bool(self.refiner.evaluate_document(twig, unit))
-        # Unclustered (or horizon-escaping): follow the pointer into the
-        # primary store.
-        if twig.leading_axis is Axis.CHILD:
-            return self.refiner.refine_pointer(twig, entry.pointer)
-        document = self.index.store.get_document(entry.pointer.doc_id)
-        return bool(self.refiner.evaluate_document(twig, document))
-
     def _copy_suffices(self, twig: TwigQuery) -> bool:
         """A clustered copy holds the unit down to the index depth limit;
         it answers the query alone iff the query cannot reach deeper."""
@@ -774,6 +632,35 @@ class FixQueryProcessor:
         if self.index.config.depth_limit <= 0:
             return True  # whole-unit copies
         return twig.is_twig() and twig.depth() <= self.index.config.depth_limit
+
+
+def _group_by_document(
+    entries: list[IndexEntry],
+) -> dict[int, list[IndexEntry]]:
+    groups: dict[int, list[IndexEntry]] = {}
+    for entry in entries:
+        groups.setdefault(entry.pointer.doc_id, []).append(entry)
+    return groups
+
+
+def _refine_doc_groups(
+    refiner, store, twig: TwigQuery, doc_groups: dict[int, list[IndexEntry]]
+) -> list[NodePointer]:
+    """Fetch each group's document from ``store`` exactly once, in
+    doc-id order, and keep the candidates ``refiner`` validates."""
+    survivors: list[NodePointer] = []
+    for doc_id in sorted(doc_groups):
+        entries = doc_groups[doc_id]
+        flags = refine_candidates(
+            refiner,
+            twig,
+            store.get_document(doc_id),
+            [entry.pointer.node_id for entry in entries],
+        )
+        survivors.extend(
+            entry.pointer for entry, ok in zip(entries, flags) if ok
+        )
+    return survivors
 
 
 def _entry_sort_key(entry: IndexEntry) -> tuple[bytes, NodePointer]:

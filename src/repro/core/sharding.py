@@ -69,7 +69,7 @@ from repro.core.construction import seed_encoder, seed_encoder_from_source
 from repro.core.epoch import EpochManager, EpochSnapshot
 from repro.core.index import FixIndex, FixIndexConfig, IndexEntry
 from repro.core.persistence import load_index, save_index
-from repro.core.stats import FeatureHistogram
+from repro.core.stats import FeatureHistogram, histogram_view
 from repro.core.values import ValueHasher
 from repro.errors import BTreeError, RecordError, ShardError, StorageError
 from repro.obs import Obs
@@ -227,9 +227,10 @@ class ShardedFixIndex:
         ]
         self.store = _ShardRouter(self)
         self._spatial_view: _ShardedSpatialView | None = None
-        self._histograms: list[
-            tuple[EpochSnapshot, FeatureHistogram] | None
-        ] = [None] * config.shards
+        #: per-shard λ_max histograms, each kept fresh against its own
+        #: shard's epochs (a mutation refreshes one shard's touched
+        #: label slices and nothing else).
+        self._histograms = [histogram_view() for _ in self.shards]
 
     @property
     def generation(self) -> int:
@@ -403,7 +404,6 @@ class ShardedFixIndex:
                     shard.rebuild_from_staged(staged)
                     span.set(entries=shard.entry_count)
         self.epochs.rebuild()
-        self._invalidate_views()
         self._publish_metrics()
 
     def _shard_build_task(self, shard_id: int):
@@ -437,7 +437,6 @@ class ShardedFixIndex:
             max_pattern_vertices=self.config.max_pattern_vertices,
             max_unfolding_opens=self.config.max_unfolding_opens,
             feature_cache=self.config.feature_cache,
-            eigen_solver=shard.eigen_solver,
             trace=self.obs.tracing,
             documents=documents,
             store_ref=store_ref,
@@ -488,12 +487,6 @@ class ShardedFixIndex:
         coordinator pin this vector is frozen (shard mutations only
         happen inside the coordinator's exclusive apply window)."""
         return tuple(shard.epochs.current for shard in self.shards)
-
-    def _invalidate_views(self, shard_id: int | None = None) -> None:
-        if shard_id is None:
-            self._histograms = [None] * self.shard_count
-        else:
-            self._histograms[shard_id] = None
 
     # ------------------------------------------------------------------ #
     # Coverage and query features (identical across shards — one
@@ -617,35 +610,14 @@ class ShardedFixIndex:
         return [shard_id for _, shard_id in ranked]
 
     def _histogram_for(self, shard_id: int) -> FeatureHistogram:
-        """The shard's λ_max histogram, kept fresh per shard epoch:
-        only the label slices mutated since the cached snapshot are
-        recomputed; untouched labels keep their slices (and a floor
-        bump — shard rebuild — falls back to a full rebuild)."""
-        shard = self.shards[shard_id]
-        snapshot = shard.epochs.current
-        cached = self._histograms[shard_id]
-        if cached is not None and cached[0].epoch == snapshot.epoch:
-            return cached[1]
+        """The shard's λ_max histogram, kept fresh per shard epoch."""
         try:
-            if cached is None:
-                histogram = FeatureHistogram(shard)
-            else:
-                stale = snapshot.changed_labels_since(cached[0].epoch)
-                if stale is None:
-                    histogram = FeatureHistogram(shard)
-                    shard.epochs.note_full_refresh()
-                else:
-                    histogram = cached[1]
-                    if stale:
-                        histogram.refresh(shard, stale)
-                        shard.epochs.note_scoped_refresh(len(stale))
+            return self._histograms[shard_id].get(self.shards[shard_id])
         except (StorageError, BTreeError) as exc:
             raise ShardError(
                 f"shard {shard_id}: histogram scan failed: {exc}",
                 shard=shard_id,
             ) from exc
-        self._histograms[shard_id] = (snapshot, histogram)
-        return histogram
 
     def pushdown_shards(
         self, feature_keys, anchored: "list[bool] | tuple[bool, ...]"
@@ -796,24 +768,7 @@ class ShardedFixIndex:
             save_index(shard, sdir)
         manifest = {
             "format_version": _FORMAT_VERSION,
-            "config": {
-                "depth_limit": self.config.depth_limit,
-                "clustered": self.config.clustered,
-                "value_buckets": self.config.value_buckets,
-                "max_pattern_vertices": self.config.max_pattern_vertices,
-                "max_unfolding_opens": self.config.max_unfolding_opens,
-                "guard_band": self.config.guard_band,
-                "workers": self.config.workers,
-                "feature_cache": self.config.feature_cache,
-                "prune_backend": self.config.prune_backend,
-                "eigen_solver": self.config.eigen_solver,
-                "shards": self.config.shards,
-                "shard_affinity": self.config.shard_affinity,
-                "shard_workers": self.config.shard_workers,
-                "page_cache_pages": self.config.page_cache_pages,
-                "spill_dir": None,
-                "btree_node_cache": self.config.btree_node_cache,
-            },
+            "config": self.config.to_dict(),
             "routing": self.routing,
             "encoder": self.encoder.to_dict(),
         }
@@ -843,7 +798,9 @@ class ShardedFixIndex:
         same way (manifests from older builds default to ``1``).
 
         Raises:
-            StorageError: missing/corrupt manifest or format mismatch.
+            StorageError: missing/corrupt manifest, format mismatch, or
+                a missing or ill-typed manifest section.
+            ShardError: a shard's directory cannot be reattached.
         """
         import dataclasses
 
@@ -862,7 +819,15 @@ class ShardedFixIndex:
                 f"sharded format version {manifest.get('format_version')} is "
                 f"not supported (expected {_FORMAT_VERSION})"
             )
-        config = FixIndexConfig(**manifest["config"])
+        try:
+            config = FixIndexConfig.from_dict(manifest["config"])
+            encoder = EdgeLabelEncoder.from_dict(manifest["encoder"])
+            routing = list(manifest["routing"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise StorageError(
+                f"sharded manifest at {manifest_path!r} has a missing or "
+                f"ill-typed section ({type(exc).__name__}: {exc})"
+            ) from exc
         if page_cache_pages is not None:
             config = dataclasses.replace(
                 config, page_cache_pages=page_cache_pages
@@ -871,7 +836,7 @@ class ShardedFixIndex:
             config = dataclasses.replace(config, shard_workers=shard_workers)
         sharded = cls.__new__(cls)
         sharded.config = config
-        sharded.encoder = EdgeLabelEncoder.from_dict(manifest["encoder"])
+        sharded.encoder = encoder
         sharded.value_hasher = (
             ValueHasher(config.value_buckets)
             if config.value_buckets is not None
@@ -879,7 +844,7 @@ class ShardedFixIndex:
         )
         sharded.feature_cache = FeatureCache() if config.feature_cache else None
         sharded.obs = Obs.from_config(config.obs)
-        sharded.routing = list(manifest["routing"])
+        sharded.routing = routing
         sharded.clustered_store = None
         sharded.epochs = EpochManager()
         sharded.shards = []
@@ -907,7 +872,7 @@ class ShardedFixIndex:
             sharded.shards.append(shard)
         sharded.store = _ShardRouter(sharded)
         sharded._spatial_view = None
-        sharded._histograms = [None] * config.shards
+        sharded._histograms = [histogram_view() for _ in sharded.shards]
         sharded._publish_metrics()
         return sharded
 

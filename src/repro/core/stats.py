@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.epoch import EpochCachedView
 from repro.core.index import FixIndex
 from repro.spectral import FeatureKey
 
@@ -171,6 +172,16 @@ class FeatureHistogram:
     def labels(self) -> list[str]:
         """Labels with at least one indexed entry."""
         return sorted(self._histograms)
+
+
+def histogram_view() -> "EpochCachedView[FeatureHistogram]":
+    """The λ_max histogram of the index handed to its ``get`` (a whole
+    index, or one shard), kept fresh against that index's epochs:
+    touched label slices are refreshed, untouched ones kept."""
+    return EpochCachedView(
+        FeatureHistogram,
+        lambda index, histogram, labels: histogram.refresh(index, labels),
+    )
 
 
 def shard_balance(index) -> dict:

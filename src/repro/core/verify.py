@@ -80,7 +80,6 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
             text_label=index.value_hasher,
             max_pattern_vertices=index.config.max_pattern_vertices,
             max_unfolding_opens=index.config.max_unfolding_opens,
-            solver=index.eigen_solver,
         )
         for doc_id in index.store.doc_ids():
             document = index.store.get_document(doc_id)

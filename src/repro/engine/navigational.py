@@ -98,13 +98,6 @@ class NavigationalEngine:
         root bound to ``element``?"""
         return self._verify(twig.root, element, {})
 
-    def refine_pointer(self, twig: TwigQuery, pointer: NodePointer) -> bool:
-        """Refinement through an unclustered-index pointer: resolve into
-        primary storage, then verify."""
-        element = self._store.resolve(pointer)
-        self.stats.documents_opened += 1
-        return self.refine(twig, element)
-
     def refine_group(
         self, twig: TwigQuery, document: Document, node_ids: list[int]
     ) -> list[bool]:

@@ -133,10 +133,6 @@ class StructuralJoinEngine:
         bindings = self._bindings(twig.root, lists)
         return any(region.start == element.node_id for region in bindings)
 
-    def refine_pointer(self, twig: TwigQuery, pointer: NodePointer) -> bool:
-        """Refinement through an unclustered-index pointer."""
-        return self.refine(twig, self._store.resolve(pointer))
-
     def refine_group(
         self, twig: TwigQuery, document: Document, node_ids: list[int]
     ) -> list[bool]:

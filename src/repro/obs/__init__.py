@@ -16,8 +16,8 @@ via ``FixIndexConfig.obs``); processors default to their index's.  The
 registry is always live — it is the bookkeeping substrate, and writing
 a counter is about as cheap as the ``+=`` it replaced — while span
 *tracing* is off unless requested, with a cached no-op span singleton
-keeping disabled-mode overhead under the 2 % budget measured by
-``benchmarks/bench_obs_overhead.py``.
+keeping disabled-mode overhead under its 2 % budget (see
+:mod:`repro.obs.tracer`).
 """
 
 from __future__ import annotations

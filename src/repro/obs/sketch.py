@@ -49,8 +49,8 @@ quantile: for ``q`` the returned value's true rank is within
 sketch is lossless and the bound is exactly 0.  With the default
 ``k = 512`` the analytic envelope is ``~2*log2(n/k)/k`` — under 1% at
 one million observations — and the alternating parity makes observed
-error far smaller (``benchmarks/bench_obs_overhead.py`` records the
-measured maximum).  ``min``/``max``/``count``/``sum`` are tracked
+error far smaller (``tests/test_obs_serving.py`` checks measured error
+against the bound on a stream that compacts).  ``min``/``max``/``count``/``sum`` are tracked
 exactly, so p0/p100 and means are never approximated.
 """
 

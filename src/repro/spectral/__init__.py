@@ -15,10 +15,9 @@ the no-false-negative pruning rule.  The feature key actually indexed is
 * :func:`~repro.spectral.matrix.pattern_matrix` — graph → anti-symmetric
   ``numpy`` matrix.
 * :func:`~repro.spectral.eigen.eigenvalue_range` /
-  :func:`~repro.spectral.eigen.spectrum` — λ extraction; by default the
+  :func:`~repro.spectral.eigen.spectrum` — λ extraction through the
   real-arithmetic closed-form/Gram-eigensolve kernel of
-  :mod:`repro.spectral.kernel` (DESIGN.md §9), with the legacy complex
-  Hermitian path selectable for A/B runs.
+  :mod:`repro.spectral.kernel` (DESIGN.md §9).
 * :func:`~repro.spectral.kernel.solve_batch` — size-bucketed stacked
   solves for the cache misses collected during entry generation.
 * :class:`~repro.spectral.features.FeatureRange` /
@@ -33,13 +32,7 @@ the no-false-negative pruning rule.  The feature key actually indexed is
 from repro.spectral.cache import FeatureCache, pattern_signature, vertex_signature
 from repro.spectral.encoding import EdgeLabelEncoder
 from repro.spectral.eigen import eigenvalue_range, hermitian_of, spectrum
-from repro.spectral.kernel import (
-    SOLVER_LEGACY,
-    SOLVER_REAL,
-    SOLVERS,
-    resolve_solver,
-    solve_batch,
-)
+from repro.spectral.kernel import solve_batch
 from repro.spectral.features import (
     ALL_COVERING_RANGE,
     DEFAULT_GUARD_BAND,
@@ -57,15 +50,11 @@ __all__ = [
     "FeatureCache",
     "FeatureKey",
     "FeatureRange",
-    "SOLVER_LEGACY",
-    "SOLVER_REAL",
-    "SOLVERS",
     "eigenvalue_range",
     "hermitian_of",
     "pattern_features",
     "pattern_matrix",
     "pattern_signature",
-    "resolve_solver",
     "solve_batch",
     "spectrum",
     "spectrum_contains",

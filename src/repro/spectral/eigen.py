@@ -9,10 +9,9 @@ in conjugate pairs ``±iσ_j`` where the ``σ_j`` are the *singular
 values* of ``M``, so the same quantities are computable in pure real
 arithmetic — closed forms for ``n ≤ 3``, a real symmetric Gram eigensolve otherwise — and
 ``λ_min = -λ_max`` holds exactly.  That real kernel
-(:mod:`repro.spectral.kernel`, DESIGN.md §9) is the default solver
-here; the legacy complex path stays selectable per call, per index
-(``FixIndexConfig.eigen_solver``), or via ``REPRO_SPECTRAL_SOLVER``
-for A/B verification.
+(:mod:`repro.spectral.kernel`, DESIGN.md §9) is the solver here; the
+complex formulation is kept only as the oracle the spectral tests
+compare it against.
 
 A consequence worth documenting (see the feature ablation benchmark):
 since the spectrum is symmetric about zero, the paper's ``(λ_min,
@@ -28,14 +27,7 @@ import numpy as np
 
 from repro.bisim.graph import BisimGraph
 from repro.spectral.encoding import EdgeLabelEncoder
-from repro.spectral.kernel import (
-    SOLVER_LEGACY,
-    legacy_range,
-    legacy_spectrum,
-    real_spectrum,
-    resolve_solver,
-    singular_range,
-)
+from repro.spectral.kernel import real_spectrum, singular_range
 from repro.spectral.matrix import pattern_matrix
 
 
@@ -44,37 +36,26 @@ def hermitian_of(matrix: np.ndarray) -> np.ndarray:
     return 1j * matrix
 
 
-def spectrum(matrix: np.ndarray, solver: str | None = None) -> np.ndarray:
+def spectrum(matrix: np.ndarray) -> np.ndarray:
     """Full real spectrum of anti-symmetric ``matrix``, ascending.
 
     These are the eigenvalues of ``iM`` — equivalently ``±σ_j`` for the
-    singular values ``σ_j`` of ``M`` — via the configured solver.
+    singular values ``σ_j`` of ``M``.
     """
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    if resolve_solver(solver) == SOLVER_LEGACY:
-        return legacy_spectrum(matrix)
     return real_spectrum(matrix)
 
 
-def eigenvalue_range(
-    matrix: np.ndarray, solver: str | None = None
-) -> tuple[float, float]:
+def eigenvalue_range(matrix: np.ndarray) -> tuple[float, float]:
     """``(λ_min, λ_max)`` of anti-symmetric ``matrix``.
 
-    Exactly symmetric — ``λ_min == -λ_max`` — for both solvers: the
-    real kernel returns ``(-σ_max, +σ_max)`` by construction, and the
-    legacy path symmetrizes the floating-point ``eigvalsh`` extremes at
-    this API boundary (they can disagree in the last ulp even though
-    theory guarantees symmetry).
+    Exactly symmetric — ``λ_min == -λ_max`` — because the kernel
+    returns ``(-σ_max, +σ_max)`` by construction.
 
     A 0x0 or 1x1 (single vertex, edgeless) pattern has the degenerate
     range ``(0.0, 0.0)``, which — correctly — is contained in every
     indexed range, since a single labeled node can be a subpattern of
     anything with a matching label.
     """
-    if resolve_solver(solver) == SOLVER_LEGACY:
-        return legacy_range(matrix)
     return singular_range(matrix)
 
 
@@ -82,7 +63,6 @@ def graph_eigenvalue_range(
     graph: BisimGraph,
     encoder: EdgeLabelEncoder,
     max_vertices: int | None = None,
-    solver: str | None = None,
 ) -> tuple[float, float]:
     """Convenience: matrix construction + :func:`eigenvalue_range`.
 
@@ -90,7 +70,7 @@ def graph_eigenvalue_range(
         PatternTooLargeError: when the graph exceeds ``max_vertices``.
     """
     return eigenvalue_range(
-        pattern_matrix(graph, encoder, max_vertices=max_vertices), solver=solver
+        pattern_matrix(graph, encoder, max_vertices=max_vertices)
     )
 
 
@@ -98,9 +78,6 @@ def graph_spectrum(
     graph: BisimGraph,
     encoder: EdgeLabelEncoder,
     max_vertices: int | None = None,
-    solver: str | None = None,
 ) -> np.ndarray:
     """Convenience: matrix construction + :func:`spectrum`."""
-    return spectrum(
-        pattern_matrix(graph, encoder, max_vertices=max_vertices), solver=solver
-    )
+    return spectrum(pattern_matrix(graph, encoder, max_vertices=max_vertices))

@@ -81,13 +81,8 @@ def pattern_features(
     graph: BisimGraph,
     encoder: EdgeLabelEncoder,
     max_vertices: int | None = None,
-    solver: str | None = None,
 ) -> FeatureKey:
     """Extract the :class:`FeatureKey` of a twig pattern.
-
-    ``solver`` selects the eigensolver (``"real"``/``"legacy"``, see
-    :mod:`repro.spectral.kernel`); ``None`` resolves the process
-    default.
 
     Raises:
         PatternTooLargeError: when the graph exceeds ``max_vertices``
@@ -95,7 +90,7 @@ def pattern_features(
             :data:`ALL_COVERING_RANGE`).
     """
     lmin, lmax = graph_eigenvalue_range(
-        graph, encoder, max_vertices=max_vertices, solver=solver
+        graph, encoder, max_vertices=max_vertices
     )
     return FeatureKey(graph.root.label, FeatureRange(lmin, lmax))
 

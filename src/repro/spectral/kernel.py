@@ -46,70 +46,17 @@ whether) it was batched.  This is what keeps the PR 1 byte-identity
 guarantee (same B-tree bytes for any worker count / cache setting)
 intact.
 
-The legacy complex-Hermitian solver remains selectable for A/B
-verification — per call (``solver="legacy"``), per index
-(``FixIndexConfig(eigen_solver="legacy")``), or process-wide via the
-``REPRO_SPECTRAL_SOLVER`` environment variable.  Both solvers agree
-within 1e-9 (observed ~1e-14), well inside ``DEFAULT_GUARD_BAND``.
+The paper's complex-Hermitian ``eigvalsh(iM)`` formulation survives
+only as the oracle the spectral tests compare this kernel against
+(``tests/test_spectral_kernel.py``); both agree within 1e-9 (observed
+~1e-14), well inside ``DEFAULT_GUARD_BAND``.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 import numpy as np
-
-#: The real-arithmetic closed-form/Gram-eigensolve kernel (default).
-SOLVER_REAL = "real"
-#: The seed's complex Hermitian ``eigvalsh(iM)`` path.
-SOLVER_LEGACY = "legacy"
-SOLVERS = (SOLVER_REAL, SOLVER_LEGACY)
-
-#: Process-wide solver override for A/B runs without code changes.
-ENV_SOLVER = "REPRO_SPECTRAL_SOLVER"
-
-
-def resolve_solver(solver: str | None = None) -> str:
-    """Normalize a solver choice: explicit > environment > real."""
-    if solver is None:
-        solver = os.environ.get(ENV_SOLVER) or SOLVER_REAL
-    if solver not in SOLVERS:
-        raise ValueError(
-            f"unknown spectral solver {solver!r} (expected one of {SOLVERS})"
-        )
-    return solver
-
-
-# --------------------------------------------------------------------- #
-# Legacy path: complex Hermitian eigensolve
-# --------------------------------------------------------------------- #
-
-
-def legacy_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Ascending spectrum via ``eigvalsh(iM)`` (the seed's solver)."""
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.linalg.eigvalsh(1j * matrix).real
-
-
-def legacy_range(matrix: np.ndarray) -> tuple[float, float]:
-    """``(λ_min, λ_max)`` via the complex path, symmetrized.
-
-    ``eigvalsh`` returns extremes that can differ in the last ulp even
-    though theory guarantees ``λ_min = -λ_max``; the API boundary
-    enforces exact symmetry so both solvers share the invariant.
-    """
-    values = legacy_spectrum(matrix)
-    if values.size == 0:
-        return 0.0, 0.0
-    top = max(float(values[-1]), -float(values[0]))
-    return -top, top
-
-
-# --------------------------------------------------------------------- #
-# Real path: closed forms + singular values, batched by dimension
-# --------------------------------------------------------------------- #
 
 
 def _real_tops(stack: np.ndarray) -> np.ndarray:
@@ -129,14 +76,11 @@ def _real_tops(stack: np.ndarray) -> np.ndarray:
 
 def solve_batch(
     matrices: Sequence[np.ndarray],
-    solver: str | None = None,
 ) -> tuple[list[tuple[float, float]], dict[int, int]]:
     """Feature ranges for a batch of anti-symmetric matrices.
 
     Matrices are grouped by dimension and each group is solved with one
-    stacked call (real solver) or a per-matrix loop (legacy solver, kept
-    un-batched so it reproduces the seed's behaviour exactly in A/B
-    runs).  Results come back in input order.
+    stacked call.  Results come back in input order.
 
     Returns:
         ``(ranges, buckets)`` — one ``(λ_min, λ_max)`` per input, and a
@@ -144,7 +88,6 @@ def solve_batch(
         actually dispatched (``n >= 2``; smaller patterns are answered
         in place).
     """
-    solver = resolve_solver(solver)
     ranges: list[tuple[float, float] | None] = [None] * len(matrices)
     buckets: dict[int, list[int]] = {}
     for position, matrix in enumerate(matrices):
@@ -153,11 +96,7 @@ def solve_batch(
             ranges[position] = (0.0, 0.0)
         else:
             buckets.setdefault(n, []).append(position)
-    for n, positions in buckets.items():
-        if solver == SOLVER_LEGACY:
-            for position in positions:
-                ranges[position] = legacy_range(matrices[position])
-            continue
+    for positions in buckets.values():
         stack = np.stack([matrices[position] for position in positions])
         for position, top in zip(positions, _real_tops(stack)):
             value = float(top)

@@ -256,7 +256,6 @@ class TestPluggableRefiner:
 
     def test_structural_join_refine_methods(self):
         from repro.engine import StructuralJoinEngine
-        from repro.storage import NodePointer
 
         store = site_store()
         engine = StructuralJoinEngine(store)
@@ -266,7 +265,8 @@ class TestPluggableRefiner:
         bad = twig_of("//item/zzz").with_child_leading_axis()
         assert engine.refine(good, item)
         assert not engine.refine(bad, item)
-        assert engine.refine_pointer(good, NodePointer(0, item.node_id))
+        assert engine.refine_group(good, document, [item.node_id]) == [True]
+        assert engine.refine_group(bad, document, [item.node_id]) == [False]
 
 
 class TestTheorem5GapInTheWild:

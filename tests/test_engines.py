@@ -112,16 +112,6 @@ class TestNavigationalEngine:
         twig = twig_of("//book/author/email").with_child_leading_axis()
         assert not engine.refine(twig, book)
 
-    def test_refine_pointer(self):
-        store = store_with(BIB)
-        engine = NavigationalEngine(store)
-        doc = store.get_document(0)
-        from repro.storage import NodePointer
-
-        article = next(doc.root.find_all("article"))
-        twig = twig_of("//article/title").with_child_leading_axis()
-        assert engine.refine_pointer(twig, NodePointer(0, article.node_id))
-
     def test_stats_accumulate(self):
         store = store_with(BIB)
         engine = NavigationalEngine(store)

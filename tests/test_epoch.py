@@ -10,8 +10,10 @@ mutation returns either the pre- or post-mutation answer, never a mix.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -270,6 +272,21 @@ class TestHistogramRefresh:
         index.remove_document(2)
         assert processor._estimate_candidates(key, True) == pytest.approx(0.0)
 
+    def test_views_do_not_keep_their_index_in_a_cycle(self):
+        # A cached view is handed its index per call.  One that stored
+        # it would leave every dropped index (B-tree, pager, store) to
+        # the cyclic collector instead of freeing it on last release.
+        index = build_index()
+        processor = FixQueryProcessor(index)
+        processor.query("//book/title")
+        released = weakref.ref(index)
+        gc.disable()
+        try:
+            del index, processor
+            assert released() is None
+        finally:
+            gc.enable()
+
 
 # --------------------------------------------------------------------- #
 # Spatial view maintenance
@@ -399,20 +416,15 @@ class TestShardedEpochs:
     def test_histogram_cache_survives_mutations_to_other_shards(self):
         index = build_sharded()
         key = index.query_features(twig_of("//book"))
-        index.candidates_for_key(key)  # populate per-shard histograms
-        cached = [
-            index._histograms[shard_id]
-            for shard_id in range(index.shard_count)
-        ]
+        list(index.candidates_for_key(key))  # populate per-shard histograms
+        cached = [view.value for view in index._histograms]
         doc_id = index.add_document(parse_xml("<bib><misc/></bib>"))
         owner = index.shard_of(doc_id)
         list(index.candidates_for_key(key))
-        for shard_id in range(index.shard_count):
-            entry = index._histograms[shard_id]
+        for shard_id, view in enumerate(index._histograms):
             if shard_id != owner and cached[shard_id] is not None:
                 # Untouched shard: the histogram object is reused.
-                assert entry is not None
-                assert entry[1] is cached[shard_id][1]
+                assert view.value is cached[shard_id]
 
 
 # --------------------------------------------------------------------- #

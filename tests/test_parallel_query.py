@@ -2,8 +2,9 @@
 
 The refinement verdict for a candidate is a pure function of (query,
 unit tree), so the final pointer-ordered result list must be identical
-— element for element — for any worker count, for grouped vs ungrouped
-refinement, and for either refinement engine, on every index variant.
+— element for element — for any worker count and for either refinement
+engine, on every index variant.  The baseline is the serial processor,
+itself checked against the ground-truth matcher.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import pytest
 
 from repro.core import FixIndex, FixIndexConfig, FixQueryProcessor
 from repro.engine import StructuralJoinEngine
-from repro.storage import PrimaryXMLStore
+from repro.query import matching_elements, query_matches_document, twig_of
+from repro.storage import NodePointer, PrimaryXMLStore
 from repro.xmltree import parse_xml
 
 WORKER_COUNTS = [1, 2, 4]
@@ -66,6 +68,24 @@ def assert_pointer_ordered(results) -> None:
     assert results == sorted(results)
 
 
+def ground_truth(store: PrimaryXMLStore, query: str, depth_limit: int):
+    """What the index must answer, from the matcher alone: every
+    matching element on a depth-limited index, every matching document
+    (as its root pointer) on a collection index."""
+    twig = twig_of(query)
+    truth = []
+    for doc_id in store.doc_ids():
+        document = store.get_document(doc_id)
+        if depth_limit > 0:
+            truth.extend(
+                NodePointer(doc_id, element.node_id)
+                for element in matching_elements(twig, document)
+            )
+        elif query_matches_document(twig, document):
+            truth.append(NodePointer(doc_id, 0))
+    return truth
+
+
 class TestWorkerDeterminism:
     @pytest.mark.parametrize("query", QUERIES)
     @pytest.mark.parametrize(
@@ -81,8 +101,9 @@ class TestWorkerDeterminism:
     def test_results_identical_for_any_worker_count(self, query, config):
         store = varied_store()
         index = FixIndex.build(store, config)
-        baseline = FixQueryProcessor(index, grouped=False).query(query).results
+        baseline = FixQueryProcessor(index).query(query).results
         assert_pointer_ordered(baseline)
+        assert baseline == ground_truth(store, query, config.depth_limit)
         for workers in WORKER_COUNTS:
             result = FixQueryProcessor(index, workers=workers).query(query)
             assert result.results == baseline, (query, workers)
@@ -94,7 +115,7 @@ class TestWorkerDeterminism:
         store = varied_store()
         index = FixIndex.build(store, FixIndexConfig(depth_limit=4))
         baseline = FixQueryProcessor(
-            index, refiner=StructuralJoinEngine(store), grouped=False
+            index, refiner=StructuralJoinEngine(store)
         )
         parallel = FixQueryProcessor(
             index, refiner=StructuralJoinEngine(store), workers=workers
@@ -110,7 +131,7 @@ class TestWorkerDeterminism:
         index = FixIndex.build(
             store, FixIndexConfig(depth_limit=4, value_buckets=16)
         )
-        serial = FixQueryProcessor(index, grouped=False)
+        serial = FixQueryProcessor(index)
         parallel = FixQueryProcessor(index, workers=workers)
         for query in [
             '//proceedings[publisher = "Springer"][title]',
@@ -124,7 +145,7 @@ class TestWorkerDeterminism:
         store = varied_store()
         index = FixIndex.build(store, FixIndexConfig(depth_limit=0))
         for query in ["//item[name]", "//person[.//phone]"]:
-            baseline = FixQueryProcessor(index, grouped=False).query(query).results
+            baseline = FixQueryProcessor(index).query(query).results
             for workers in WORKER_COUNTS:
                 got = FixQueryProcessor(index, workers=workers).query(query).results
                 assert got == baseline, (query, workers)
@@ -138,7 +159,7 @@ class TestWorkerDeterminism:
         store = varied_store(6)
         index = FixIndex.build(store, FixIndexConfig(depth_limit=4))
         processor = FixQueryProcessor(index, refiner=WrappedEngine(store), workers=4)
-        baseline = FixQueryProcessor(index, grouped=False)
+        baseline = FixQueryProcessor(index)
         for query in QUERIES[:3]:
             assert processor.query(query).results == baseline.query(query).results
 
@@ -147,17 +168,19 @@ class TestGroupedFetchAccounting:
     def test_grouped_fetches_each_document_once(self):
         store = varied_store(8)
         index = FixIndex.build(store, FixIndexConfig(depth_limit=4))
-        grouped = FixQueryProcessor(index).query("//item[name]/mailbox")
-        ungrouped = FixQueryProcessor(index, grouped=False).query(
-            "//item[name]/mailbox"
+        processor = FixQueryProcessor(index)
+        query = "//item[name]/mailbox"
+        # One fetch per distinct candidate document, however many
+        # candidates each document holds.
+        candidate_docs = {e.pointer.doc_id for e in processor.prune(query)}
+        opened_before = processor.refiner.stats.documents_opened
+        result = processor.query(query)
+        assert result.documents_fetched == len(candidate_docs)
+        assert result.documents_fetched < result.candidate_count
+        assert (
+            processor.refiner.stats.documents_opened - opened_before
+            == len(candidate_docs)
         )
-        assert grouped.results == ungrouped.results
-        # One fetch per distinct candidate document, never more than the
-        # ungrouped per-candidate count.
-        distinct_docs = len({p.doc_id for p in grouped.results}) or 0
-        assert grouped.documents_fetched <= ungrouped.documents_fetched
-        assert grouped.documents_fetched >= distinct_docs
-        assert ungrouped.documents_fetched == ungrouped.candidate_count
 
     def test_clustered_groups_count_copy_units(self):
         store = varied_store(8)

@@ -71,8 +71,9 @@ class TestPlanCache:
         for query in ["//item", "//person", "//item/mailbox"]:
             cache.put(build_plan(index, query))
         assert len(cache) == 2
-        assert cache.get("//item", index.generation) is None  # evicted
-        assert cache.get("//person", index.generation) is not None
+        snapshot = index.epochs.current
+        assert cache.get("//item", snapshot) is None  # evicted
+        assert cache.get("//person", snapshot) is not None
 
     def test_cache_shared_between_processors(self):
         index = FixIndex.build(site_store(), FixIndexConfig(depth_limit=4))

@@ -7,13 +7,15 @@ The contract under test: for every anti-symmetric pattern matrix,
    ``λ_min == -λ_max`` *exactly* (not just approximately);
 2. the spectrum equals ``±σ_j`` for the singular values of ``M``
    within 1e-9;
-3. batched kernel ≡ per-pattern kernel ≡ legacy complex path, for
-   every bucket size, within 1e-9 (and batched ≡ per-pattern exactly);
+3. batched kernel ≡ per-pattern kernel ≡ the complex-Hermitian
+   reference, for every bucket size, within 1e-9 (and batched ≡
+   per-pattern exactly);
 4. the closed forms for ``n ≤ 3`` match the dense solvers.
 
-Plus end-to-end A/B coverage: an index built with the real solver and
-one built with the legacy solver agree on every feature range within
-1e-9 and answer queries identically.
+The reference is the paper's own formulation — ``eigvalsh(iM)``, the
+solver the seed shipped — kept here, and only here, as the oracle.
+Plus end-to-end coverage: every key in a built index's B-tree equals
+the reference recomputed from its pattern within 1e-9.
 """
 
 from __future__ import annotations
@@ -23,27 +25,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bisim import bisim_graph_of_document, depth_limited_graph
 from repro.btree.keys import decode_feature_key
 from repro.core import FixIndex, FixIndexConfig, FixQueryProcessor
+from repro.query import matching_elements, twig_of
 from repro.spectral import (
-    SOLVER_LEGACY,
-    SOLVER_REAL,
     EdgeLabelEncoder,
     eigenvalue_range,
     pattern_matrix,
-    resolve_solver,
     solve_batch,
     spectrum,
 )
-from repro.spectral.kernel import (
-    legacy_range,
-    real_spectrum,
-    singular_range,
-)
-from repro.storage import PrimaryXMLStore
-from repro.xmltree import parse_xml
+from repro.spectral.kernel import real_spectrum, singular_range
+from repro.storage import NodePointer, PrimaryXMLStore
+from repro.xmltree import parse_xml, serialize_fragment
 
 TOLERANCE = 1e-9
+
+
+def legacy_spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Ascending spectrum via ``eigvalsh(iM)`` (the seed's solver)."""
+    if matrix.shape[0] == 0:
+        return np.zeros(0, dtype=np.float64)
+    return np.linalg.eigvalsh(1j * matrix).real
+
+
+def legacy_range(matrix: np.ndarray) -> tuple[float, float]:
+    """``(λ_min, λ_max)`` via the complex path, symmetrized (``eigvalsh``
+    extremes can differ in the last ulp even though theory guarantees
+    ``λ_min = -λ_max``)."""
+    values = legacy_spectrum(matrix)
+    if values.size == 0:
+        return 0.0, 0.0
+    top = max(float(values[-1]), -float(values[0]))
+    return -top, top
 
 
 @st.composite
@@ -60,49 +75,20 @@ def antisymmetric_matrices(draw, max_n: int = 8) -> np.ndarray:
     return matrix
 
 
-class TestSolverSelection:
-    def test_default_is_real(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPECTRAL_SOLVER", raising=False)
-        assert resolve_solver(None) == SOLVER_REAL
-
-    def test_environment_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECTRAL_SOLVER", "legacy")
-        assert resolve_solver(None) == SOLVER_LEGACY
-        # An explicit choice still wins over the environment.
-        assert resolve_solver("real") == SOLVER_REAL
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_solver("quantum")
-
-    def test_config_validates_solver(self):
-        with pytest.raises(ValueError):
-            FixIndexConfig(eigen_solver="quantum")
-
-
 class TestExactSymmetry:
-    """Satellite: ``λ_min == -λ_max`` exactly, for BOTH solvers.
-
-    ``eigvalsh`` extremes can be asymmetric at the ulp level; the API
-    boundary symmetrizes, and the real kernel is symmetric by
-    construction."""
+    """Satellite: ``λ_min == -λ_max`` exactly — the real kernel is
+    symmetric by construction."""
 
     @settings(max_examples=150, deadline=None)
     @given(antisymmetric_matrices())
     def test_real_range_exactly_symmetric(self, matrix):
-        lmin, lmax = eigenvalue_range(matrix, solver=SOLVER_REAL)
-        assert lmin == -lmax
-
-    @settings(max_examples=150, deadline=None)
-    @given(antisymmetric_matrices())
-    def test_legacy_range_exactly_symmetric(self, matrix):
-        lmin, lmax = eigenvalue_range(matrix, solver=SOLVER_LEGACY)
+        lmin, lmax = eigenvalue_range(matrix)
         assert lmin == -lmax
 
     @settings(max_examples=100, deadline=None)
     @given(antisymmetric_matrices())
     def test_real_spectrum_exactly_symmetric(self, matrix):
-        values = spectrum(matrix, solver=SOLVER_REAL)
+        values = spectrum(matrix)
         assert np.array_equal(values, -values[::-1])
         assert np.all(np.diff(values) >= 0)
 
@@ -114,15 +100,14 @@ class TestSpectrumIsSingularValues:
         if matrix.shape[0] == 0:
             return
         singular = np.linalg.svd(matrix, compute_uv=False)
-        for solver in (SOLVER_REAL, SOLVER_LEGACY):
-            values = spectrum(matrix, solver=solver)
+        for values in (spectrum(matrix), legacy_spectrum(matrix)):
             magnitudes = np.sort(np.abs(values))[::-1]
             assert np.max(np.abs(magnitudes - singular)) < TOLERANCE
 
     @settings(max_examples=150, deadline=None)
     @given(antisymmetric_matrices())
     def test_range_is_plus_minus_sigma_max(self, matrix):
-        lmin, lmax = eigenvalue_range(matrix, solver=SOLVER_REAL)
+        lmin, lmax = eigenvalue_range(matrix)
         if matrix.shape[0] == 0:
             assert (lmin, lmax) == (0.0, 0.0)
             return
@@ -135,8 +120,8 @@ class TestSolverEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(antisymmetric_matrices())
     def test_real_matches_legacy(self, matrix):
-        real = eigenvalue_range(matrix, solver=SOLVER_REAL)
-        legacy = eigenvalue_range(matrix, solver=SOLVER_LEGACY)
+        real = eigenvalue_range(matrix)
+        legacy = legacy_range(matrix)
         assert real[0] == pytest.approx(legacy[0], abs=TOLERANCE)
         assert real[1] == pytest.approx(legacy[1], abs=TOLERANCE)
 
@@ -145,7 +130,7 @@ class TestSolverEquivalence:
     def test_batched_equals_per_pattern_exactly(self, matrices):
         """The determinism contract: batching never changes a result's
         bits, for every bucket size the batch happens to contain."""
-        ranges, buckets = solve_batch(matrices, solver=SOLVER_REAL)
+        ranges, buckets = solve_batch(matrices)
         assert len(ranges) == len(matrices)
         assert sum(buckets.values()) == sum(
             1 for m in matrices if m.shape[0] >= 2
@@ -156,20 +141,20 @@ class TestSolverEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(antisymmetric_matrices(), min_size=1, max_size=12))
     def test_batched_matches_legacy_within_tolerance(self, matrices):
-        real_ranges, _ = solve_batch(matrices, solver=SOLVER_REAL)
-        legacy_ranges, _ = solve_batch(matrices, solver=SOLVER_LEGACY)
-        for real, legacy in zip(real_ranges, legacy_ranges):
+        real_ranges, _ = solve_batch(matrices)
+        for real, matrix in zip(real_ranges, matrices):
+            legacy = legacy_range(matrix)
             assert real[0] == pytest.approx(legacy[0], abs=TOLERANCE)
             assert real[1] == pytest.approx(legacy[1], abs=TOLERANCE)
 
     def test_every_bucket_size_up_to_eight(self):
         """Deterministic sweep: one batch per dimension 0..8, each
-        compared against the per-pattern and legacy solvers."""
+        compared against the per-pattern kernel and the reference."""
         rng = np.random.default_rng(11)
         for n in range(9):
             upper = np.triu(rng.integers(1, 9, size=(n, n)).astype(float), 1)
             mats = [upper - upper.T for _ in range(4)]
-            ranges, buckets = solve_batch(mats, solver=SOLVER_REAL)
+            ranges, buckets = solve_batch(mats)
             if n >= 2:
                 assert buckets == {n: 4}
             else:
@@ -292,87 +277,81 @@ def _corpus(documents: int = 6) -> PrimaryXMLStore:
 
 
 class TestEndToEndSolverAB:
-    """Real-solver and legacy-solver builds of the same corpus must
-    agree on every feature range (within 1e-9) and on query answers."""
+    """Every key a build wrote must equal the ``eigvalsh(iM)`` reference
+    recomputed from the entry's own depth-limited pattern (within 1e-9),
+    and the index must answer exactly."""
+
+    DEPTH_LIMIT = 3
 
     @pytest.fixture(scope="class")
-    def indexes(self):
-        store = _corpus()
-        real = FixIndex.build(
-            store, FixIndexConfig(depth_limit=3, eigen_solver="real")
+    def index(self):
+        return FixIndex.build(
+            _corpus(), FixIndexConfig(depth_limit=self.DEPTH_LIMIT)
         )
-        legacy = FixIndex.build(
-            store, FixIndexConfig(depth_limit=3, eigen_solver="legacy")
-        )
-        return real, legacy
 
-    def test_every_feature_range_agrees(self, indexes):
-        real, legacy = indexes
-        # Near-tie keys may order differently between solvers, so match
-        # entries by pointer value (unique per indexed element).
-        real_by_value = {
-            value: decode_feature_key(key)
-            for key, value in real.btree.items()
-        }
-        legacy_by_value = {
-            value: decode_feature_key(key)
-            for key, value in legacy.btree.items()
-        }
-        assert set(real_by_value) == set(legacy_by_value)
-        for value, (label_r, lmax_r, lmin_r) in real_by_value.items():
-            label_l, lmax_l, lmin_l = legacy_by_value[value]
-            assert label_r == label_l
-            assert lmax_r == pytest.approx(lmax_l, abs=TOLERANCE)
-            assert lmin_r == pytest.approx(lmin_l, abs=TOLERANCE)
+    def test_every_feature_range_agrees(self, index):
+        checked = 0
+        for raw_key, raw_value in index.btree.items():
+            label, lmax, lmin = decode_feature_key(raw_key)
+            pointer = NodePointer.unpack(raw_value)
+            document = index.store.get_document(pointer.doc_id)
+            element = document.element_at(pointer.node_id)
+            # The entry's pattern, rebuilt from first principles: the
+            # element's subtree, minimized, unfolded to the depth limit.
+            subtree = parse_xml(serialize_fragment(element))
+            pattern = depth_limited_graph(
+                bisim_graph_of_document(subtree).root, self.DEPTH_LIMIT
+            )
+            want_min, want_max = legacy_range(
+                pattern_matrix(pattern, index.encoder)
+            )
+            assert label == element.tag
+            assert lmax == pytest.approx(want_max, abs=TOLERANCE)
+            assert lmin == pytest.approx(want_min, abs=TOLERANCE)
+            checked += 1
+        assert checked == index.entry_count > 0
 
-    def test_real_keys_exactly_symmetric(self, indexes):
-        real, _ = indexes
-        for entry in real.iter_entries():
+    def test_real_keys_exactly_symmetric(self, index):
+        for entry in index.iter_entries():
             assert entry.key.range.lmin == -entry.key.range.lmax
 
-    def test_identical_query_results(self, indexes):
-        real, legacy = indexes
+    def test_identical_query_results(self, index):
         for query in ("//section[para]", "//chapter//item", "/book/chapter"):
-            real_result = FixQueryProcessor(real).query(query)
-            legacy_result = FixQueryProcessor(legacy).query(query)
-            assert real_result.results == legacy_result.results
+            twig = twig_of(query)
+            truth = sorted(
+                NodePointer(doc_id, element.node_id)
+                for doc_id in index.store.doc_ids()
+                for element in matching_elements(
+                    twig, index.store.get_document(doc_id)
+                )
+            )
+            assert FixQueryProcessor(index).query(query).results == truth
 
-    def test_batching_observability(self, indexes):
-        real, legacy = indexes
-        assert real.report.eigen_solver == "real"
-        assert legacy.report.eigen_solver == "legacy"
-        # The real build dispatched stacked solves; the legacy build,
-        # by design, never touched the batch queue.
-        assert real.report.stats.eigen_batches > 0
+    def test_batching_observability(self, index):
+        stats = index.report.stats
+        assert stats.eigen_batches > 0
         assert sum(
-            size * count
-            for size, count in real.report.stats.eigen_batch_sizes.items()
-        ) >= real.report.stats.eigen_batches
-        assert legacy.report.stats.eigen_batches == 0
-        assert legacy.report.stats.eigen_batch_sizes == {}
+            size * count for size, count in stats.eigen_batch_sizes.items()
+        ) >= stats.eigen_batches
 
-    def test_solver_stats_parity(self, indexes):
-        """Batching changes when eigenproblems are solved, not how many
-        or what the cache saw."""
-        real, legacy = indexes
-        assert (
-            real.report.stats.eigen_computations
-            == legacy.report.stats.eigen_computations
+    def test_solver_stats_parity(self, index):
+        """Batching changes when eigenproblems are solved, not how many:
+        every cache miss is solved exactly once, and every element gets
+        exactly one entry."""
+        stats = index.report.stats
+        assert stats.eigen_computations == (
+            stats.cache_misses - stats.oversized_patterns
         )
-        assert real.report.stats.cache_hits == legacy.report.stats.cache_hits
-        assert (
-            real.report.stats.cache_misses
-            == legacy.report.stats.cache_misses
+        assert stats.entries == sum(
+            index.store.get_document(doc_id).element_count()
+            for doc_id in index.store.doc_ids()
         )
-        assert real.report.stats.entries == legacy.report.stats.entries
 
 
 class TestBatchedIncrementalMaintenance:
     def test_add_then_remove_document_roundtrip(self):
         store = _corpus(3)
-        index = FixIndex.build(
-            store, FixIndexConfig(depth_limit=3, eigen_solver="real")
-        )
+        index = FixIndex.build(store, FixIndexConfig(depth_limit=3))
         before = list(index.btree.items())
         doc = parse_xml("<book><chapter><section><para/></section></chapter></book>")
         doc_id = index.add_document(doc)
