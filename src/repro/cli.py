@@ -55,6 +55,21 @@ from repro.storage import PrimaryXMLStore
 from repro.xmltree import parse_xml_file
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1, so an
+    out-of-range value is a usage error rather than a config
+    ``ValueError`` later."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -101,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(overwrites; inspect with 'repro trace PATH')",
     )
     build.add_argument(
-        "--shards", type=int, default=1, metavar="N",
+        "--shards", type=_positive_int, default=1, metavar="N",
         help="partition documents into N independent shards (N>1 saves "
         "a sharded index; query answers are pointer-identical to the "
         "single-index build)",
@@ -113,13 +128,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "on anchored queries)",
     )
     build.add_argument(
-        "--shard-workers", type=int, default=1, metavar="N",
+        "--shard-workers", type=_positive_int, default=1, metavar="N",
         help="shard build worker processes: each shard's staging runs in "
         "the pool, N shards at a time (on-disk bytes identical to the "
         "serial build); also the saved scan-concurrency bound",
     )
     build.add_argument(
-        "--page-cache-pages", type=int, default=None, metavar="P",
+        "--page-cache-pages", type=_positive_int, default=None, metavar="P",
         help="buffer-pool bound, in pages, for every file-backed pager "
         "(default 256; only file-backed pagers evict)",
     )
@@ -163,11 +178,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "query traces can share one file)",
     )
     query.add_argument(
-        "--page-cache-pages", type=int, default=None, metavar="P",
+        "--page-cache-pages", type=_positive_int, default=None, metavar="P",
         help="override the saved buffer-pool bound for this session",
     )
     query.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
+        "--shard-workers", type=_positive_int, default=None, metavar="N",
         help="override the saved shard scan-concurrency bound for this "
         "session (sharded indexes only)",
     )

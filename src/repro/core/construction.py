@@ -38,13 +38,15 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.errors import PatternTooLargeError
 from repro.bisim import BisimGraphBuilder, depth_limited_graph, depth_signature
 from repro.bisim.graph import BisimVertex
+from repro.btree import encode_feature_key
+from repro.core.values import ValueHasher
 from repro.obs import MetricsRegistry, Obs
 from repro.spectral import (
     ALL_COVERING_RANGE,
@@ -297,6 +299,11 @@ class Entry:
     key: FeatureKey
     node_id: int
 
+    def encoded_key(self) -> bytes:
+        """The B-tree key this entry is stored under."""
+        key = self.key
+        return encode_feature_key(key.root_label, key.range.lmax, key.range.lmin)
+
 
 @dataclass(slots=True)
 class _PendingFeature:
@@ -313,6 +320,60 @@ class _PendingFeature:
     size: int
     signature: bytes | None = None
     key: FeatureKey | None = None
+
+
+#: One staged index entry: (encoded B-tree key, doc_id, node_id).
+StagedEntry = tuple[bytes, int, int]
+
+
+@dataclass(frozen=True, slots=True)
+class GeneratorSettings:
+    """The part of a :class:`~repro.core.index.FixIndexConfig` entry
+    generation depends on — what an index, a mutation's shadow
+    generator, the verifier and every build worker construct an
+    :class:`EntryGenerator` from.  Frozen and picklable, so it crosses
+    the process boundary inside a staging task as is."""
+
+    depth_limit: int
+    value_buckets: int | None
+    max_pattern_vertices: int
+    max_unfolding_opens: int
+    feature_cache: bool
+
+    @classmethod
+    def from_config(cls, config) -> "GeneratorSettings":
+        """The settings a ``FixIndexConfig`` implies (its same-named
+        fields)."""
+        return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
+
+    def value_hasher(self) -> ValueHasher | None:
+        """The β-bucket text labeller (``None``: purely structural)."""
+        if self.value_buckets is None:
+            return None
+        return ValueHasher(self.value_buckets)
+
+    def fresh_cache(self) -> FeatureCache | None:
+        """A new, empty spectral feature cache — or ``None`` when the
+        settings disable caching."""
+        return FeatureCache() if self.feature_cache else None
+
+    def generator(
+        self,
+        encoder: EdgeLabelEncoder,
+        cache: FeatureCache | None = None,
+        obs: Obs | None = None,
+    ) -> "EntryGenerator":
+        """An :class:`EntryGenerator` for these settings over
+        ``encoder``, consulting ``cache`` and reporting into ``obs``."""
+        return EntryGenerator(
+            encoder,
+            self.depth_limit,
+            text_label=self.value_hasher(),
+            max_pattern_vertices=self.max_pattern_vertices,
+            max_unfolding_opens=self.max_unfolding_opens,
+            cache=cache,
+            obs=obs,
+        )
 
 
 class EntryGenerator:
@@ -352,6 +413,53 @@ class EntryGenerator:
     # ------------------------------------------------------------------ #
     # Entry streams
     # ------------------------------------------------------------------ #
+
+    def stage(
+        self, doc_ids, load: Callable[[int], Document]
+    ) -> list[StagedEntry]:
+        """CONSTRUCT-ENTRIES over ``doc_ids``: one ``(encoded key,
+        doc_id, node_id)`` triple per entry, in ``doc_ids`` order
+        (generation order within a document).
+
+        The build's one staging loop.  ``load`` turns a doc id into its
+        tree and is charged to the ``parse`` phase — the in-process
+        build passes the store's (LRU-cached) ``get_document``, a worker
+        parses the source it was shipped.  Every document gets a
+        ``build.doc`` span and an observation in the ``build.doc_*``
+        sketches of this generator's :class:`~repro.obs.Obs`; what its
+        generation time leaves after unfold/matrix/eigen is the
+        ``bisim`` phase.
+        """
+        timings = self.timings
+        staged: list[StagedEntry] = []
+        unfold_before = timings.unfold
+        matrix_before = timings.matrix
+        eigen_before = timings.eigen
+        doc_seconds = self.obs.registry.sketch("build.doc_seconds")
+        doc_entries = self.obs.registry.sketch("build.doc_entries")
+        generate_seconds = 0.0
+        for doc_id in doc_ids:
+            started = time.perf_counter()
+            document = load(doc_id)
+            timings.parse += time.perf_counter() - started
+            started = time.perf_counter()
+            with self.obs.span("build.doc", doc=doc_id) as span:
+                entries_before = len(staged)
+                for entry in self.entries_for(document):
+                    staged.append((entry.encoded_key(), doc_id, entry.node_id))
+                span.set(entries=len(staged) - entries_before)
+            doc_elapsed = time.perf_counter() - started
+            generate_seconds += doc_elapsed
+            doc_seconds.observe(doc_elapsed)
+            doc_entries.observe(float(len(staged) - entries_before))
+        timings.bisim += max(
+            0.0,
+            generate_seconds
+            - (timings.unfold - unfold_before)
+            - (timings.matrix - matrix_before)
+            - (timings.eigen - eigen_before),
+        )
+        return staged
 
     def entries_for(self, document: Document) -> Iterator[Entry]:
         """Yield every index entry for ``document``.

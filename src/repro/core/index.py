@@ -29,12 +29,11 @@ from repro.btree import BPlusTree, encode_feature_key, label_upper_bound
 from repro.btree.keys import decode_feature_key
 from repro.core.construction import (
     ConstructionStats,
-    EntryGenerator,
+    GeneratorSettings,
     PhaseTimings,
     seed_encoder,
 )
 from repro.core.epoch import EpochCachedView, EpochManager
-from repro.core.values import ValueHasher
 from repro.errors import IndexCoverageError, StorageError, UnsupportedQueryError
 from repro.obs import Obs, ObsConfig
 from repro.query.ast import Axis
@@ -322,32 +321,22 @@ class FixIndex:
         self.btree = BPlusTree(
             self._fresh_btree_pager(), node_cache=self.config.btree_node_cache
         )
-        self.value_hasher = (
-            ValueHasher(self.config.value_buckets)
-            if self.config.value_buckets is not None
-            else None
-        )
         self.clustered_store = ClusteredStore() if self.config.clustered else None
-        if feature_cache is not None:
-            self.feature_cache: FeatureCache | None = feature_cache
-        else:
-            self.feature_cache = (
-                FeatureCache() if self.config.feature_cache else None
-            )
+        self._settings = GeneratorSettings.from_config(self.config)
+        self.feature_cache: FeatureCache | None = (
+            feature_cache
+            if feature_cache is not None
+            else self._settings.fresh_cache()
+        )
         #: the observability context (DESIGN.md §10): the metrics
         #: registry every view over this index reads, plus the span
         #: tracer (enabled via ``config.obs``).  Shared by the entry
         #: generator and, by default, every processor over this index.
         self.obs = obs if obs is not None else Obs.from_config(self.config.obs)
-        self._generator = EntryGenerator(
-            self.encoder,
-            self.config.depth_limit,
-            text_label=self.value_hasher,
-            max_pattern_vertices=self.config.max_pattern_vertices,
-            max_unfolding_opens=self.config.max_unfolding_opens,
-            cache=self.feature_cache,
-            obs=self.obs,
+        self._generator = self._settings.generator(
+            self.encoder, cache=self.feature_cache, obs=self.obs
         )
+        self.value_hasher = self._generator.text_label
         self.report = BuildReport(
             stats=self._generator.stats, timings=self._generator.timings
         )
@@ -370,6 +359,17 @@ class FixIndex:
         """The global epoch — the legacy single-counter view.  Bumped by
         every mutation; per-label validity lives on :attr:`epochs`."""
         return self.epochs.epoch
+
+    def adopt_shared(
+        self, encoder: EdgeLabelEncoder, feature_cache: FeatureCache | None
+    ) -> None:
+        """Re-point this index and its generator at a sharded
+        coordinator's encoder and spectral cache (a reloaded shard comes
+        back with private copies), so future incremental adds keep every
+        shard's keys in agreement.  A ``None`` cache keeps the own one."""
+        self.encoder = self._generator.encoder = encoder
+        if feature_cache is not None:
+            self.feature_cache = self._generator.cache = feature_cache
 
     # ------------------------------------------------------------------ #
     # Construction (Algorithm 1)
@@ -446,12 +446,10 @@ class FixIndex:
         if self.config.clustered:
             raise StorageError("clustered indexes cannot load staged entries")
         started = time.perf_counter()
-        self._generator.stats.merge(staged.stats)
-        self._generator.timings.merge(staged.timings)
-        self.obs.registry.merge_sketch_states(staged.sketches)
+        entries = self._absorb_staged(staged)
         insert_started = time.perf_counter()
-        with self.obs.span("build.insert", entries=len(staged.entries)):
-            self._load_unclustered(staged.entries)
+        with self.obs.span("build.insert", entries=len(entries)):
+            self._load_unclustered(entries)
         self.report.timings.insert += time.perf_counter() - insert_started
         self.report.seconds = time.perf_counter() - started
         self.report.btree_bytes = self.btree.size_bytes()
@@ -482,6 +480,17 @@ class FixIndex:
         Table-1 accounting without hot-path counter traffic."""
         registry = self.obs.registry
         self._generator.stats.publish(registry)
+        self._publish_gauges()
+        if self.clustered_store is not None:
+            registry.gauge("index.clustered_bytes").set(
+                self.clustered_store.size_bytes()
+            )
+
+    def _publish_gauges(self) -> None:
+        """The sizes every registry sync refreshes, after a build or a
+        mutation: pager counters, entry/byte/generation gauges and the
+        spectral cache's pattern count."""
+        registry = self.obs.registry
         self.pager_stats().publish(registry)
         registry.gauge("index.entries").set(self.entry_count)
         registry.gauge("index.btree_bytes").set(self.btree.size_bytes())
@@ -490,10 +499,6 @@ class FixIndex:
             cache = self.feature_cache.stats_dict()
             self.report.feature_cache_patterns = cache["patterns"]
             registry.gauge("build.cache.patterns").set(cache["patterns"])
-        if self.clustered_store is not None:
-            registry.gauge("index.clustered_bytes").set(
-                self.clustered_store.size_bytes()
-            )
 
     def _stage_entries(self, seed: bool = True) -> list[tuple[bytes, int, int]]:
         """Generate ``(encoded key, doc_id, node_id)`` for every entry,
@@ -519,63 +524,40 @@ class FixIndex:
         if self.config.workers > 1 and len(doc_ids) > 1:
             from repro.core.parallel import parallel_stage
 
-            staged = parallel_stage(
-                self.store,
-                self.encoder,
-                self.config.depth_limit,
-                self.config.workers,
-                value_buckets=self.config.value_buckets,
-                max_pattern_vertices=self.config.max_pattern_vertices,
-                max_unfolding_opens=self.config.max_unfolding_opens,
-                feature_cache=self.config.feature_cache,
-                doc_ids=doc_ids,
-                trace=self.obs.tracing,
+            return self._absorb_staged(
+                parallel_stage(
+                    self.store,
+                    self.encoder,
+                    self._settings,
+                    self.config.workers,
+                    doc_ids=doc_ids,
+                    trace=self.obs.tracing,
+                )
             )
-            self._generator.stats.merge(staged.stats)
-            self._generator.timings.merge(staged.timings)
-            # Worker span streams arrive in chunk order (the same order
-            # the staged entries are concatenated in), so the merged
-            # trace is deterministic for any worker count.
+        return self._generator.stage(doc_ids, self.store.get_document)
+
+    def _absorb_staged(self, staged) -> list[tuple[bytes, int, int]]:
+        """Fold what workers staged (a
+        :class:`~repro.core.parallel.StagedBuild`) into this index's
+        report and obs context; returns the entries to load.
+
+        Stats and phase timings merge into the generator's (aggregate
+        CPU-seconds per phase, the parallel-build convention).  Worker
+        span streams arrive in chunk order — the order the entries are
+        concatenated in — so the merged trace is deterministic for any
+        worker count, and the ``build.doc_*`` sketch states, pre-merged
+        in that order, are for short streams byte-identical to what the
+        serial loop would have observed.  A shard never traces (its
+        coordinator absorbs the worker's spans), so it drops them.
+        """
+        self._generator.stats.merge(staged.stats)
+        self._generator.timings.merge(staged.timings)
+        if self.obs.tracing:
             self.obs.tracer.absorb(
                 staged.trace_events, parent_id=self.obs.tracer.current_id
             )
-            # Per-doc build sketches, pre-merged in chunk order by
-            # parallel_stage — for short streams byte-identical to what
-            # the serial loop below would have observed.
-            self.obs.registry.merge_sketch_states(staged.sketches)
-            return staged.entries
-
-        staged: list[tuple[bytes, int, int]] = []
-        unfold_before = timings.unfold
-        matrix_before = timings.matrix
-        eigen_before = timings.eigen
-        doc_seconds = self.obs.registry.sketch("build.doc_seconds")
-        doc_entries = self.obs.registry.sketch("build.doc_entries")
-        generate_seconds = 0.0
-        for doc_id in doc_ids:
-            started = time.perf_counter()
-            document = self.store.get_document(doc_id)
-            timings.parse += time.perf_counter() - started
-            started = time.perf_counter()
-            with self.obs.span("build.doc", doc=doc_id) as span:
-                entries_before = len(staged)
-                for entry in self._generator.entries_for(document):
-                    staged.append(
-                        (self._encode_key(entry.key), doc_id, entry.node_id)
-                    )
-                span.set(entries=len(staged) - entries_before)
-            doc_elapsed = time.perf_counter() - started
-            generate_seconds += doc_elapsed
-            doc_seconds.observe(doc_elapsed)
-            doc_entries.observe(float(len(staged) - entries_before))
-        timings.bisim += max(
-            0.0,
-            generate_seconds
-            - (timings.unfold - unfold_before)
-            - (timings.matrix - matrix_before)
-            - (timings.eigen - eigen_before),
-        )
-        return staged
+        self.obs.registry.merge_sketch_states(staged.sketches)
+        return staged.entries
 
     def _load_unclustered(self, staged: list[tuple[bytes, int, int]]) -> None:
         # Stable sort: duplicates keep their staging (document) order,
@@ -618,9 +600,6 @@ class FixIndex:
         # contract), so the B-tree can be bulk-loaded bottom-up.
         self.btree = BPlusTree.bulk_load(pairs)
 
-    def _encode_key(self, key: FeatureKey) -> bytes:
-        return encode_feature_key(key.root_label, key.range.lmax, key.range.lmin)
-
     # ------------------------------------------------------------------ #
     # Incremental maintenance
     # ------------------------------------------------------------------ #
@@ -658,39 +637,36 @@ class FixIndex:
         self.apply_staged_add(staged)
         return staged
 
-    def _shadow_generator(self) -> EntryGenerator:
-        """A throwaway generator for one mutation: it shares the encoder
-        (so keys come out identical) and routes explicitly through the
-        content-addressed spectral feature cache (so a re-staged
-        document's eigensolves are cache hits), but keeps its own stats
-        — the batch build's Table-1 accounting is never touched by the
-        incremental path."""
-        return EntryGenerator(
-            self.encoder,
-            self.config.depth_limit,
-            text_label=self.value_hasher,
-            max_pattern_vertices=self.config.max_pattern_vertices,
-            max_unfolding_opens=self.config.max_unfolding_opens,
-            cache=self.feature_cache,
-        )
-
     def stage_document(self, doc_id: int, document) -> StagedMutation:
         """Compute one document's insertion delta without touching any
         shared structure a reader scans — safe to run concurrently with
         pinned queries; only :meth:`apply_staged_add` needs the
         exclusive epoch window."""
+        return self._mutation_delta(doc_id, document)
+
+    def _mutation_delta(self, doc_id: int, document=None) -> StagedMutation:
+        """One document's ``(encoded key, packed pointer)`` entries,
+        touched root labels and generation stats, timed — what an add
+        inserts and a removal deletes.  ``document=None`` fetches the
+        stored one (inside the timed region).
+
+        Generated by a throwaway shadow generator: it shares the encoder
+        (so keys come out identical) and routes explicitly through the
+        content-addressed spectral feature cache (so a re-staged
+        document's eigensolves are cache hits), but keeps its own stats
+        — the batch build's Table-1 accounting is never touched by the
+        incremental path."""
         self._require_unclustered()
         started = time.perf_counter()
-        shadow = self._shadow_generator()
+        if document is None:
+            document = self.store.get_document(doc_id)
+        shadow = self._settings.generator(self.encoder, cache=self.feature_cache)
         entries: list[tuple[bytes, bytes]] = []
         labels: set[str] = set()
         for entry in shadow.entries_for(document):
             labels.add(entry.key.root_label)
             entries.append(
-                (
-                    self._encode_key(entry.key),
-                    NodePointer(doc_id, entry.node_id).pack(),
-                )
+                (entry.encoded_key(), NodePointer(doc_id, entry.node_id).pack())
             )
         return StagedMutation(
             doc_id=doc_id,
@@ -744,27 +720,7 @@ class FixIndex:
     def stage_removal(self, doc_id: int) -> StagedMutation:
         """Regenerate a stored document's entry delta for deletion —
         like :meth:`stage_document`, outside the write latch."""
-        self._require_unclustered()
-        started = time.perf_counter()
-        document = self.store.get_document(doc_id)
-        shadow = self._shadow_generator()
-        entries: list[tuple[bytes, bytes]] = []
-        labels: set[str] = set()
-        for entry in shadow.entries_for(document):
-            labels.add(entry.key.root_label)
-            entries.append(
-                (
-                    self._encode_key(entry.key),
-                    NodePointer(doc_id, entry.node_id).pack(),
-                )
-            )
-        return StagedMutation(
-            doc_id=doc_id,
-            entries=tuple(entries),
-            labels=frozenset(labels),
-            stats=shadow.stats,
-            seconds=time.perf_counter() - started,
-        )
+        return self._mutation_delta(doc_id)
 
     def apply_staged_removal(self, staged: StagedMutation) -> int:
         """Delete a staged document delta (entries *and* the stored
@@ -818,14 +774,7 @@ class FixIndex:
         registry.sync_counter(
             "build.incremental.entries_removed", self._entries_removed
         )
-        self.pager_stats().publish(registry)
-        registry.gauge("index.entries").set(self.entry_count)
-        registry.gauge("index.btree_bytes").set(self.btree.size_bytes())
-        registry.gauge("index.generation").set(self.generation)
-        if self.feature_cache is not None:
-            cache = self.feature_cache.stats_dict()
-            self.report.feature_cache_patterns = cache["patterns"]
-            registry.gauge("build.cache.patterns").set(cache["patterns"])
+        self._publish_gauges()
         self.epochs.publish(registry)
 
     # ------------------------------------------------------------------ #

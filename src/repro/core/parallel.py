@@ -50,21 +50,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.btree import encode_feature_key
 from repro.core.construction import (
     ConstructionStats,
-    EntryGenerator,
+    GeneratorSettings,
     PhaseTimings,
+    StagedEntry,
 )
-from repro.core.values import ValueHasher
 from repro.engine import refine_candidates
-from repro.obs import Obs
-from repro.spectral import EdgeLabelEncoder, FeatureCache
+from repro.errors import ShardError
+from repro.obs import MetricsRegistry, Obs
+from repro.spectral import EdgeLabelEncoder
 from repro.storage import PrimaryXMLStore
 from repro.xmltree import parse_xml
-
-#: One staged index entry: (encoded B-tree key, doc_id, node_id).
-StagedEntry = tuple[bytes, int, int]
 
 
 @dataclass
@@ -90,81 +87,70 @@ class StagedBuild:
 
 
 @dataclass(frozen=True, slots=True)
-class _WorkerTask:
-    """Pickled per-worker payload."""
+class ShardStoreRef:
+    """How a build worker reattaches to a spilled shard store: the
+    flushed pages file plus the live record directory.  Shipping this
+    instead of the sources keeps the task pickle O(documents), not
+    O(corpus bytes) — the out-of-core property survives the fan-out."""
 
+    pages_path: str
+    page_size: int
+    page_cache_pages: int
+    #: (doc_id, page_id, slot) in doc_id order
+    #: (:meth:`~repro.storage.PrimaryXMLStore.record_locations`).
+    records: tuple[tuple[int, int, int], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class StageTask:
+    """Pickled staging payload — one chunk of the document fan-out, or
+    one whole shard.  Exactly one of ``documents`` (inline sources) and
+    ``store_ref`` (spilled shard: reattach and read) is set."""
+
+    settings: GeneratorSettings
+    #: snapshot of the coordinator's fully seeded encoder.
     encoder: dict[str, int]
-    depth_limit: int
-    value_buckets: int | None
-    max_pattern_vertices: int
-    max_unfolding_opens: int
-    feature_cache: bool
     #: capture spans in the worker (the coordinator's tracing state).
     trace: bool
-    #: the worker's position in the chunk sequence (its ``proc`` tag).
-    worker_id: int
+    #: the ``proc`` tag of the worker's spans (``worker-<chunk>`` /
+    #: ``shard-<id>``).
+    proc: str
     #: (doc_id, serialized XML) in doc_id order.
-    documents: tuple[tuple[int, str], ...]
+    documents: tuple[tuple[int, str], ...] | None = None
+    store_ref: ShardStoreRef | None = None
 
 
-def _stage_documents(task, documents, proc: str) -> StagedBuild:
-    """Stage an iterable of ``(doc_id, source)`` pairs under ``task``'s
-    generator settings.
-
-    The one staging loop shared by the chunked document fan-out
-    (:func:`parallel_stage`) and the per-shard build workers
-    (:func:`parallel_shard_stage`) — ``task`` only needs the common
-    generator-config fields, ``proc`` tags the worker's spans.
-    """
-    encoder = EdgeLabelEncoder.from_dict(task.encoder)
-    hasher = (
-        ValueHasher(task.value_buckets) if task.value_buckets is not None else None
-    )
-    obs = Obs(trace=task.trace, proc=proc)
-    generator = EntryGenerator(
-        encoder,
-        task.depth_limit,
-        text_label=hasher,
-        max_pattern_vertices=task.max_pattern_vertices,
-        max_unfolding_opens=task.max_unfolding_opens,
-        cache=FeatureCache() if task.feature_cache else None,
+def _stage_task(task: StageTask) -> StagedBuild:
+    """Stage one task's documents under a fresh generator (runs in a
+    worker process, or inline when there is nothing to fan out)."""
+    obs = Obs(trace=task.trace, proc=task.proc)
+    generator = task.settings.generator(
+        EdgeLabelEncoder.from_dict(task.encoder),
+        cache=task.settings.fresh_cache(),
         obs=obs,
     )
-    entries: list[StagedEntry] = []
-    doc_seconds = obs.registry.sketch("build.doc_seconds")
-    doc_entries = obs.registry.sketch("build.doc_entries")
-    generate_seconds = 0.0
-    for doc_id, source in documents:
-        started = time.perf_counter()
-        document = parse_xml(source, doc_id=doc_id)
-        generator.timings.parse += time.perf_counter() - started
-        started = time.perf_counter()
-        with obs.span("build.doc", doc=doc_id) as span:
-            entries_before = len(entries)
-            for entry in generator.entries_for(document):
-                entries.append(
-                    (
-                        encode_feature_key(
-                            entry.key.root_label,
-                            entry.key.range.lmax,
-                            entry.key.range.lmin,
-                        ),
-                        doc_id,
-                        entry.node_id,
-                    )
-                )
-            span.set(entries=len(entries) - entries_before)
-        doc_elapsed = time.perf_counter() - started
-        generate_seconds += doc_elapsed
-        doc_seconds.observe(doc_elapsed)
-        doc_entries.observe(float(len(entries) - entries_before))
-    generator.timings.bisim += max(
-        0.0,
-        generate_seconds
-        - generator.timings.unfold
-        - generator.timings.matrix
-        - generator.timings.eigen,
-    )
+    store = None
+    if task.store_ref is not None:
+        ref = task.store_ref
+        store = PrimaryXMLStore.attach(
+            ref.pages_path,
+            ref.page_size,
+            ref.records,
+            page_cache_pages=ref.page_cache_pages,
+        )
+        doc_ids = [doc_id for doc_id, _, _ in ref.records]
+        source_of = store.get_source
+    else:
+        sources = dict(task.documents)
+        doc_ids = list(sources)
+        source_of = sources.__getitem__
+    try:
+        entries = generator.stage(
+            doc_ids, lambda doc_id: parse_xml(source_of(doc_id), doc_id=doc_id)
+        )
+    finally:
+        if store is not None:
+            store.pager.close()
     # Returning the worker's encoder lets the coordinator verify the
     # no-drift invariant; a complete pre-seed makes this a no-op merge.
     return StagedBuild(
@@ -177,20 +163,11 @@ def _stage_documents(task, documents, proc: str) -> StagedBuild:
     )
 
 
-def _stage_worker(task: _WorkerTask) -> StagedBuild:
-    """Stage one chunk of documents (runs in a worker process)."""
-    return _stage_documents(task, task.documents, proc=f"worker-{task.worker_id}")
-
-
 def parallel_stage(
     store: PrimaryXMLStore,
     encoder: EdgeLabelEncoder,
-    depth_limit: int,
+    settings: GeneratorSettings,
     workers: int,
-    value_buckets: int | None = None,
-    max_pattern_vertices: int = 800,
-    max_unfolding_opens: int = 20000,
-    feature_cache: bool = True,
     doc_ids: list[int] | None = None,
     trace: bool = False,
 ) -> StagedBuild:
@@ -207,39 +184,29 @@ def parallel_stage(
     ids = list(store.doc_ids()) if doc_ids is None else list(doc_ids)
     workers = max(1, min(workers, len(ids)))
     chunk_size = (len(ids) + workers - 1) // workers
-    chunks = [ids[i : i + chunk_size] for i in range(0, len(ids), chunk_size)]
-    tasks = []
     serialize_started = time.perf_counter()
-    for worker_id, chunk in enumerate(chunks):
-        documents = tuple(
-            (doc_id, store.get_source(doc_id)) for doc_id in chunk
+    tasks = [
+        StageTask(
+            settings,
+            encoder.to_dict(),
+            trace,
+            proc=f"worker-{worker_id}",
+            documents=tuple(
+                (doc_id, store.get_source(doc_id))
+                for doc_id in ids[start : start + chunk_size]
+            ),
         )
-        tasks.append(
-            _WorkerTask(
-                encoder=encoder.to_dict(),
-                depth_limit=depth_limit,
-                value_buckets=value_buckets,
-                max_pattern_vertices=max_pattern_vertices,
-                max_unfolding_opens=max_unfolding_opens,
-                feature_cache=feature_cache,
-                trace=trace,
-                worker_id=worker_id,
-                documents=documents,
-            )
-        )
+        for worker_id, start in enumerate(range(0, len(ids), chunk_size))
+    ]
     serialize_seconds = time.perf_counter() - serialize_started
 
     if len(tasks) == 1:
-        results = [_stage_worker(tasks[0])]
+        results = [_stage_task(tasks[0])]
     else:
-        context = multiprocessing.get_context()
-        with context.Pool(processes=len(tasks)) as pool:
-            results = pool.map(_stage_worker, tasks)
+        results = process_pool(len(tasks)).map(_stage_task, tasks)
 
     merged = StagedBuild()
     merged.timings.parse += serialize_seconds
-    from repro.obs import MetricsRegistry
-
     sketch_registry = MetricsRegistry()
     for result in results:
         merged.entries.extend(result.entries)
@@ -261,107 +228,25 @@ def parallel_stage(
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, slots=True)
-class ShardStoreRef:
-    """How a build worker reattaches to a spilled shard store: the
-    flushed pages file plus the live record directory.  Shipping this
-    instead of the sources keeps the task pickle O(documents), not
-    O(corpus bytes) — the out-of-core property survives the fan-out."""
-
-    pages_path: str
-    page_size: int
-    page_cache_pages: int
-    #: (doc_id, page_id, slot) in doc_id order
-    #: (:meth:`~repro.storage.PrimaryXMLStore.record_locations`).
-    records: tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ShardBuildTask:
-    """Pickled per-shard build payload.  Exactly one of ``documents``
-    (in-memory shard: inline sources) and ``store_ref`` (spilled shard:
-    reattach and read) is set."""
-
-    shard_id: int
-    encoder: dict[str, int]
-    depth_limit: int
-    value_buckets: int | None
-    max_pattern_vertices: int
-    max_unfolding_opens: int
-    feature_cache: bool
-    trace: bool
-    documents: tuple[tuple[int, str], ...] | None = None
-    store_ref: ShardStoreRef | None = None
-
-
-def _shard_build_worker(
-    task: ShardBuildTask,
-) -> tuple[int, StagedBuild | None, str | None]:
+def _shard_stage_worker(task: StageTask) -> tuple[StagedBuild | None, str | None]:
     """Stage one whole shard (runs in a worker process, or in-process
     for ``shard_workers=1``).
 
-    Never raises: a failure comes back as a ``(shard_id, None,
-    "ExcType: message")`` marker so the coordinator can raise a typed
+    Never raises: a failure comes back as a ``(None, "ExcType:
+    message")`` marker so the coordinator can raise a typed
     :class:`~repro.errors.ShardError` naming the shard instead of a raw
     pool traceback crossing the process boundary.
     """
     try:
-        if task.store_ref is not None:
-            from repro.storage import PrimaryXMLStore
-
-            ref = task.store_ref
-            store = PrimaryXMLStore.attach(
-                ref.pages_path,
-                ref.page_size,
-                ref.records,
-                page_cache_pages=ref.page_cache_pages,
-            )
-            try:
-                staged = _stage_documents(
-                    task,
-                    (
-                        (doc_id, store.get_source(doc_id))
-                        for doc_id, _, _ in ref.records
-                    ),
-                    proc=f"shard-{task.shard_id}",
-                )
-            finally:
-                store.pager.close()
-        else:
-            staged = _stage_documents(
-                task, task.documents, proc=f"shard-{task.shard_id}"
-            )
-        return task.shard_id, staged, None
+        return _stage_task(task), None
     except Exception as exc:  # noqa: BLE001 - marshalled to a ShardError
-        return task.shard_id, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-# Shard-build pools persist across rebuilds for the same reason the
-# refinement pools do (one spawn cost per process lifetime, not per
-# build); tasks are self-contained — encoder snapshot, store reference —
-# so reuse cannot leak state between coordinators.
-_SHARD_POOLS: dict[int, "multiprocessing.pool.Pool"] = {}
-
-
-def _shard_pool(processes: int) -> "multiprocessing.pool.Pool":
-    pool = _SHARD_POOLS.get(processes)
-    if pool is None:
-        pool = multiprocessing.get_context().Pool(processes=processes)
-        _SHARD_POOLS[processes] = pool
-    return pool
-
-
-@atexit.register
-def _shutdown_shard_pools() -> None:
-    while _SHARD_POOLS:
-        _, pool = _SHARD_POOLS.popitem()
-        pool.terminate()
-        pool.join()
-
-
-def parallel_shard_stage(tasks: "list[ShardBuildTask]", workers: int):
-    """Stage every shard of ``tasks`` across ``workers`` processes,
-    yielding ``(shard_id, StagedBuild)`` strictly in task order.
+def parallel_shard_stage(tasks: "dict[int, StageTask]", workers: int):
+    """Stage every shard of ``tasks`` (shard id → task) across
+    ``workers`` processes, yielding ``(shard_id, StagedBuild)`` strictly
+    in task order.
 
     Ordered streaming (``imap``): the coordinator bulk-loads shard *k*'s
     B-tree while later shards are still staging, and absorbs stats and
@@ -373,19 +258,48 @@ def parallel_shard_stage(tasks: "list[ShardBuildTask]", workers: int):
     Raises:
         ShardError: a worker failed; names the shard.
     """
-    from repro.errors import ShardError
-
     workers = max(1, min(workers, len(tasks)))
     if workers == 1:
-        results = map(_shard_build_worker, tasks)
+        results = map(_shard_stage_worker, tasks.values())
     else:
-        results = _shard_pool(workers).imap(_shard_build_worker, tasks)
-    for shard_id, staged, error in results:
+        results = process_pool(workers).imap(_shard_stage_worker, tasks.values())
+    for shard_id, (staged, error) in zip(tasks, results):
         if error is not None:
             raise ShardError(
                 f"shard {shard_id}: build failed: {error}", shard=shard_id
             )
         yield shard_id, staged
+
+
+# --------------------------------------------------------------------- #
+# The two worker-pool caches
+# --------------------------------------------------------------------- #
+
+# Every process fan-out — document staging, shard staging, query
+# refinement — draws on one cache of pools keyed by size, kept alive
+# across calls (one spawn cost per process lifetime, not per build or
+# per query; refinement is latency-sensitive).  Workers are stateless:
+# every task ships its own settings, encoder snapshot, query and
+# serialized trees or store reference, so reuse cannot leak state
+# between builds, queries or indexes.
+_PROCESS_POOLS: dict[int, "multiprocessing.pool.Pool"] = {}
+
+
+def process_pool(processes: int) -> "multiprocessing.pool.Pool":
+    """The shared worker-process pool of ``processes`` processes."""
+    pool = _PROCESS_POOLS.get(processes)
+    if pool is None:
+        pool = multiprocessing.get_context().Pool(processes=processes)
+        _PROCESS_POOLS[processes] = pool
+    return pool
+
+
+@atexit.register
+def _shutdown_process_pools() -> None:
+    while _PROCESS_POOLS:
+        _, pool = _PROCESS_POOLS.popitem()
+        pool.terminate()
+        pool.join()
 
 
 # Concurrent scatter-gather runs per-shard scans on threads, not
@@ -482,30 +396,6 @@ def _refine_worker(task: _RefineTask) -> tuple[list[int], list[dict]]:
     return surviving, obs.tracer.events
 
 
-# Query refinement is latency-sensitive (one fan-out per query, unlike
-# the build's single fan-out per index), so pools are kept alive and
-# reused across queries instead of being spawned per call.  Workers are
-# stateless — every task ships its own query and serialized trees — so
-# reuse cannot leak state between queries or indexes.
-_REFINE_POOLS: dict[int, "multiprocessing.pool.Pool"] = {}
-
-
-def _refine_pool(processes: int) -> "multiprocessing.pool.Pool":
-    pool = _REFINE_POOLS.get(processes)
-    if pool is None:
-        pool = multiprocessing.get_context().Pool(processes=processes)
-        _REFINE_POOLS[processes] = pool
-    return pool
-
-
-@atexit.register
-def _shutdown_refine_pools() -> None:
-    while _REFINE_POOLS:
-        _, pool = _REFINE_POOLS.popitem()
-        pool.terminate()
-        pool.join()
-
-
 def parallel_refine(
     groups: list[RefineGroup],
     twig,
@@ -536,7 +426,7 @@ def parallel_refine(
     if len(tasks) == 1:
         results = [_refine_worker(tasks[0])]
     else:
-        results = _refine_pool(len(tasks)).map(_refine_worker, tasks)
+        results = process_pool(len(tasks)).map(_refine_worker, tasks)
     surviving: list[int] = []
     trace_events: list[dict] = []
     for chunk_surviving, chunk_events in results:

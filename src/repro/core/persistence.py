@@ -128,9 +128,7 @@ def load_index(
         ) from exc
     if page_cache_pages is not None:
         config = dataclasses.replace(config, page_cache_pages=page_cache_pages)
-    index = FixIndex(store, config)
-    index.encoder = encoder
-    index._generator.encoder = index.encoder
+    index = FixIndex(store, config, encoder=encoder)
 
     pager = Pager(
         os.path.join(directory, _BTREE_FILE),

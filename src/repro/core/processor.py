@@ -51,7 +51,6 @@ from repro.engine import (
     StructuralJoinEngine,
     refine_candidates,
 )
-from repro.errors import BTreeError, ShardError, StorageError
 from repro.obs import Obs
 from repro.query.twig import TwigQuery
 from repro.spectral import FeatureKey
@@ -341,43 +340,14 @@ class FixQueryProcessor:
         kind = self._parallel_refiner_kind()
         assert kind is not None  # _pushdown_order gated on it
         frag_order = self._fragment_order(plan)
-        concurrency = max(
-            self.workers, getattr(self.index.config, "shard_workers", 1)
+        outcomes = self.index.dispatch_shards(
+            order,
+            lambda shard_id: self._pushdown_shard(
+                shard_id, plan, frag_order, kind
+            ),
+            "push-down",
+            max(self.workers, self.index.config.shard_workers),
         )
-        if concurrency > 1 and len(order) > 1:
-            from repro.core.parallel import scan_executor
-
-            executor = scan_executor(concurrency)
-            futures = [
-                (
-                    shard_id,
-                    executor.submit(
-                        self._pushdown_shard, shard_id, plan, frag_order, kind
-                    ),
-                )
-                for shard_id in order
-            ]
-            outcomes = []
-            for shard_id, future in futures:
-                try:
-                    outcomes.append(future.result())
-                except (StorageError, BTreeError) as exc:
-                    raise ShardError(
-                        f"shard {shard_id}: push-down failed: {exc}",
-                        shard=shard_id,
-                    ) from exc
-        else:
-            outcomes = []
-            for shard_id in order:
-                try:
-                    outcomes.append(
-                        self._pushdown_shard(shard_id, plan, frag_order, kind)
-                    )
-                except (StorageError, BTreeError) as exc:
-                    raise ShardError(
-                        f"shard {shard_id}: push-down failed: {exc}",
-                        shard=shard_id,
-                    ) from exc
         survivors: list[NodePointer] = []
         for candidates, shard_survivors, fetched, prune_s, refine_s in outcomes:
             result.candidate_count += candidates

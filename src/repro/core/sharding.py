@@ -41,7 +41,9 @@ The invariants that make the coordinator transparent:
   a single shard.  Skip/visit counts publish as ``shards.*`` counters.
   With ``shard_workers > 1`` surviving shards are scanned concurrently
   on a shared thread pool and drained in dispatch order — concurrency
-  never changes the merge order.
+  never changes the merge order.  The B-tree scatter, the R-tree
+  scatter and refinement push-down all run through one dispatcher
+  (:meth:`ShardedFixIndex.dispatch_shards`).
 * **Failure containment.**  Storage or B-tree damage inside one shard —
   during a build worker's staging or a scatter scan — surfaces as a
   typed :class:`~repro.errors.ShardError` naming the shard, instead of
@@ -49,9 +51,9 @@ The invariants that make the coordinator transparent:
 
 Cross-shard refinement needs no machinery of its own: the processor's
 grouped refinement batches candidates per document and fans the groups
-out across the persistent refinement worker pools (PR 2), and since
-shard candidates are plain global-pointer entries, groups from every
-shard ride the same pools in one pass.  Alternatively the processor can
+out across the shared worker-process pools (PR 2), and since shard
+candidates are plain global-pointer entries, groups from every shard
+ride the same pools in one pass.  Alternatively the processor can
 push the whole prune+refine pipeline *into* the shards
 (``FixQueryProcessor(pushdown=True)`` over :meth:`pushdown_shards`), so
 only verified matches cross back — pointer-identical either way.
@@ -59,22 +61,27 @@ only verified matches cross back — pointer-identical either way.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import re
 from collections.abc import Iterator
 
-from repro.core.construction import seed_encoder, seed_encoder_from_source
+from repro.core.construction import (
+    GeneratorSettings,
+    seed_encoder,
+    seed_encoder_from_source,
+)
 from repro.core.epoch import EpochManager, EpochSnapshot
 from repro.core.index import FixIndex, FixIndexConfig, IndexEntry
 from repro.core.persistence import load_index, save_index
 from repro.core.stats import FeatureHistogram, histogram_view
-from repro.core.values import ValueHasher
 from repro.errors import BTreeError, RecordError, ShardError, StorageError
 from repro.obs import Obs
 from repro.query.twig import TwigQuery
-from repro.spectral import EdgeLabelEncoder, FeatureCache, FeatureKey
+from repro.spectral import EdgeLabelEncoder, FeatureKey
 from repro.storage import NodePointer, Pager, PrimaryXMLStore
 from repro.storage.pager import PagerStats
 from repro.xmltree import Document, parse_xml, serialize_fragment
@@ -143,30 +150,9 @@ class _ShardedSpatialView:
     def candidates_for_key(
         self, query_key: FeatureKey, anchored: bool = True
     ) -> Iterator[IndexEntry]:
-        owner = self._owner
-        order = owner._scan_order(query_key, anchored)
-        if owner.config.shard_workers > 1 and len(order) > 1:
-            yield from owner._scatter_concurrent(
-                order,
-                lambda shard_id: list(
-                    owner.shards[shard_id]
-                    .spatial_view()
-                    .candidates_for_key(query_key, anchored=anchored)
-                ),
-                "R-tree scan",
-            )
-            return
-        for shard_id in order:
-            shard = owner.shards[shard_id]
-            try:
-                yield from shard.spatial_view().candidates_for_key(
-                    query_key, anchored=anchored
-                )
-            except (StorageError, BTreeError) as exc:
-                raise ShardError(
-                    f"shard {shard_id}: R-tree scan failed: {exc}",
-                    shard=shard_id,
-                ) from exc
+        return self._owner._scatter_scan(
+            query_key, anchored, FixIndex.spatial_view, "R-tree scan"
+        )
 
     def entries_inspected(self) -> int:
         return sum(
@@ -193,7 +179,18 @@ class ShardedFixIndex:
     out-of-core path, which never materializes a monolithic store).
     """
 
-    def __init__(self, config: FixIndexConfig | None = None) -> None:
+    def __init__(
+        self,
+        config: FixIndexConfig | None = None,
+        *,
+        encoder: EdgeLabelEncoder | None = None,
+        routing: list[int | None] | None = None,
+        shards: list[FixIndex] | None = None,
+    ) -> None:
+        """``encoder``/``routing``/``shards`` are :meth:`load`'s: the
+        restored manifest state and the reattached shard list.  Left as
+        ``None`` the index starts empty, with ``config.shards`` fresh
+        shards."""
         config = config or FixIndexConfig()
         if config.clustered:
             raise StorageError(
@@ -202,19 +199,16 @@ class ShardedFixIndex:
             )
         self.config = config
         #: one encoder for every shard (the index-wide key agreement).
-        self.encoder = EdgeLabelEncoder()
-        self.value_hasher = (
-            ValueHasher(config.value_buckets)
-            if config.value_buckets is not None
-            else None
-        )
+        self.encoder = encoder if encoder is not None else EdgeLabelEncoder()
+        self._settings = GeneratorSettings.from_config(config)
+        self.value_hasher = self._settings.value_hasher()
         #: one spectral feature cache shared by every shard: structural
         #: templates repeat across shard boundaries just as they repeat
         #: across documents.
-        self.feature_cache = FeatureCache() if config.feature_cache else None
+        self.feature_cache = self._settings.fresh_cache()
         self.obs = Obs.from_config(config.obs)
         #: doc_id -> owning shard (None = removed), the routing table.
-        self.routing: list[int | None] = []
+        self.routing: list[int | None] = routing if routing is not None else []
         self.clustered_store = None
         #: the coordinator's epoch manager: queries pin it, and every
         #: incremental mutation applies under it, so in-flight queries
@@ -222,9 +216,12 @@ class ShardedFixIndex:
         #: Each shard nests its own manager (the coordinator's snapshot
         #: vector is the tuple of shard snapshots, :meth:`epoch_vector`).
         self.epochs = EpochManager()
-        self.shards: list[FixIndex] = [
-            self._new_shard(shard_id) for shard_id in range(config.shards)
-        ]
+        if shards is None:
+            shards = [self._new_shard(i) for i in range(config.shards)]
+        else:
+            for shard in shards:
+                shard.adopt_shared(self.encoder, self.feature_cache)
+        self.shards: list[FixIndex] = shards
         self.store = _ShardRouter(self)
         self._spatial_view: _ShardedSpatialView | None = None
         #: per-shard λ_max histograms, each kept fresh against its own
@@ -242,8 +239,6 @@ class ShardedFixIndex:
     # ------------------------------------------------------------------ #
 
     def _new_shard(self, shard_id: int) -> FixIndex:
-        import dataclasses
-
         spill = (
             shard_directory(self.config.spill_dir, shard_id)
             if self.config.spill_dir is not None
@@ -371,11 +366,11 @@ class ShardedFixIndex:
             for doc_id, shard_id in enumerate(self.routing):
                 if shard_id is not None:
                     doc_lists[shard_id].append(doc_id)
-            tasks = [
-                self._shard_build_task(shard_id)
+            tasks = {
+                shard_id: self._shard_build_task(shard_id)
                 for shard_id in range(self.shard_count)
                 if doc_lists[shard_id]
-            ]
+            }
             # Ordered streaming: shard k's staged entries arrive (and
             # its B-tree bulk-loads) while later shards still stage.
             results = parallel_shard_stage(tasks, workers)
@@ -411,7 +406,7 @@ class ShardedFixIndex:
         sources for in-memory shards, a flushed-store reference for
         spilled ones (keeping the fan-out O(documents) in pickle size,
         so the out-of-core property survives parallel builds)."""
-        from repro.core.parallel import ShardBuildTask, ShardStoreRef
+        from repro.core.parallel import ShardStoreRef, StageTask
 
         shard = self.shards[shard_id]
         store = shard.store
@@ -429,15 +424,11 @@ class ShardedFixIndex:
                 page_cache_pages=self.config.page_cache_pages,
                 records=tuple(store.record_locations()),
             )
-        return ShardBuildTask(
-            shard_id=shard_id,
-            encoder=self.encoder.to_dict(),
-            depth_limit=self.config.depth_limit,
-            value_buckets=self.config.value_buckets,
-            max_pattern_vertices=self.config.max_pattern_vertices,
-            max_unfolding_opens=self.config.max_unfolding_opens,
-            feature_cache=self.config.feature_cache,
-            trace=self.obs.tracing,
+        return StageTask(
+            self._settings,
+            self.encoder.to_dict(),
+            self.obs.tracing,
+            proc=f"shard-{shard_id}",
             documents=documents,
             store_ref=store_ref,
         )
@@ -534,80 +525,71 @@ class ShardedFixIndex:
         Raises:
             ShardError: when one shard's scan fails (names the shard).
         """
-        order = self._scan_order(query_key, anchored)
-        counters = self.obs.registry
-        counters.counter("shards.skipped").inc(self.shard_count - len(order))
-        if self.config.shard_workers > 1 and len(order) > 1:
-            # Eager dispatch scans every ordered shard, so visits are
-            # counted up front (and in this consumer thread only —
-            # registry counters are not thread-safe).
-            counters.counter("shards.visited").inc(len(order))
-            yield from self._scatter_concurrent(
-                order,
-                lambda shard_id: list(
-                    self.shards[shard_id].candidates_for_key(
-                        query_key, anchored=anchored
-                    )
-                ),
-                "pruning scan",
-            )
-            return
-        for shard_id in order:
-            counters.counter("shards.visited").inc()
-            try:
-                yield from self.shards[shard_id].candidates_for_key(
+        return self._scatter_scan(
+            query_key, anchored, lambda shard: shard, "pruning scan"
+        )
+
+    def _scatter_scan(
+        self, query_key: FeatureKey, anchored: bool, view_of, what: str
+    ) -> Iterator[IndexEntry]:
+        """The candidates of ``view_of(shard)`` — the shard itself, or
+        its R-tree view — gathered over every shard worth scanning, up
+        to ``shard_workers`` at a time."""
+        for chunk in self.dispatch_shards(
+            self.pushdown_shards((query_key,), (anchored,)),
+            lambda shard_id: list(
+                view_of(self.shards[shard_id]).candidates_for_key(
                     query_key, anchored=anchored
                 )
-            except (StorageError, BTreeError) as exc:
-                raise ShardError(
-                    f"shard {shard_id}: pruning scan failed: {exc}",
-                    shard=shard_id,
-                ) from exc
+            ),
+            what,
+            self.config.shard_workers,
+        ):
+            yield from chunk
 
-    def _scatter_concurrent(self, order, scan_one, what: str):
-        """Run ``scan_one(shard_id)`` for every shard of ``order`` on
-        the shared scan executor (bounded at ``shard_workers`` threads)
-        and yield the per-shard results *in ``order``* — a deterministic
-        shard-ordered merge, so the candidate stream is identical to the
-        serial gather.  Per-shard scans touch only their own shard's
-        B-tree/pager/store, so threads never share mutable state.
+    def dispatch_shards(self, order, per_shard, what: str, concurrency: int):
+        """Run ``per_shard(shard_id)`` over the shards of ``order`` and
+        yield the results in that order — the one dispatcher behind the
+        B-tree scatter, the R-tree scatter and refinement push-down.
+
+        With ``concurrency > 1`` and more than one shard to visit, every
+        call is submitted up front to the shared scan executor (bounded
+        at ``concurrency`` threads) and drained in dispatch order, so
+        the merged stream is identical to the serial one.  ``per_shard``
+        must touch only its own shard's B-tree/pager/store, and return
+        something materialised: nothing of the shard is read after it
+        returns.  A shard counts as visited (``shards.visited``) when it
+        is dispatched, always on the calling thread — registry counters
+        are not thread-safe.
 
         Raises:
-            ShardError: a shard's scan failed (names the shard).
+            ShardError: a shard's call failed with a storage or B-tree
+                error (names the shard, says ``what`` failed).
         """
-        from repro.core.parallel import scan_executor
+        visited = self.obs.registry.counter("shards.visited")
+        threaded = concurrency > 1 and len(order) > 1
+        if threaded:
+            from repro.core.parallel import scan_executor
 
-        executor = scan_executor(self.config.shard_workers)
-        futures = [
-            (shard_id, executor.submit(scan_one, shard_id))
-            for shard_id in order
-        ]
-        for shard_id, future in futures:
+            executor = scan_executor(concurrency)
+
+        def dispatch(shard_id: int):
+            visited.inc()
+            if threaded:
+                return executor.submit(per_shard, shard_id).result
+            return functools.partial(per_shard, shard_id)
+
+        calls = ((shard_id, dispatch(shard_id)) for shard_id in order)
+        if threaded:
+            calls = list(calls)  # every shard runs before the first drains
+        for shard_id, call in calls:
             try:
-                chunk = future.result()
+                result = call()
             except (StorageError, BTreeError) as exc:
                 raise ShardError(
                     f"shard {shard_id}: {what} failed: {exc}", shard=shard_id
                 ) from exc
-            yield from chunk
-
-    def _scan_order(self, query_key: FeatureKey, anchored: bool) -> list[int]:
-        """Shards worth scanning, cheapest (most selective) first."""
-        from repro.core.optimizer import shard_scan_cost
-
-        guard = self.config.guard_band
-        ranked: list[tuple[float, int]] = []
-        for shard_id in range(self.shard_count):
-            histogram = self._histogram_for(shard_id)
-            if not histogram.may_contain(
-                query_key, anchored=anchored, guard=guard
-            ):
-                continue
-            ranked.append(
-                (shard_scan_cost(histogram, query_key, anchored), shard_id)
-            )
-        ranked.sort()
-        return [shard_id for _, shard_id in ranked]
+            yield result
 
     def _histogram_for(self, shard_id: int) -> FeatureHistogram:
         """The shard's λ_max histogram, kept fresh per shard epoch."""
@@ -622,17 +604,18 @@ class ShardedFixIndex:
     def pushdown_shards(
         self, feature_keys, anchored: "list[bool] | tuple[bool, ...]"
     ) -> list[int]:
-        """Shards that can contribute to a query whose *every* pruning
-        fragment is ``feature_keys`` — the shard set refinement push-down
-        scatters over (DESIGN.md §11).
+        """Shards that can hold a candidate for *every* one of
+        ``feature_keys``, cheapest (most selective) first by the first
+        key's scan cost — the order a scatter scan (one key) and
+        refinement push-down (every pruning fragment's key, DESIGN.md
+        §11) dispatch over.
 
         Because pointers partition by shard, an intersection survivor
         must appear in every fragment's candidate stream *within its own
         shard*; a shard whose histogram proves any fragment empty there
-        cannot contribute and is skipped soundly.  Ordered most
-        selective first by the first fragment's scan cost.  Updates the
-        ``shards.visited`` / ``shards.skipped`` counters (one visit per
-        participating shard — prune and refine happen in one descent).
+        cannot contribute and is skipped soundly.  The shards left out
+        are counted here (``shards.skipped``); the ones returned are
+        counted as visited by :meth:`dispatch_shards`.
         """
         from repro.core.optimizer import shard_scan_cost
 
@@ -652,11 +635,10 @@ class ShardedFixIndex:
                 )
             )
         ranked.sort()
-        order = [shard_id for _, shard_id in ranked]
-        counters = self.obs.registry
-        counters.counter("shards.visited").inc(len(order))
-        counters.counter("shards.skipped").inc(self.shard_count - len(order))
-        return order
+        self.obs.registry.counter("shards.skipped").inc(
+            self.shard_count - len(ranked)
+        )
+        return [shard_id for _, shard_id in ranked]
 
     def spatial_view(self) -> _ShardedSpatialView:
         """The scatter-gather R-tree facade (per-shard trees are built
@@ -802,8 +784,6 @@ class ShardedFixIndex:
                 a missing or ill-typed manifest section.
             ShardError: a shard's directory cannot be reattached.
         """
-        import dataclasses
-
         manifest_path = os.path.join(directory, _MANIFEST_FILE)
         try:
             with open(manifest_path, encoding="utf-8") as handle:
@@ -834,20 +814,7 @@ class ShardedFixIndex:
             )
         if shard_workers is not None:
             config = dataclasses.replace(config, shard_workers=shard_workers)
-        sharded = cls.__new__(cls)
-        sharded.config = config
-        sharded.encoder = encoder
-        sharded.value_hasher = (
-            ValueHasher(config.value_buckets)
-            if config.value_buckets is not None
-            else None
-        )
-        sharded.feature_cache = FeatureCache() if config.feature_cache else None
-        sharded.obs = Obs.from_config(config.obs)
-        sharded.routing = routing
-        sharded.clustered_store = None
-        sharded.epochs = EpochManager()
-        sharded.shards = []
+        shards = []
         for shard_id in range(config.shards):
             sdir = shard_directory(directory, shard_id)
             try:
@@ -855,24 +822,14 @@ class ShardedFixIndex:
                     os.path.join(sdir, "store"),
                     page_cache_pages=config.page_cache_pages,
                 )
-                shard = load_index(
-                    sdir, store, page_cache_pages=page_cache_pages
+                shards.append(
+                    load_index(sdir, store, page_cache_pages=page_cache_pages)
                 )
             except (StorageError, FileNotFoundError) as exc:
                 raise ShardError(
                     f"shard {shard_id}: cannot reattach: {exc}", shard=shard_id
                 ) from exc
-            # Re-share the coordinator's encoder/cache objects so future
-            # incremental adds keep every shard's keys in agreement.
-            shard.encoder = sharded.encoder
-            shard._generator.encoder = sharded.encoder
-            if sharded.feature_cache is not None:
-                shard.feature_cache = sharded.feature_cache
-                shard._generator.cache = sharded.feature_cache
-            sharded.shards.append(shard)
-        sharded.store = _ShardRouter(sharded)
-        sharded._spatial_view = None
-        sharded._histograms = [histogram_view() for _ in sharded.shards]
+        sharded = cls(config, encoder=encoder, routing=routing, shards=shards)
         sharded._publish_metrics()
         return sharded
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.btree.keys import decode_feature_key
-from repro.core.construction import EntryGenerator
+from repro.core.construction import GeneratorSettings
 from repro.core.index import FixIndex
 from repro.storage import NodePointer
 
@@ -74,18 +74,14 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
     # 3 (precompute). Expected keys per pointer, regenerated from primary.
     expected: dict[NodePointer, bytes] = {}
     if recompute_keys:
-        shadow = EntryGenerator(
-            index.encoder,
-            index.config.depth_limit,
-            text_label=index.value_hasher,
-            max_pattern_vertices=index.config.max_pattern_vertices,
-            max_unfolding_opens=index.config.max_unfolding_opens,
+        shadow = GeneratorSettings.from_config(index.config).generator(
+            index.encoder
         )
         for doc_id in index.store.doc_ids():
             document = index.store.get_document(doc_id)
             for entry in shadow.entries_for(document):
                 pointer = NodePointer(doc_id, entry.node_id)
-                expected[pointer] = index._encode_key(entry.key)
+                expected[pointer] = entry.encoded_key()
 
     # 2, 3, 4, 5. Walk every stored entry.
     seen: set[NodePointer] = set()

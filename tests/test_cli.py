@@ -77,6 +77,25 @@ class TestCLI:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "IDX", "//item", "--shard-workers", "0"],
+            ["query", "IDX", "//item", "--page-cache-pages", "0"],
+            ["query", "IDX", "//item", "--page-cache-pages", "many"],
+            ["build", "--dataset", "xmark", "--out", "OUT", "--shards", "0"],
+            ["build", "--dataset", "xmark", "--out", "OUT",
+             "--shard-workers", "0"],
+            ["build", "--dataset", "xmark", "--out", "OUT",
+             "--page-cache-pages", "-4"],
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
     def test_stats(self, built_index_dir, capsys):
         code = main(["stats", built_index_dir])
         assert code == 0

@@ -7,16 +7,21 @@ duplicate-key order — for any worker count and configuration.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import FeatureError
-from repro.core import FixIndex, FixIndexConfig
+from repro.core import FixIndex, FixIndexConfig, ShardedFixIndex
 from repro.core.parallel import parallel_stage
-from repro.core.construction import seed_encoder
+from repro.core.construction import GeneratorSettings, seed_encoder
 from repro.datasets import load_dataset
 from repro.spectral import EdgeLabelEncoder
 from repro.storage import PrimaryXMLStore
 from repro.xmltree import parse_xml
+
+#: the generator settings of ``FixIndexConfig(depth_limit=4)``.
+SETTINGS = GeneratorSettings.from_config(FixIndexConfig(depth_limit=4))
 
 DOCS = [
     "<bib><article><author><email/></author><title/></article></bib>",
@@ -101,23 +106,61 @@ class TestByteIdenticalToSerial:
         )
         assert items_of(serial) == items_of(parallel)
 
-    def test_stats_and_entry_counts_match(self):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            pytest.param(dict(workers=1), id="workers1"),
+            pytest.param(dict(workers=3), id="workers3"),
+            pytest.param(dict(shards=3), id="shards3"),
+            pytest.param(
+                dict(shards=3, shard_workers=2), id="shards3-shard_workers2"
+            ),
+            pytest.param(dict(shards=3, spill=True), id="shards3-spill"),
+        ],
+    )
+    def test_stats_and_entry_counts_match(self, options, tmp_path):
+        """Every build fan-out runs the one staging loop: same entries,
+        same encoder, same per-document stats as the serial plain build
+        (cache-hit and eigensolve counts depend on which worker saw a
+        pattern first and are not compared)."""
+        options = dict(options)
+        if options.pop("spill", False):
+            options["spill_dir"] = os.fspath(tmp_path / "spill")
         store = multi_doc_store()
         serial = FixIndex.build(store, FixIndexConfig(depth_limit=4))
-        parallel = FixIndex.build(
-            store, FixIndexConfig(depth_limit=4, workers=2)
-        )
-        assert serial.entry_count == parallel.entry_count
+        config = FixIndexConfig(depth_limit=4, **options)
+        if config.shards > 1:
+            built = ShardedFixIndex.build(store, config)
+            parts = built.shards
+        else:
+            built = FixIndex.build(store, config)
+            parts = [built]
+        assert sorted(
+            pair for part in parts for pair in items_of(part)
+        ) == sorted(items_of(serial))
+        assert built.entry_count == serial.entry_count
+        assert built.encoder.to_dict() == serial.encoder.to_dict()
+        stats = [part.report.stats for part in parts]
+        expected = serial.report.stats
+        assert sum(s.entries for s in stats) == expected.entries
+        assert sum(s.documents for s in stats) == expected.documents
+        assert sum(s.bisim_vertices for s in stats) == expected.bisim_vertices
+        # Shards hold the documents in routing order, not doc-id order.
+        assert sorted(
+            v for s in stats for v in s.per_document_vertices
+        ) == sorted(expected.per_document_vertices)
+        if config.shards == 1:
+            assert (
+                stats[0].per_document_vertices
+                == expected.per_document_vertices
+            )
+        # One mutation-delta routine: a removal regenerates exactly what
+        # the add staged.
+        owner = built.shard_for_document(2) if config.shards > 1 else built
+        document = owner.store.get_document(2)
         assert (
-            serial.report.stats.entries == parallel.report.stats.entries
-        )
-        assert (
-            serial.report.stats.bisim_vertices
-            == parallel.report.stats.bisim_vertices
-        )
-        assert (
-            serial.report.stats.per_document_vertices
-            == parallel.report.stats.per_document_vertices
+            owner.stage_removal(2).entries
+            == owner.stage_document(2, document).entries
         )
 
 
@@ -127,7 +170,7 @@ class TestParallelStage:
         store.add_document(parse_xml(DOCS[0]))
         encoder = EdgeLabelEncoder()
         seed_encoder(encoder, store.get_document(0))
-        staged = parallel_stage(store, encoder, 4, workers=4)
+        staged = parallel_stage(store, encoder, SETTINGS, workers=4)
         assert staged.entries
         assert all(doc_id == 0 for _, doc_id, _ in staged.entries)
 
@@ -136,7 +179,7 @@ class TestParallelStage:
         encoder = EdgeLabelEncoder()
         for doc_id in store.doc_ids():
             seed_encoder(encoder, store.get_document(doc_id))
-        staged = parallel_stage(store, encoder, 4, workers=2)
+        staged = parallel_stage(store, encoder, SETTINGS, workers=2)
         doc_sequence = [doc_id for _, doc_id, _ in staged.entries]
         assert doc_sequence == sorted(doc_sequence)
 
@@ -146,7 +189,7 @@ class TestParallelStage:
         for doc_id in store.doc_ids():
             seed_encoder(encoder, store.get_document(doc_id))
         size_before = len(encoder)
-        parallel_stage(store, encoder, 4, workers=3)
+        parallel_stage(store, encoder, SETTINGS, workers=3)
         # Complete pre-seeding makes the merge a no-op.
         assert len(encoder) == size_before
 

@@ -312,12 +312,13 @@ class TestScatterOrdering:
         assert counters.get("shards.visited", 0) > 0
 
 
-    def test_anchored_query_skips_unrelated_shards(self):
+    @pytest.mark.parametrize("backend", ["btree", "rtree"])
+    def test_anchored_query_skips_unrelated_shards(self, backend):
         config = FixIndexConfig(
             depth_limit=0, shards=4, shard_affinity="root-label"
         )
         sharded = ShardedFixIndex.build(_store(_corpus()), config)
-        FixQueryProcessor(sharded).query("/book/sec/p")
+        FixQueryProcessor(sharded, prune_backend=backend).query("/book/sec/p")
         counters = sharded.obs.registry.snapshot()["counters"]
         assert counters.get("shards.skipped", 0) > 0
         assert counters.get("shards.visited", 0) >= 1
@@ -413,7 +414,12 @@ class TestPersistence:
 
 
 class TestShardDamage:
-    def test_corrupted_shard_page_names_the_shard(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["btree", "rtree"])
+    @pytest.mark.parametrize("pushdown", [False, True])
+    @pytest.mark.parametrize("shard_workers", [1, 2])
+    def test_corrupted_shard_page_names_the_shard(
+        self, tmp_path, backend, pushdown, shard_workers
+    ):
         sharded = ShardedFixIndex.build(
             _store(_corpus()), FixIndexConfig(depth_limit=0, shards=4)
         )
@@ -424,12 +430,40 @@ class TestShardDamage:
         size = os.path.getsize(pages)
         with open(pages, "wb") as handle:  # every page becomes garbage
             handle.write(b"\xff" * size)
-        loaded = ShardedFixIndex.load(directory)
+        loaded = ShardedFixIndex.load(directory, shard_workers=shard_workers)
+        processor = FixQueryProcessor(
+            loaded, prune_backend=backend, pushdown=pushdown
+        )
         with pytest.raises(ShardError) as excinfo:
-            FixQueryProcessor(loaded).query("//meta")
+            processor.query("//meta")
         assert excinfo.value.shard == victim
         assert f"shard {victim}" in str(excinfo.value)
         assert isinstance(excinfo.value, PageError)  # typed page damage
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_dispatcher_names_the_failing_shard(self, concurrency):
+        sharded = ShardedFixIndex.build(
+            _store(_corpus(8)), FixIndexConfig(depth_limit=0, shards=3)
+        )
+
+        def per_shard(shard_id):
+            if shard_id == 1:
+                raise PageError("torn page")
+            return shard_id
+
+        visited = sharded.obs.registry.counter("shards.visited")
+        before = visited.value
+        results = sharded.dispatch_shards(
+            [2, 1, 0], per_shard, "probe", concurrency
+        )
+        assert next(results) == 2  # dispatch order, not shard order
+        with pytest.raises(ShardError) as excinfo:
+            next(results)
+        assert excinfo.value.shard == 1
+        assert "shard 1: probe failed: torn page" in str(excinfo.value)
+        # A visit is counted at dispatch: threads dispatch every shard
+        # up front, the serial loop stops at the failure.
+        assert visited.value - before == (3 if concurrency > 1 else 2)
 
     def test_missing_shard_directory_fails_load(self, tmp_path):
         sharded = ShardedFixIndex.build(
