@@ -269,12 +269,11 @@ def seed_encoder(
 
 
 def seed_encoder_from_source(encoder: EdgeLabelEncoder, source: str) -> None:
-    """Structural-only :func:`seed_encoder` over raw XML text, without
-    building a tree.
+    """Structural-only :func:`seed_encoder` over raw XML text.
 
     A sharded coordinator seeds the shared encoder while *routing* each
-    document (one token scan per document instead of a second
-    store-fetch-and-parse pre-pass).  Element open order is identical
+    document (one parse of the text it is already holding instead of a
+    second store-fetch-and-parse pre-pass).  Element open order is identical
     in :func:`~repro.xmltree.parse_xml_events` and a tree walk, so the
     first-seen order of (parent, child) label pairs — hence every code —
     matches :func:`seed_encoder` exactly.  Only for structural indexes:

@@ -346,7 +346,7 @@ class ShardedFixIndex:
         # strictly ascending doc-id order from both build entrypoints,
         # so this is the same deterministic pre-pass _build_all used to
         # run — minus the second full-corpus store-fetch-and-parse.
-        # Structural indexes seed from the token stream already in hand;
+        # Structural indexes seed from the event stream of the text in hand;
         # the value extension needs tree text ordering, so it parses.
         if self.value_hasher is None:
             seed_encoder_from_source(self.encoder, source)

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 
 import struct
 
-from repro.errors import RecordError
+from repro.errors import RecordError, XMLSyntaxError
 from repro.storage.pager import Pager
 from repro.storage.records import RecordFile, RecordPointer
 from repro.xmltree import Document, Element, parse_xml, serialize_fragment
@@ -163,28 +163,39 @@ class PrimaryXMLStore:
         the parsed tree.
 
         Raises:
-            RecordError: for unknown or removed ids.
+            RecordError: for unknown or removed ids, and for a record
+                whose bytes are no longer UTF-8.
         """
         if not 0 <= doc_id < len(self._directory):
             raise RecordError(f"no document with id {doc_id}")
         pointer = self._directory[doc_id]
         if pointer is None:
             raise RecordError(f"document {doc_id} was removed")
-        return self._records.read(pointer).decode("utf-8")
+        try:
+            return self._records.read(pointer).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RecordError(
+                f"record of document {doc_id} is damaged: {exc}"
+            ) from exc
 
     def get_document(self, doc_id: int) -> Document:
-        """Fetch (and parse, if not cached) a stored document."""
+        """Fetch (and parse, if not cached) a stored document.
+
+        Raises:
+            RecordError: for unknown or removed ids, and for a record
+                that no longer decodes or parses — the store wrote it
+                well-formed, so that is storage damage, not bad input.
+        """
         cached = self._cache.get(doc_id)
         if cached is not None:
             self._cache.move_to_end(doc_id)
             return cached
-        if not 0 <= doc_id < len(self._directory):
-            raise RecordError(f"no document with id {doc_id}")
-        pointer = self._directory[doc_id]
-        if pointer is None:
-            raise RecordError(f"document {doc_id} was removed")
-        payload = self._records.read(pointer)
-        document = parse_xml(payload.decode("utf-8"), doc_id=doc_id)
+        try:
+            document = parse_xml(self.get_source(doc_id), doc_id=doc_id)
+        except XMLSyntaxError as exc:
+            raise RecordError(
+                f"record of document {doc_id} is damaged: {exc}"
+            ) from exc
         self._cache_put(doc_id, document)
         return document
 

@@ -1,8 +1,9 @@
 """Assemble an in-memory tree from an event stream.
 
-The builder is the inverse of :func:`repro.xmltree.events.tree_events`
-and the back half of the parser.  It is also used by the bisimulation
-traveler tests to materialize depth-limited unfoldings.
+The builder is the inverse of :func:`repro.xmltree.events.tree_events`;
+the bisimulation traveler tests use it to materialize depth-limited
+unfoldings.  (The parser builds its tree directly and does not come
+through here.)
 """
 
 from __future__ import annotations

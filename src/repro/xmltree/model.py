@@ -4,7 +4,8 @@ The model is deliberately small: elements, text nodes, and a document
 wrapper.  Two design points matter for the rest of the system:
 
 * Every node carries a **preorder identifier** (``node_id``), assigned by
-  :meth:`Document.renumber`.  Preorder ids double as *storage pointers*
+  the parser as it scans or by :meth:`Document.renumber` for a hand-built
+  tree.  Preorder ids double as *storage pointers*
   into the primary store (the ``start_ptr`` of the paper's Algorithm 1) and
   as region-encoding ``start`` values for the structural-join baseline.
 * Elements also carry the matching ``end`` preorder bound and their
@@ -19,6 +20,7 @@ optionally, text nodes only).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 
 
@@ -27,9 +29,8 @@ class Node:
 
     __slots__ = ("parent", "node_id")
 
-    def __init__(self) -> None:
-        self.parent: Element | None = None
-        self.node_id: int = -1
+    parent: Element | None
+    node_id: int
 
     def ancestors(self) -> Iterator["Element"]:
         """Yield ancestors from the parent upward to the root."""
@@ -45,7 +46,8 @@ class Text(Node):
     __slots__ = ("value",)
 
     def __init__(self, value: str) -> None:
-        super().__init__()
+        self.parent = None
+        self.node_id = -1
         self.value = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -57,14 +59,15 @@ class Element(Node):
     """An element node with a tag, optional attributes, and children.
 
     Children are ordered and may be a mix of :class:`Element` and
-    :class:`Text` nodes.  ``end`` and ``level`` are filled in by
-    :meth:`Document.renumber`.
+    :class:`Text` nodes.  ``end`` and ``level`` are filled in by the parser
+    or by :meth:`Document.renumber`.
     """
 
     __slots__ = ("tag", "attributes", "children", "end", "level")
 
     def __init__(self, tag: str, attributes: dict[str, str] | None = None) -> None:
-        super().__init__()
+        self.parent = None
+        self.node_id = -1
         self.tag = tag
         self.attributes: dict[str, str] = attributes or {}
         self.children: list[Node] = []
@@ -137,7 +140,7 @@ class Element(Node):
     def contains(self, other: "Element") -> bool:
         """Region-encoding ancestor-or-self test.
 
-        Requires :meth:`Document.renumber` to have been run.
+        Requires the tree to be numbered (it belongs to a :class:`Document`).
         """
         return self.node_id <= other.node_id and other.node_id <= self.end
 
@@ -177,15 +180,24 @@ class Document:
     queries whose first axis is ``/`` or ``//`` are anchored at it.
     """
 
-    __slots__ = ("root", "doc_id", "_count", "_max_depth", "_by_id")
+    __slots__ = ("root", "doc_id", "_count", "_max_depth", "_by_id", "_ids")
 
-    def __init__(self, root: Element, doc_id: int = 0) -> None:
+    def __init__(
+        self,
+        root: Element,
+        doc_id: int = 0,
+        *,
+        numbering: tuple[list[Element], list[int], int, int] | None = None,
+    ) -> None:
+        """``numbering`` is for :func:`~repro.xmltree.parser.parse_xml` only:
+        the elements in preorder, their ids, the node count and the maximum
+        depth it assigned while scanning — what :meth:`renumber` computes."""
         self.root = root
         self.doc_id = doc_id
-        self._count = -1
-        self._max_depth = -1
-        self._by_id: list[Element] | None = None
-        self.renumber()
+        if numbering is None:
+            self.renumber()
+        else:
+            self._by_id, self._ids, self._count, self._max_depth = numbering
 
     # ------------------------------------------------------------------ #
     # Numbering
@@ -203,6 +215,7 @@ class Document:
         counter = 0
         max_depth = 0
         by_id: list[Element] = []
+        ids: list[int] = []
         # Iterative preorder with explicit post-visit actions to set `end`.
         stack: list[tuple[Node, int, bool]] = [(self.root, 1, False)]
         while stack:
@@ -217,6 +230,7 @@ class Document:
             if isinstance(node, Element):
                 node.level = level
                 by_id.append(node)
+                ids.append(node.node_id)
                 if level > max_depth:
                     max_depth = level
                 stack.append((node, level, True))
@@ -225,6 +239,7 @@ class Document:
         self._count = counter
         self._max_depth = max_depth
         self._by_id = by_id
+        self._ids = ids
 
     # ------------------------------------------------------------------ #
     # Lookups and measurements
@@ -232,7 +247,6 @@ class Document:
 
     def element_count(self) -> int:
         """Number of element nodes in the document."""
-        assert self._by_id is not None
         return len(self._by_id)
 
     def node_count(self) -> int:
@@ -245,7 +259,6 @@ class Document:
 
     def elements(self) -> Iterator[Element]:
         """All elements in document (preorder) order."""
-        assert self._by_id is not None
         return iter(self._by_id)
 
     def element_at(self, node_id: int) -> Element:
@@ -254,18 +267,10 @@ class Document:
         Raises :class:`KeyError` if ``node_id`` does not name an element
         (it may name a text node or be out of range).
         """
-        assert self._by_id is not None
-        # `_by_id` is sorted by node_id; binary search.
-        lo, hi = 0, len(self._by_id)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            mid_id = self._by_id[mid].node_id
-            if mid_id == node_id:
-                return self._by_id[mid]
-            if mid_id < node_id:
-                lo = mid + 1
-            else:
-                hi = mid
+        ids = self._ids
+        index = bisect_left(ids, node_id)
+        if index < len(ids) and ids[index] == node_id:
+            return self._by_id[index]
         raise KeyError(f"no element with node_id {node_id}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

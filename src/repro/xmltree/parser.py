@@ -1,4 +1,4 @@
-"""A dependency-free, event-producing XML parser.
+"""A dependency-free, one-pass XML parser.
 
 Covers the subset of XML needed by the reproduction (and by the paper's
 data sets): elements, attributes, character data, CDATA sections,
@@ -6,14 +6,14 @@ comments, processing instructions, an optional XML declaration and
 DOCTYPE (both skipped), the five predefined entities, and decimal /
 hexadecimal character references.  Namespaces are treated lexically
 (prefixed names are kept verbatim as tags), matching how the paper
-treats labels.
+treats labels.  Whitespace-only text between elements is dropped — the
+paper's data model has no use for indentation text nodes.
 
-The parser is written as a generator of events
-(:func:`parse_xml_events`), mirroring a SAX push parser; the tree API
-(:func:`parse_xml`) is a thin :class:`~repro.xmltree.builder.TreeBuilder`
-on top.  Whitespace-only text between elements is dropped — the paper's
-data model has no use for indentation text nodes, and keeping them would
-distort element/text statistics.
+:func:`parse_xml` is the only scanner of XML text in the package: one
+loop that matches one token pattern at each ``<`` and builds the
+numbered tree as it goes, so nothing walks the tree a second time;
+whatever the pattern misses goes to :func:`_other_markup`.
+:func:`parse_xml_events` is a document-order view of the parsed tree.
 """
 
 from __future__ import annotations
@@ -22,16 +22,32 @@ import re
 from collections.abc import Iterator
 
 from repro.errors import XMLSyntaxError
-from repro.xmltree.builder import tree_from_events
 from repro.xmltree.events import CloseEvent, Event, OpenEvent, TextEvent
-from repro.xmltree.model import Document
+from repro.xmltree.model import Document, Element, Text
 
 # XML names: the practical superset — ASCII name chars plus everything
 # above U+0080 (the spec's NameStartChar ranges are almost exactly that).
-_NAME_RE = re.compile(r"[A-Za-z_:\u0080-\U0010FFFF][-A-Za-z0-9._:\u0080-\U0010FFFF]*")
-_ATTR_RE = re.compile(
-    r"""\s+([A-Za-z_:\u0080-\U0010FFFF][-A-Za-z0-9._:\u0080-\U0010FFFF]*)"""
-    r"""\s*=\s*("([^"]*)"|'([^']*)')"""
+_NAME = r"[A-Za-z_:\u0080-\U0010FFFF][-A-Za-z0-9._:\u0080-\U0010FFFF]*"
+_ATTR = r"""\s+(%s)\s*=\s*(?:"([^"]*)"|'([^']*)')""" % _NAME
+_ATTR_RUN = r"""(?:\s+%s\s*=\s*(?:"[^"]*"|'[^']*'))*""" % _NAME
+# Every pattern is compiled with re.ASCII so that ``\s`` is the six ASCII
+# whitespace characters, none of which is a name character: no two
+# adjacent quantifiers can trade characters, which keeps a failing match
+# linear in the input (a run of U+00A0 is a name, not a run of spaces).
+_NAME_RE = re.compile(_NAME, re.ASCII)
+_ATTR_RE = re.compile(_ATTR, re.ASCII)
+_ATTR_RUN_RE = re.compile(_ATTR_RUN, re.ASCII)
+# Start tag: name, attribute run, "/" if self-closing.  End tag: name.
+_TOKEN_RE = re.compile(
+    r"<(?:(%s)(%s)\s*(?:(/)\s*)?|/(%s)\s*)>" % (_NAME, _ATTR_RUN, _NAME), re.ASCII
+)
+# What else may follow "<": a comment, a processing instruction, or a
+# CDATA section, whose text is the group.
+_OTHER_RE = re.compile(r"<!--.*?-->|<\?.*?\?>|<!\[CDATA\[(.*?)]]>", re.DOTALL)
+_UNTERMINATED = (
+    ("<!--", "comment"),
+    ("<![CDATA[", "CDATA section"),
+    ("<?", "processing instruction"),
 )
 _ENTITY_RE = re.compile(r"&(#x[0-9a-fA-F]+|#[0-9]+|[A-Za-z]+);")
 
@@ -43,144 +59,167 @@ def _expand_entities(text: str, base_pos: int) -> str:
 
     def repl(match: re.Match[str]) -> str:
         body = match.group(1)
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
-        if body.startswith("#"):
-            return chr(int(body[1:]))
-        try:
-            return _PREDEFINED[body]
-        except KeyError:
-            raise XMLSyntaxError(
-                f"unknown entity &{body};", base_pos + match.start()
-            ) from None
+        if body[0] != "#":
+            if body in _PREDEFINED:
+                return _PREDEFINED[body]
+            problem = f"unknown entity &{body};"
+        else:
+            code = int(body[2:], 16) if body[1] == "x" else int(body[1:])
+            if (  # the Char production of XML 1.0
+                0x20 <= code <= 0xD7FF
+                or code in (0x9, 0xA, 0xD)
+                or 0xE000 <= code <= 0xFFFD
+                or 0x10000 <= code <= 0x10FFFF
+            ):
+                return chr(code)
+            problem = f"character reference &{body}; is not an XML character"
+        raise XMLSyntaxError(problem, base_pos + match.start())
 
-    if "&" not in text:
-        return text
     return _ENTITY_RE.sub(repl, text)
 
 
-def parse_xml_events(source: str) -> Iterator[Event]:
-    """Tokenize ``source`` and yield open/text/close events.
+def _attributes(run: str, base_pos: int) -> dict[str, str]:
+    """The attributes of one start tag; a repeated name keeps its last value."""
+    if "&" not in run:
+        return {name: dq or sq for name, dq, sq in _ATTR_RE.findall(run)}
+    return {
+        attr[1]: _expand_entities(attr[2] or attr[3] or "", base_pos + attr.start())
+        for attr in _ATTR_RE.finditer(run)
+    }
 
-    ``start_ptr`` on the emitted events is a running preorder counter
-    assigned in document order (elements and text nodes share the
-    sequence), so it agrees with the ids :meth:`Document.renumber` would
-    assign to the resulting tree.
+
+def parse_xml(source: str, doc_id: int = 0) -> Document:
+    """Parse an XML string into a :class:`Document`.
 
     Raises:
         XMLSyntaxError: on malformed input.
     """
+    find = source.find
+    token = _TOKEN_RE.match
+    elements: list[Element] = []
+    ids: list[int] = []
+    root: Element | None = None
+    parent: Element | None = None  # innermost open element
+    level = 0  # of ``parent``
+    max_depth = 0
+    counter = 0  # next preorder id; elements and text share the sequence
     pos = 0
-    length = len(source)
-    counter = 0
-    stack: list[str] = []
-    seen_root = False
 
-    while pos < length:
-        lt = source.find("<", pos)
-        if lt == -1:
-            trailing = source[pos:]
-            if trailing.strip():
-                raise XMLSyntaxError("character data after document end", pos)
-            break
-        # Character data before the next markup.
-        if lt > pos:
-            raw = source[pos:lt]
-            if raw.strip():
-                if not stack:
+    while True:
+        lt = find("<", pos)
+        if lt != pos:
+            # Character data before the next markup.
+            if lt == -1:
+                if source[pos:].strip():
+                    raise XMLSyntaxError("character data after document end", pos)
+                break
+            value = source[pos:lt].strip()
+            if value:
+                if parent is None:
                     raise XMLSyntaxError("character data outside root element", pos)
-                yield TextEvent(_expand_entities(raw.strip(), pos), counter)
+                text = Text(_expand_entities(value, pos) if "&" in value else value)
+                text.parent = parent
+                text.node_id = counter
                 counter += 1
-        pos = lt
-        if source.startswith("<!--", pos):
-            end = source.find("-->", pos + 4)
-            if end == -1:
-                raise XMLSyntaxError("unterminated comment", pos)
-            pos = end + 3
-            continue
-        if source.startswith("<![CDATA[", pos):
-            end = source.find("]]>", pos + 9)
-            if end == -1:
-                raise XMLSyntaxError("unterminated CDATA section", pos)
-            if not stack:
-                raise XMLSyntaxError("CDATA outside root element", pos)
-            value = source[pos + 9 : end]
-            if value.strip():
-                yield TextEvent(value.strip(), counter)
+                parent.children.append(text)
+        match = token(source, lt)
+        if match is None:
+            pos, value = _other_markup(source, lt, parent is not None, root is not None)
+            if value:
+                parent.add_text(value).node_id = counter
                 counter += 1
-            pos = end + 3
             continue
-        if source.startswith("<!DOCTYPE", pos):
-            pos = _skip_doctype(source, pos)
-            continue
-        if source.startswith("<?", pos):
-            end = source.find("?>", pos + 2)
-            if end == -1:
-                raise XMLSyntaxError("unterminated processing instruction", pos)
-            pos = end + 2
-            continue
-        if source.startswith("</", pos):
-            match = _NAME_RE.match(source, pos + 2)
-            if match is None:
-                raise XMLSyntaxError("malformed end tag", pos)
-            name = match.group(0)
-            close = source.find(">", match.end())
-            if close == -1:
-                raise XMLSyntaxError("unterminated end tag", pos)
-            if source[match.end() : close].strip():
-                raise XMLSyntaxError("junk in end tag", match.end())
-            if not stack:
-                raise XMLSyntaxError(f"end tag </{name}> with no open element", pos)
-            expected = stack.pop()
-            if expected != name:
+        pos = match.end()
+        tag, run, slash, name = match.groups()
+        if name is not None:  # end tag
+            if parent is None:
+                raise XMLSyntaxError(f"end tag </{name}> with no open element", lt)
+            if parent.tag != name:
                 raise XMLSyntaxError(
-                    f"end tag </{name}> does not match <{expected}>", pos
+                    f"end tag </{name}> does not match <{parent.tag}>", lt
                 )
-            yield CloseEvent(name)
-            pos = close + 1
+            parent.end = counter - 1
+            parent = parent.parent
+            level -= 1
             continue
         # Start tag (possibly self-closing).
-        match = _NAME_RE.match(source, pos + 1)
-        if match is None:
-            raise XMLSyntaxError("malformed start tag", pos)
-        name = match.group(0)
-        if seen_root and not stack:
-            raise XMLSyntaxError("multiple root elements", pos)
-        scan = match.end()
-        attributes: dict[str, str] = {}
-        while True:
-            attr = _ATTR_RE.match(source, scan)
-            if attr is None:
-                break
-            value = attr.group(3) if attr.group(3) is not None else attr.group(4)
-            attributes[attr.group(1)] = _expand_entities(value, scan)
-            scan = attr.end()
-        tail = source.find(">", scan)
-        if tail == -1:
-            raise XMLSyntaxError("unterminated start tag", pos)
-        between = source[scan:tail].strip()
-        self_closing = between == "/" or source[tail - 1] == "/"
-        if between not in ("", "/"):
-            raise XMLSyntaxError(f"junk in start tag <{name}>", scan)
-        event = OpenEvent(name, counter)
-        event_attrs = attributes  # attached below via builder protocol
-        counter += 1
-        seen_root = True
-        yield _with_attributes(event, event_attrs)
-        if self_closing:
-            yield CloseEvent(name)
+        if parent is None and root is not None:
+            raise XMLSyntaxError("multiple root elements", lt)
+        element = Element(tag, _attributes(run, match.start(2)) if run else None)
+        if parent is None:
+            root = element
         else:
-            stack.append(name)
-        pos = tail + 1
+            element.parent = parent
+            parent.children.append(element)
+        element.node_id = counter
+        elements.append(element)
+        ids.append(counter)
+        counter += 1
+        element.level = level + 1
+        if level >= max_depth:
+            max_depth = level + 1
+        if slash:
+            element.end = element.node_id
+        else:
+            parent = element
+            level += 1
 
-    if stack:
+    if parent is not None:
         raise XMLSyntaxError(
-            f"document ended with {len(stack)} unclosed element(s): "
-            f"<{stack[-1]}> still open",
-            length,
+            f"document ended with {level} unclosed element(s): "
+            f"<{parent.tag}> still open",
+            len(source),
         )
-    if not seen_root:
+    if root is None:
         raise XMLSyntaxError("no root element found", 0)
+    return Document(root, doc_id, numbering=(elements, ids, counter, max_depth))
+
+
+def _other_markup(
+    source: str, lt: int, in_root: bool, seen_root: bool
+) -> tuple[int, str]:
+    """Skip the comment, processing instruction, CDATA section or DOCTYPE
+    at ``lt``: the offset after it, and a CDATA section's stripped text
+    (else ``""``).  Anything else there is a syntax error, diagnosed here."""
+    match = _OTHER_RE.match(source, lt)
+    if match is not None:
+        if match.group(1) is None:
+            return match.end(), ""
+        if not in_root:
+            raise XMLSyntaxError("CDATA outside root element", lt)
+        return match.end(), match.group(1).strip()
+    for opener, what in _UNTERMINATED:
+        if source.startswith(opener, lt):
+            raise XMLSyntaxError(f"unterminated {what}", lt)
+    if source.startswith("!DOCTYPE", lt + 1):
+        # Skip the declaration, including an internal subset.
+        depth = 0
+        for i in range(lt, len(source)):
+            ch = source[i]
+            if ch == "[":
+                depth += 1
+            elif ch == "]":
+                depth -= 1
+            elif ch == ">" and depth <= 0:
+                return i + 1, ""
+        raise XMLSyntaxError("unterminated DOCTYPE", lt)
+    if source.startswith("/", lt + 1):
+        name = _NAME_RE.match(source, lt + 2)
+        if name is None:
+            raise XMLSyntaxError("malformed end tag", lt)
+        if source.find(">", name.end()) == -1:
+            raise XMLSyntaxError("unterminated end tag", lt)
+        raise XMLSyntaxError("junk in end tag", name.end())
+    name = _NAME_RE.match(source, lt + 1)
+    if name is None:
+        raise XMLSyntaxError("malformed start tag", lt)
+    if seen_root and not in_root:
+        raise XMLSyntaxError("multiple root elements", lt)
+    run = _ATTR_RUN_RE.match(source, name.end())
+    _attributes(run.group(), run.start())  # an entity error comes first
+    if source.find(">", run.end()) == -1:
+        raise XMLSyntaxError("unterminated start tag", lt)
+    raise XMLSyntaxError(f"junk in start tag <{name.group()}>", run.end())
 
 
 class OpenEventWithAttributes(OpenEvent):
@@ -197,31 +236,30 @@ class OpenEventWithAttributes(OpenEvent):
         self.attributes = attributes
 
 
-def _with_attributes(event: OpenEvent, attributes: dict[str, str]) -> OpenEvent:
-    if not attributes:
-        return event
-    return OpenEventWithAttributes(event.label, event.start_ptr, attributes)
+def parse_xml_events(source: str) -> Iterator[Event]:
+    """Parse ``source`` and yield its events in document order: text
+    events in place (:func:`~repro.xmltree.events.tree_events` front-loads
+    them), ``start_ptr`` the node's preorder id.
 
-
-def _skip_doctype(source: str, pos: int) -> int:
-    """Skip a DOCTYPE declaration, including an internal subset."""
-    depth = 0
-    i = pos
-    while i < len(source):
-        ch = source[i]
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == ">" and depth <= 0:
-            return i + 1
-        i += 1
-    raise XMLSyntaxError("unterminated DOCTYPE", pos)
-
-
-def parse_xml(source: str, doc_id: int = 0) -> Document:
-    """Parse an XML string into a :class:`Document`."""
-    return tree_from_events(parse_xml_events(source), doc_id=doc_id)
+    Raises:
+        XMLSyntaxError: on malformed input, before the first event.
+    """
+    pending: list[Element | Text | None] = [parse_xml(source).root]
+    open_tags: list[str] = []  # one per ``None``, which marks a pending close
+    while pending:
+        node = pending.pop()
+        if node is None:
+            yield CloseEvent(open_tags.pop())
+        elif isinstance(node, Text):
+            yield TextEvent(node.value, node.node_id)
+        else:
+            if node.attributes:
+                yield OpenEventWithAttributes(node.tag, node.node_id, node.attributes)
+            else:
+                yield OpenEvent(node.tag, node.node_id)
+            open_tags.append(node.tag)
+            pending.append(None)
+            pending.extend(reversed(node.children))
 
 
 def parse_xml_file(path: str, doc_id: int = 0, encoding: str = "utf-8") -> Document:

@@ -39,7 +39,34 @@ def serialize_fragment(root: Element, indent: int | None = None) -> str:
             the parser strips whitespace-only text.
     """
     parts: list[str] = []
-    _write(root, parts, 0, indent)
+    level = 0
+    # No recursion: a document may nest deeper than the interpreter's stack.
+    pending: list[Node | str] = [root]  # a string is a queued end tag
+    while pending:
+        node = pending.pop()
+        opened = 0
+        if isinstance(node, str):
+            level -= 1
+            text = node
+        elif isinstance(node, Text):
+            text = escape_text(node.value)
+        else:
+            assert isinstance(node, Element)
+            attrs = ""
+            if node.attributes:
+                attrs = "".join(
+                    f' {name}="{escape_attribute(value)}"'
+                    for name, value in node.attributes.items()
+                )
+            if node.children:
+                text = f"<{node.tag}{attrs}>"
+                pending.append(f"</{node.tag}>")
+                pending.extend(reversed(node.children))
+                opened = 1
+            else:
+                text = f"<{node.tag}{attrs}/>"
+        parts.append(text if indent is None else f"{' ' * (indent * level)}{text}\n")
+        level += opened
     return "".join(parts)
 
 
@@ -48,23 +75,3 @@ def serialize(document: Document, indent: int | None = None) -> str:
     body = serialize_fragment(document.root, indent=indent)
     newline = "\n" if indent is not None else ""
     return f'<?xml version="1.0" encoding="UTF-8"?>{newline}{body}'
-
-
-def _write(node: Node, parts: list[str], level: int, indent: int | None) -> None:
-    pad = " " * (indent * level) if indent is not None else ""
-    newline = "\n" if indent is not None else ""
-    if isinstance(node, Text):
-        parts.append(f"{pad}{escape_text(node.value)}{newline}")
-        return
-    assert isinstance(node, Element)
-    attrs = "".join(
-        f' {name}="{escape_attribute(value)}"'
-        for name, value in node.attributes.items()
-    )
-    if not node.children:
-        parts.append(f"{pad}<{node.tag}{attrs}/>{newline}")
-        return
-    parts.append(f"{pad}<{node.tag}{attrs}>{newline}")
-    for child in node.children:
-        _write(child, parts, level + 1, indent)
-    parts.append(f"{pad}</{node.tag}>{newline}")

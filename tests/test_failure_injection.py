@@ -16,6 +16,7 @@ from repro.errors import (
     RecordError,
     ShardError,
     StorageError,
+    XMLSyntaxError,
 )
 from repro.btree import BPlusTree
 from repro.btree.node import LeafNode, deserialize_node
@@ -84,6 +85,33 @@ class TestRecordDamage:
         pager.mark_dirty(pointer.page_id)
         with pytest.raises(RecordError):
             records.read(pointer)
+
+    @pytest.mark.parametrize(
+        "damage, cause",
+        [(b"\xff" * 10, UnicodeDecodeError), (b"<<<<<<", XMLSyntaxError)],
+        ids=["not-utf8", "not-xml"],
+    )
+    def test_damaged_document_payload(self, tmp_path, damage, cause):
+        store = PrimaryXMLStore()
+        store.add_document(parse_xml("<a><b>one</b></a>"))
+        store.add_document(parse_xml("<a><b>two</b><c>three</c></a>"))
+        directory = os.fspath(tmp_path / "store")
+        store.save(directory)
+        # Records fill a page from its tail: these bytes are inside the
+        # text of document 0, clear of its length header.
+        pages_path = os.path.join(directory, "primary.pages")
+        with open(pages_path, "r+b") as handle:
+            handle.seek(os.path.getsize(pages_path) - 10)
+            handle.write(damage)
+        reloaded = PrimaryXMLStore.load(directory)
+        with pytest.raises(RecordError, match="document 0") as caught:
+            reloaded.get_document(0)
+        assert isinstance(caught.value.__cause__, cause)
+        if cause is UnicodeDecodeError:
+            with pytest.raises(RecordError, match="document 0") as caught:
+                reloaded.get_source(0)
+            assert isinstance(caught.value.__cause__, cause)
+        assert reloaded.get_document(1).element_count() == 3
 
 
 class TestBTreeDamage:
@@ -215,6 +243,14 @@ class TestParserResilience:
         source = "<n>" * depth + "</n>" * depth
         document = parse_xml(source)
         assert document.max_depth() == depth
+        # ... and stores: nothing between the parser and the record file
+        # may recurse per level.
+        store = PrimaryXMLStore()
+        doc_id = store.add_document(document)
+        assert store.get_source(doc_id) == "<n>" * (depth - 1) + "<n/>" + "</n>" * (
+            depth - 1
+        )
+        assert store.get_document(doc_id).max_depth() == depth
 
     def test_very_wide_document(self):
         source = "<r>" + "<c/>" * 50000 + "</r>"
