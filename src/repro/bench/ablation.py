@@ -115,18 +115,11 @@ def _index_spectra(index: FixIndex, document: Document) -> dict[int, np.ndarray]
     """Full spectrum per element (by its bisimulation class), for the
     spectrum-subset ablation variant."""
     from repro.bisim import BisimGraphBuilder
-    from repro.xmltree import tree_events
 
     builder = BisimGraphBuilder(text_label=index.value_hasher)
     spectra: dict[int, np.ndarray] = {}
     per_vertex: dict[int, np.ndarray] = {}
-    for event in tree_events(
-        document.root, include_text=index.value_hasher is not None
-    ):
-        closed = builder.feed(event)
-        if closed is None:
-            continue
-        vertex, start_ptr = closed
+    for vertex, start_ptr in builder.walk(document.root):
         cached = per_vertex.get(vertex.vid)
         if cached is None:
             try:

@@ -11,17 +11,19 @@ Contents:
 
 * :class:`~repro.bisim.graph.BisimVertex` / ``BisimGraph`` — the DAG.
 * :class:`~repro.bisim.builder.BisimGraphBuilder` — the single-pass,
-  stack-of-signatures construction of CONSTRUCT-ENTRIES (Algorithm 1);
-  also exposes the per-element ``(vertex, start_ptr)`` stream that drives
-  subpattern enumeration.
-* :func:`~repro.bisim.traveler.traveler_events` — the BISIM-TRAVELER of
-  Section 4.4: replays a vertex's depth-limited unfolding as an event
-  stream so it can be re-minimized by a fresh builder.
+  stack-of-signatures construction of CONSTRUCT-ENTRIES (Algorithm 1).
+  Its ``open`` / ``text`` / ``close`` methods are the paper's SAX
+  handlers; ``walk`` runs them over a numbered tree and yields the
+  per-element ``(vertex, start_ptr)`` pairs that drive subpattern
+  enumeration.
+* :func:`~repro.bisim.traveler.depth_limited_graph` — the BISIM-TRAVELER
+  of Section 4.4: replays a vertex's depth-limited unfolding into the
+  handlers of a fresh builder, which re-minimizes it.
 * :mod:`~repro.bisim.dag` — small DAG utilities (edges, topological
   order, canonical keys for isomorphism testing).
 """
 
-from repro.bisim.builder import BisimGraphBuilder, bisim_graph_of_document, bisim_graph_of_events
+from repro.bisim.builder import BisimGraphBuilder, bisim_graph_of_document
 from repro.bisim.dag import (
     canonical_key,
     depth_signature,
@@ -33,14 +35,13 @@ from repro.bisim.dag import (
     vertex_signature,
 )
 from repro.bisim.graph import BisimGraph, BisimVertex
-from repro.bisim.traveler import depth_limited_graph, traveler_events
+from repro.bisim.traveler import depth_limited_graph
 
 __all__ = [
     "BisimGraph",
     "BisimGraphBuilder",
     "BisimVertex",
     "bisim_graph_of_document",
-    "bisim_graph_of_events",
     "canonical_key",
     "depth_limited_graph",
     "depth_signature",
@@ -49,6 +50,5 @@ __all__ = [
     "graphs_isomorphic",
     "reachable_vertices",
     "topological_order",
-    "traveler_events",
     "vertex_signature",
 ]

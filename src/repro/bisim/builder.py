@@ -1,6 +1,8 @@
 """Single-pass bisimulation-graph construction (Algorithm 1, CONSTRUCT-ENTRIES).
 
-The builder consumes an event stream and maintains:
+The paper specifies CONSTRUCT-ENTRIES as a pair of SAX handlers over a
+``PathStack``; :meth:`BisimGraphBuilder.open` and
+:meth:`BisimGraphBuilder.close` are those handlers.  The builder keeps:
 
 * ``PathStack`` — one frame per currently-open element, holding the label,
   the set of child vertex ids accumulated so far, and the element's
@@ -9,28 +11,28 @@ The builder consumes an event stream and maintains:
   subtrees collapse into one vertex (``sig`` is the label plus the
   *set* of child vertices — Definition 3's downward bisimilarity).
 
-On every close event the builder resolves the completed element's
-signature to a vertex (creating one if needed) and reports the
-``(vertex, start_ptr)`` pair to its caller.  FIX index construction with
-a positive depth limit hangs GEN-SUBPATTERN off exactly this per-element
-callback (one B-tree entry per element — Theorem 4), while depth-limit-0
-construction only uses the final root vertex.
+``close`` resolves the completed element's signature to a vertex
+(creating one if needed) and returns the ``(vertex, start_ptr)`` pair.
+FIX index construction with a positive depth limit hangs GEN-SUBPATTERN
+off exactly this per-element result (one B-tree entry per element —
+Theorem 4), while depth-limit-0 construction only uses the final root
+vertex.  :meth:`BisimGraphBuilder.walk` drives the handlers over a
+numbered tree, which is the only document representation the parser
+produces.
 
-Text events are ignored unless a ``text_label`` mapping is supplied, in
-which case each text node becomes a leaf child vertex labeled by the
-mapped value — this is the Section 4.6 value extension, where the map is
-a hash into a small domain.
+Text is ignored unless a ``text_label`` mapping is supplied, in which
+case each text node becomes a leaf child vertex labeled by the mapped
+value — this is the Section 4.6 value extension, where the map is a
+hash into a small domain.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterator
 
 from repro.errors import BisimulationError
 from repro.bisim.graph import BisimGraph, BisimVertex
-from repro.xmltree.events import CloseEvent, Event, OpenEvent, TextEvent
 from repro.xmltree.model import Document, Element
-from repro.xmltree.events import tree_events
 
 Signature = tuple[str, frozenset[int]]
 
@@ -47,7 +49,7 @@ class _Frame:
 
 
 class BisimGraphBuilder:
-    """Incremental bisimulation-graph builder over an event stream.
+    """Incremental bisimulation-graph builder: Algorithm 1's handlers.
 
     Args:
         record_extents: when ``True``, each vertex records the preorder
@@ -57,7 +59,7 @@ class BisimGraphBuilder:
             label; when given, text nodes participate in the structure as
             leaf children (the value extension of Section 4.6).
 
-    The builder may be fed several complete documents in sequence
+    The builder may be given several complete documents in sequence
     (a *forest*); in that case the final graph's root is a synthetic
     vertex labeled ``#forest`` whose children are the document roots.
     This is how the collection-as-one-unit tests exercise it; FIX itself
@@ -80,54 +82,66 @@ class BisimGraphBuilder:
         self._roots: list[BisimVertex] = []
 
     # ------------------------------------------------------------------ #
-    # Event consumption
+    # The handlers
     # ------------------------------------------------------------------ #
 
-    def feed(self, event: Event) -> tuple[BisimVertex, int] | None:
-        """Consume one event.
+    def open(self, label: str, start_ptr: int) -> None:
+        """Open handler: push a PathStack frame for a ``label`` element
+        stored at ``start_ptr``."""
+        self._stack.append(_Frame(label, start_ptr))
 
-        Returns the ``(vertex, start_ptr)`` pair when the event closes an
-        element, else ``None``.
-        """
-        if isinstance(event, OpenEvent):
-            self._stack.append(_Frame(event.label, event.start_ptr))
-            return None
-        if isinstance(event, TextEvent):
-            if self._text_label is None:
-                return None
-            if not self._stack:
-                raise BisimulationError("text event outside any element")
-            vertex = self._intern(self._text_label(event.value), frozenset())
-            self._note_extent(vertex, event.start_ptr)
+    def text(self, value: str, start_ptr: int) -> None:
+        """Character data of the innermost open element; a leaf child
+        when the builder has a ``text_label``, otherwise ignored."""
+        if not self._stack:
+            raise BisimulationError("text outside any element")
+        if self._text_label is None:
+            return
+        vertex = self._intern(self._text_label(value), frozenset())
+        self._note_extent(vertex, start_ptr)
+        self._stack[-1].child_vids.add(vertex.vid)
+
+    def close(self) -> tuple[BisimVertex, int]:
+        """Close handler: pop the innermost frame, resolve its signature
+        to a vertex and return ``(vertex, start_ptr)``."""
+        if not self._stack:
+            raise BisimulationError("close with no open element")
+        frame = self._stack.pop()
+        vertex = self._intern(frame.label, frozenset(frame.child_vids))
+        self._note_extent(vertex, frame.start_ptr)
+        if self._stack:
             self._stack[-1].child_vids.add(vertex.vid)
-            return None
-        if isinstance(event, CloseEvent):
-            if not self._stack:
-                raise BisimulationError(
-                    f"close event {event.label!r} with no open element"
-                )
-            frame = self._stack.pop()
-            if frame.label != event.label:
-                raise BisimulationError(
-                    f"close event {event.label!r} does not match open "
-                    f"element {frame.label!r}"
-                )
-            vertex = self._intern(frame.label, frozenset(frame.child_vids))
-            self._note_extent(vertex, frame.start_ptr)
-            if self._stack:
-                self._stack[-1].child_vids.add(vertex.vid)
-            else:
-                if vertex.vid not in self._root_vids:
-                    self._root_vids.add(vertex.vid)
-                    self._roots.append(vertex)
-            return vertex, frame.start_ptr
-        raise TypeError(f"unknown event type: {event!r}")  # pragma: no cover
+        elif vertex.vid not in self._root_vids:
+            self._root_vids.add(vertex.vid)
+            self._roots.append(vertex)
+        return vertex, frame.start_ptr
 
-    def feed_all(self, events: Iterable[Event]) -> "BisimGraphBuilder":
-        """Consume every event and return ``self`` (results discarded)."""
-        for event in events:
-            self.feed(event)
-        return self
+    def walk(self, root: Element) -> Iterator[tuple[BisimVertex, int]]:
+        """Run the handlers over the subtree at ``root`` and yield each
+        :meth:`close` result.
+
+        Elements open in preorder, with ``node_id`` as ``start_ptr``.  A
+        node's text children are registered right after its open, before
+        its element children (child *sets* make the interleaving
+        immaterial to the graph, but it fixes the vertex numbering).
+        Text is only visited when the builder has a ``text_label``.
+        """
+        with_text = self._text_label is not None
+        pending: list[Element | None] = [root]  # ``None``: a pending close
+        while pending:
+            node = pending.pop()
+            if node is None:
+                yield self.close()
+                continue
+            self.open(node.tag, node.node_id)
+            pending.append(None)
+            elements = []
+            for child in node.children:
+                if isinstance(child, Element):
+                    elements.append(child)
+                elif with_text:
+                    self.text(child.value, child.node_id)
+            pending.extend(reversed(elements))
 
     # ------------------------------------------------------------------ #
     # Finalization
@@ -141,10 +155,10 @@ class BisimGraphBuilder:
         """
         if self._stack:
             raise BisimulationError(
-                f"event stream ended with {len(self._stack)} unclosed element(s)"
+                f"{len(self._stack)} element(s) still open"
             )
         if not self._roots:
-            raise BisimulationError("event stream contained no elements")
+            raise BisimulationError("no element was closed")
         if len(self._roots) == 1:
             root = self._roots[0]
         else:
@@ -180,16 +194,6 @@ class BisimGraphBuilder:
             vertex.extent.append(start_ptr)
 
 
-def bisim_graph_of_events(
-    events: Iterable[Event],
-    record_extents: bool = False,
-    text_label: Callable[[str], str] | None = None,
-) -> BisimGraph:
-    """Build the bisimulation graph of a complete event stream."""
-    builder = BisimGraphBuilder(record_extents=record_extents, text_label=text_label)
-    return builder.feed_all(events).finish()
-
-
 def bisim_graph_of_document(
     document: Document | Element,
     record_extents: bool = False,
@@ -201,7 +205,7 @@ def bisim_graph_of_document(
     pure structural graph ignores them anyway.
     """
     root = document.root if isinstance(document, Document) else document
-    events = tree_events(root, include_text=text_label is not None)
-    return bisim_graph_of_events(
-        events, record_extents=record_extents, text_label=text_label
-    )
+    builder = BisimGraphBuilder(record_extents=record_extents, text_label=text_label)
+    for _ in builder.walk(root):
+        pass
+    return builder.finish()

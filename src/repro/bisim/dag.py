@@ -145,7 +145,7 @@ def depth_signature(
     ``set``), which ``vertex_signature`` never needs on an already
     -minimal graph but truncation can reintroduce.  The root of the
     unfolding sits at depth 1, matching
-    :func:`~repro.bisim.traveler.traveler_events`.
+    :func:`~repro.bisim.traveler.depth_limited_graph`.
 
     Pass a shared ``_memo`` ((vid, depth) → digest) to amortize across
     the vertices of one document's graph.

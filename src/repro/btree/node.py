@@ -29,6 +29,15 @@ _INTERNAL_HEADER = struct.Struct("<BH")  # type, n
 _CHILD = struct.Struct("<I")
 _KLEN = struct.Struct("<H")
 
+#: serialized bytes of a leaf with no entries, and what an entry adds on
+#: top of its key and value; the same for an internal node with one
+#: child, and what each further (separator key, child) adds on top of
+#: the key.  A bulk load keeps a running size from these.
+LEAF_BASE_SIZE = _LEAF_HEADER.size
+LEAF_ENTRY_OVERHEAD = _LEAF_ENTRY.size
+INTERNAL_BASE_SIZE = _INTERNAL_HEADER.size + _CHILD.size
+INTERNAL_ENTRY_OVERHEAD = _CHILD.size + _KLEN.size
+
 
 class LeafNode:
     """A leaf holding sorted ``(key, value)`` byte pairs; duplicates allowed."""
@@ -48,7 +57,7 @@ class LeafNode:
     def serialized_size(self) -> int:
         """Bytes this node occupies when serialized."""
         payload = sum(len(k) + len(v) for k, v in zip(self.keys, self.values))
-        return _LEAF_HEADER.size + _LEAF_ENTRY.size * len(self.keys) + payload
+        return LEAF_BASE_SIZE + LEAF_ENTRY_OVERHEAD * len(self.keys) + payload
 
     def serialize(self, page_size: int) -> bytearray:
         size = self.serialized_size()
@@ -104,9 +113,8 @@ class InternalNode:
     def serialized_size(self) -> int:
         """Bytes this node occupies when serialized."""
         return (
-            _INTERNAL_HEADER.size
-            + _CHILD.size * len(self.children)
-            + _KLEN.size * len(self.keys)
+            INTERNAL_BASE_SIZE
+            + INTERNAL_ENTRY_OVERHEAD * len(self.keys)
             + sum(len(k) for k in self.keys)
         )
 

@@ -32,6 +32,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import BTreeError
 from repro.btree.node import (
+    INTERNAL_BASE_SIZE,
+    INTERNAL_ENTRY_OVERHEAD,
+    LEAF_BASE_SIZE,
+    LEAF_ENTRY_OVERHEAD,
     NO_LEAF,
     InternalNode,
     LeafNode,
@@ -290,6 +294,7 @@ class BPlusTree:
         level: list[tuple[int, bytes]] = []  # (page_id, first key) per node
         current = LeafNode()
         current_page = tree._pager.allocate()
+        size = LEAF_BASE_SIZE  # running ``current.serialized_size()``
         full = False
         for key, value in pairs:
             if len(key) + len(value) > tree._max_pair:
@@ -304,10 +309,12 @@ class BPlusTree:
                 tree._install(current_page, current)
                 current = LeafNode()
                 current_page = next_page
+                size = LEAF_BASE_SIZE
                 full = False
             current.keys.append(key)
             current.values.append(value)
-            if current.serialized_size() > budget:
+            size += LEAF_ENTRY_OVERHEAD + len(key) + len(value)
+            if size > budget:
                 full = True
         level.append((current_page, current.keys[0]))
         tree._install(current_page, current)
@@ -322,14 +329,15 @@ class BPlusTree:
             while index < len(level):
                 node = InternalNode([], [level[index][0]])
                 first_key = level[index][1]
+                size = INTERNAL_BASE_SIZE  # running ``node.serialized_size()``
                 index += 1
                 while index < len(level):
-                    node.keys.append(level[index][1])
-                    node.children.append(level[index][0])
-                    if node.serialized_size() > budget:
-                        node.keys.pop()
-                        node.children.pop()
+                    page_id, key = level[index]
+                    size += INTERNAL_ENTRY_OVERHEAD + len(key)
+                    if size > budget:
                         break
+                    node.keys.append(key)
+                    node.children.append(page_id)
                     index += 1
                 parents.append((tree._adopt(node), first_key))
             level = parents

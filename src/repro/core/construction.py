@@ -21,7 +21,7 @@ decomposition once per distinct pattern rather than once per document.
 
 In subpattern mode the cache misses of a document are not solved one
 by one (DESIGN.md §9): each miss contributes its anti-symmetric matrix
-to a batch queue, and when the document's event stream ends the queue
+to a batch queue, and when the document's walk ends the queue
 is flushed through :func:`repro.spectral.kernel.solve_batch` — matrices
 grouped by dimension, one stacked-LAPACK call (or vectorized closed
 form) per bucket — before the entries are yielded.  Batching changes
@@ -43,7 +43,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.errors import PatternTooLargeError
-from repro.bisim import BisimGraphBuilder, depth_limited_graph, depth_signature
+from repro.bisim import (
+    BisimGraphBuilder,
+    bisim_graph_of_document,
+    depth_limited_graph,
+    depth_signature,
+)
 from repro.bisim.graph import BisimVertex
 from repro.btree import encode_feature_key
 from repro.core.values import ValueHasher
@@ -59,8 +64,7 @@ from repro.spectral import (
     pattern_signature,
     solve_batch,
 )
-from repro.xmltree import Document, parse_xml_events, tree_events
-from repro.xmltree.events import CloseEvent, OpenEvent, TextEvent
+from repro.xmltree import Document, Element
 
 
 @dataclass
@@ -152,7 +156,7 @@ class PhaseTimings:
     Phases:
         parse:  fetching/parsing documents out of primary storage.
         encode: the deterministic encoder-seeding pre-pass (§7).
-        bisim:  bisimulation-graph construction (event feeding and
+        bisim:  bisimulation-graph construction (the tree walk and
                 interning), measured as the entry-generation residual.
         unfold: BISIM-TRAVELER depth-limited unfolding + re-minimization.
         matrix: canonical-order anti-symmetric matrix assembly
@@ -246,8 +250,10 @@ def seed_encoder(
     """Register every edge-label pair of ``document`` with ``encoder``.
 
     This is the deterministic pre-pass of the build pipeline: walking
-    documents in ``doc_id`` order and events in document order fixes the
-    code assignment *before* any feature is computed, so every worker
+    documents in ``doc_id`` order and elements in preorder (a node's
+    text edges before its element children's, the order
+    :meth:`~repro.bisim.BisimGraphBuilder.walk` registers them in) fixes
+    the code assignment *before* any feature is computed, so every worker
     (and the serial path) extracts features under an identical, complete
     encoder.  Completeness holds because every edge of every pattern the
     build can produce — full bisimulation graphs in unit mode, depth
@@ -255,40 +261,19 @@ def seed_encoder(
     a (parent label, child label) tree edge walked here (text nodes
     included when the value extension is active).
     """
-    stack: list[str] = []
-    for event in tree_events(document.root, include_text=text_label is not None):
-        if isinstance(event, OpenEvent):
-            if stack:
-                encoder.encode(stack[-1], event.label)
-            stack.append(event.label)
-        elif isinstance(event, TextEvent):
-            if text_label is not None and stack:
-                encoder.encode(stack[-1], text_label(event.value))
-        elif isinstance(event, CloseEvent):
-            stack.pop()
-
-
-def seed_encoder_from_source(encoder: EdgeLabelEncoder, source: str) -> None:
-    """Structural-only :func:`seed_encoder` over raw XML text.
-
-    A sharded coordinator seeds the shared encoder while *routing* each
-    document (one parse of the text it is already holding instead of a
-    second store-fetch-and-parse pre-pass).  Element open order is identical
-    in :func:`~repro.xmltree.parse_xml_events` and a tree walk, so the
-    first-seen order of (parent, child) label pairs — hence every code —
-    matches :func:`seed_encoder` exactly.  Only for structural indexes:
-    with the value extension active the two traversals order text
-    differently (``tree_events`` front-loads a node's text after its
-    open), so value-extended coordinators parse and seed from the tree.
-    """
-    stack: list[str] = []
-    for event in parse_xml_events(source):
-        if isinstance(event, OpenEvent):
-            if stack:
-                encoder.encode(stack[-1], event.label)
-            stack.append(event.label)
-        elif isinstance(event, CloseEvent):
-            stack.pop()
+    root = document.root
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        if node is not root:
+            encoder.encode(node.parent.tag, node.tag)
+        elements = []
+        for child in node.children:
+            if isinstance(child, Element):
+                elements.append(child)
+            elif text_label is not None:
+                encoder.encode(node.tag, text_label(child.value))
+        pending.extend(reversed(elements))
 
 
 @dataclass(frozen=True, slots=True)
@@ -484,11 +469,7 @@ class EntryGenerator:
             yield from self._subpattern_entries(document)
 
     def _unit_entry(self, document: Document) -> Entry:
-        builder = BisimGraphBuilder(text_label=self.text_label)
-        builder.feed_all(
-            tree_events(document.root, include_text=self.text_label is not None)
-        )
-        graph = builder.finish()
+        graph = bisim_graph_of_document(document, text_label=self.text_label)
         self.stats.bisim_vertices += graph.vertex_count()
         self.stats.per_document_vertices.append(graph.vertex_count())
         key = self._features_of_graph(graph)
@@ -501,19 +482,14 @@ class EntryGenerator:
         self._sig_memo = {}
         staged: list[tuple[FeatureKey | _PendingFeature, int]] = []
         builder = BisimGraphBuilder(text_label=self.text_label)
-        for event in tree_events(
-            document.root, include_text=self.text_label is not None
-        ):
-            closed = builder.feed(event)
-            if closed is not None:
-                # GEN-SUBPATTERN runs per closing event; by close time the
-                # vertex's children are final, so its depth-L view is
-                # computable immediately.  Misses join the batch queue;
-                # the entry is staged against the (possibly pending)
-                # feature and yielded after the end-of-document flush.
-                vertex, start_ptr = closed
-                self.stats.entries += 1
-                staged.append((self._vertex_features(vertex), start_ptr))
+        for vertex, start_ptr in builder.walk(document.root):
+            # GEN-SUBPATTERN runs per close; by close time the vertex's
+            # children are final, so its depth-L view is computable
+            # immediately.  Misses join the batch queue; the entry is
+            # staged against the (possibly pending) feature and yielded
+            # after the end-of-document flush.
+            self.stats.entries += 1
+            staged.append((self._vertex_features(vertex), start_ptr))
         graph = builder.finish()
         self.stats.bisim_vertices += graph.vertex_count()
         self.stats.per_document_vertices.append(graph.vertex_count())

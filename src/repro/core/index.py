@@ -34,7 +34,12 @@ from repro.core.construction import (
     seed_encoder,
 )
 from repro.core.epoch import EpochCachedView, EpochManager
-from repro.errors import IndexCoverageError, StorageError, UnsupportedQueryError
+from repro.errors import (
+    IndexCoverageError,
+    PatternTooLargeError,
+    StorageError,
+    UnsupportedQueryError,
+)
 from repro.obs import Obs, ObsConfig
 from repro.query.ast import Axis
 from repro.query.twig import TwigQuery
@@ -46,7 +51,6 @@ from repro.spectral import (
     FeatureRange,
     pattern_features,
 )
-from repro.errors import PatternTooLargeError
 from repro.spectral.features import ALL_COVERING_RANGE
 from repro.storage import (
     ClusteredStore,
@@ -618,8 +622,8 @@ class FixIndex:
         Returns the new ``doc_id``.
 
         Raises:
-            UnsupportedQueryError: never; ``ReproError`` via
-                :class:`~repro.errors.StorageError` when clustered.
+            StorageError: when the index is clustered (the key-ordered
+                copy store is build-once).
         """
         self._require_unclustered()
         doc_id = self.store.add_document(document)

@@ -69,11 +69,7 @@ import os
 import re
 from collections.abc import Iterator
 
-from repro.core.construction import (
-    GeneratorSettings,
-    seed_encoder,
-    seed_encoder_from_source,
-)
+from repro.core.construction import GeneratorSettings, seed_encoder
 from repro.core.epoch import EpochManager, EpochSnapshot
 from repro.core.index import FixIndex, FixIndexConfig, IndexEntry
 from repro.core.persistence import load_index, save_index
@@ -346,14 +342,9 @@ class ShardedFixIndex:
         # strictly ascending doc-id order from both build entrypoints,
         # so this is the same deterministic pre-pass _build_all used to
         # run — minus the second full-corpus store-fetch-and-parse.
-        # Structural indexes seed from the event stream of the text in hand;
-        # the value extension needs tree text ordering, so it parses.
-        if self.value_hasher is None:
-            seed_encoder_from_source(self.encoder, source)
-        else:
-            seed_encoder(
-                self.encoder, parse_xml(source), text_label=self.value_hasher
-            )
+        seed_encoder(
+            self.encoder, parse_xml(source), text_label=self.value_hasher
+        )
 
     def _build_all(self) -> None:
         from repro.core.parallel import StagedBuild, parallel_shard_stage

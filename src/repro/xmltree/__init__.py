@@ -1,12 +1,13 @@
-"""In-memory XML data model, parser, and SAX-style event streams.
+"""In-memory XML data model, parser and serializer.
 
 This subpackage is the substrate that the rest of the reproduction is built
-on.  The paper's index-construction algorithm (Algorithm 1) is a single-pass
-algorithm over an *event stream* — a sequence of open/text/close events like
-the ones a SAX parser emits — so the event abstraction
-(:mod:`repro.xmltree.events`) is first-class here: trees, files, and the
-bisimulation-graph "traveler" of Section 4.4 all produce the same stream
-type and are interchangeable as inputs to the bisimulation builder.
+on.  The numbered tree is the only document representation between the
+parser and the index: :func:`parse_xml` builds it in one scan, and every
+consumer (the bisimulation builder's walk, the encoder seeding pre-pass,
+the navigational matcher, the primary store) reads it directly.  The
+paper's Algorithm 1 is written as SAX handlers; those handlers are
+:class:`repro.bisim.BisimGraphBuilder`'s ``open`` / ``close``, driven by
+a walk of this tree.
 
 Public surface:
 
@@ -17,37 +18,19 @@ Public surface:
   processing instructions, the five predefined entities, and numeric
   character references).
 * :func:`~repro.xmltree.serialize.serialize` — the inverse of the parser.
-* :func:`~repro.xmltree.events.tree_events` — walk a tree as events.
-* :class:`~repro.xmltree.builder.TreeBuilder` — assemble a tree from events.
 """
 
-from repro.xmltree.builder import TreeBuilder, tree_from_events
-from repro.xmltree.events import (
-    CloseEvent,
-    Event,
-    OpenEvent,
-    TextEvent,
-    tree_events,
-)
 from repro.xmltree.model import Document, Element, Node, Text
-from repro.xmltree.parser import parse_xml, parse_xml_events, parse_xml_file
+from repro.xmltree.parser import parse_xml, parse_xml_file
 from repro.xmltree.serialize import serialize, serialize_fragment
 
 __all__ = [
-    "CloseEvent",
     "Document",
     "Element",
-    "Event",
     "Node",
-    "OpenEvent",
     "Text",
-    "TextEvent",
-    "TreeBuilder",
     "parse_xml",
-    "parse_xml_events",
     "parse_xml_file",
     "serialize",
     "serialize_fragment",
-    "tree_events",
-    "tree_from_events",
 ]

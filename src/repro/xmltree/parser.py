@@ -13,16 +13,13 @@ paper's data model has no use for indentation text nodes.
 loop that matches one token pattern at each ``<`` and builds the
 numbered tree as it goes, so nothing walks the tree a second time;
 whatever the pattern misses goes to :func:`_other_markup`.
-:func:`parse_xml_events` is a document-order view of the parsed tree.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 
 from repro.errors import XMLSyntaxError
-from repro.xmltree.events import CloseEvent, Event, OpenEvent, TextEvent
 from repro.xmltree.model import Document, Element, Text
 
 # XML names: the practical superset — ASCII name chars plus everything
@@ -220,46 +217,6 @@ def _other_markup(
     if source.find(">", run.end()) == -1:
         raise XMLSyntaxError("unterminated start tag", lt)
     raise XMLSyntaxError(f"junk in start tag <{name.group()}>", run.end())
-
-
-class OpenEventWithAttributes(OpenEvent):
-    """An :class:`OpenEvent` that also carries parsed attributes.
-
-    Consumers that do not care about attributes (everything except the
-    tree builder) treat this exactly like a plain ``OpenEvent``.
-    """
-
-    __slots__ = ("attributes",)
-
-    def __init__(self, label: str, start_ptr: int, attributes: dict[str, str]) -> None:
-        super().__init__(label, start_ptr)
-        self.attributes = attributes
-
-
-def parse_xml_events(source: str) -> Iterator[Event]:
-    """Parse ``source`` and yield its events in document order: text
-    events in place (:func:`~repro.xmltree.events.tree_events` front-loads
-    them), ``start_ptr`` the node's preorder id.
-
-    Raises:
-        XMLSyntaxError: on malformed input, before the first event.
-    """
-    pending: list[Element | Text | None] = [parse_xml(source).root]
-    open_tags: list[str] = []  # one per ``None``, which marks a pending close
-    while pending:
-        node = pending.pop()
-        if node is None:
-            yield CloseEvent(open_tags.pop())
-        elif isinstance(node, Text):
-            yield TextEvent(node.value, node.node_id)
-        else:
-            if node.attributes:
-                yield OpenEventWithAttributes(node.tag, node.node_id, node.attributes)
-            else:
-                yield OpenEvent(node.tag, node.node_id)
-            open_tags.append(node.tag)
-            pending.append(None)
-            pending.extend(reversed(node.children))
 
 
 def parse_xml_file(path: str, doc_id: int = 0, encoding: str = "utf-8") -> Document:

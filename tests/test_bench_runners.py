@@ -5,6 +5,10 @@ harness itself under plain-pytest coverage."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench import (
@@ -115,3 +119,22 @@ class TestAblationRunners:
         rows = run_beta_sweep(scale=SCALE, betas=(2, 16))
         assert [row.beta for row in rows] == [2, 16]
         assert rows[0].encoder_size <= rows[1].encoder_size
+
+
+class TestPagesDigest:
+    def test_two_runs_print_the_same_digests(self):
+        # Two processes, so a dependence on hash randomization would show.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        command = [sys.executable, "benchmarks/pages_digest.py", "--scale", "0.02"]
+        first, second = (
+            subprocess.run(
+                command, cwd=root, env=env, check=True, capture_output=True, text=True
+            ).stdout
+            for _ in range(2)
+        )
+        assert first == second
+        lines = first.splitlines()
+        # 4 corpora x {structural, 8 buckets} x (1 index + 4 shards)
+        assert len(lines) == 4 * 2 * 5
+        assert all(len(line.split()[-1]) == 32 for line in lines)

@@ -16,9 +16,8 @@ from repro.bisim import (
     graphs_isomorphic,
     reachable_vertices,
     topological_order,
-    traveler_events,
 )
-from repro.xmltree import CloseEvent, OpenEvent, TextEvent, parse_xml
+from repro.xmltree import parse_xml
 
 # The Figure 1 bibliography document.  Its bisimulation graph (Figure 2)
 # merges the book and inproceedings authors (both have only an
@@ -113,36 +112,40 @@ class TestFigure2Example:
 
 
 class TestBuilderStreaming:
+    """The builder driven through its handlers and through the walk."""
+
     def test_close_returns_vertex_and_pointer(self):
         builder = BisimGraphBuilder()
-        assert builder.feed(OpenEvent("a", 7)) is None
-        result = builder.feed(CloseEvent("a"))
-        assert result is not None
-        vertex, ptr = result
+        assert builder.open("a", 7) is None
+        vertex, ptr = builder.close()
         assert vertex.label == "a"
         assert ptr == 7
 
     def test_one_result_per_element(self):
         doc = parse_xml(FIGURE1_XML)
-        from repro.xmltree import tree_events
-
-        builder = BisimGraphBuilder()
-        closed = [r for r in map(builder.feed, tree_events(doc.root)) if r]
+        closed = list(BisimGraphBuilder().walk(doc.root))
         assert len(closed) == doc.element_count()
-
-    def test_mismatched_close_raises(self):
-        builder = BisimGraphBuilder()
-        builder.feed(OpenEvent("a", 0))
-        with pytest.raises(BisimulationError):
-            builder.feed(CloseEvent("b"))
+        # Elements close in postorder: a node's pointer comes after every
+        # pointer inside its region.
+        pointers = [ptr for _, ptr in closed]
+        assert sorted(pointers) == [e.node_id for e in doc.elements()]
+        position = {ptr: i for i, ptr in enumerate(pointers)}
+        for element in doc.elements():
+            for child in element.child_elements():
+                assert position[child.node_id] < position[element.node_id]
 
     def test_orphan_close_raises(self):
         with pytest.raises(BisimulationError):
-            BisimGraphBuilder().feed(CloseEvent("a"))
+            BisimGraphBuilder().close()
+
+    def test_orphan_text_raises(self):
+        for text_label in (None, str.upper):
+            with pytest.raises(BisimulationError):
+                BisimGraphBuilder(text_label=text_label).text("x", 0)
 
     def test_unfinished_stream_raises(self):
         builder = BisimGraphBuilder()
-        builder.feed(OpenEvent("a", 0))
+        builder.open("a", 0)
         with pytest.raises(BisimulationError):
             builder.finish()
 
@@ -153,28 +156,39 @@ class TestBuilderStreaming:
     def test_forest_gets_synthetic_root(self):
         builder = BisimGraphBuilder()
         for label in ("a", "b"):
-            builder.feed(OpenEvent(label, 0))
-            builder.feed(CloseEvent(label))
+            builder.open(label, 0)
+            builder.close()
         graph = builder.finish()
         assert graph.root.label == BisimGraphBuilder.FOREST_LABEL
         assert {c.label for c in graph.root.children} == {"a", "b"}
 
     def test_text_ignored_without_mapping(self):
         builder = BisimGraphBuilder()
-        builder.feed(OpenEvent("a", 0))
-        builder.feed(TextEvent("hello", 1))
-        builder.feed(CloseEvent("a"))
+        builder.open("a", 0)
+        builder.text("hello", 1)
+        builder.close()
         graph = builder.finish()
         assert graph.vertex_count() == 1
 
     def test_text_becomes_leaf_with_mapping(self):
         builder = BisimGraphBuilder(text_label=lambda value: f"#v{len(value)}")
-        builder.feed(OpenEvent("a", 0))
-        builder.feed(TextEvent("hello", 1))
-        builder.feed(CloseEvent("a"))
+        builder.open("a", 0)
+        builder.text("hello", 1)
+        builder.close()
         graph = builder.finish()
         assert graph.vertex_count() == 2
         assert graph.root.children[0].label == "#v5"
+
+    def test_walk_registers_text_before_element_children(self):
+        # Vertex ids are handed out at first intern, so the walk's order
+        # shows in them: a node's text leaves (in document order) come
+        # before anything under its element children.
+        doc = parse_xml("<a>x<b>y</b>zz</a>")
+        builder = BisimGraphBuilder(text_label=lambda value: f"#{value}")
+        closed = [(v.label, ptr) for v, ptr in builder.walk(doc.root)]
+        assert closed == [("b", 2), ("a", 0)]
+        graph = builder.finish()
+        assert [v.label for v in graph.vertices] == ["#x", "#zz", "#y", "b", "a"]
 
 
 class TestTraveler:
@@ -198,16 +212,27 @@ class TestTraveler:
         assert limited.depth() == 2
 
     def test_event_stream_is_balanced(self):
+        # Every node of the depth-3 unfolding is opened once and closed
+        # once: finish() accepts the replay, and the closes (one extent
+        # member each) number the unfolding's nodes.
         graph = graph_of(FIGURE1_XML)
-        events = list(traveler_events(graph.root, 3))
-        opens = sum(1 for e in events if isinstance(e, OpenEvent))
-        closes = sum(1 for e in events if isinstance(e, CloseEvent))
-        assert opens == closes > 0
+
+        def unfolding_size(vertex, depth):
+            if depth == 1:
+                return 1
+            return 1 + sum(unfolding_size(c, depth - 1) for c in vertex.children)
+
+        limited = depth_limited_graph(graph.root, 3)
+        closes = sum(v.extent_size for v in limited.vertices)
+        assert closes == unfolding_size(graph.root, 3) > 0
 
     def test_max_opens_cap(self):
         graph = graph_of(FIGURE1_XML)
-        with pytest.raises(PatternTooLargeError):
-            list(traveler_events(graph.root, 0, max_opens=3))
+        with pytest.raises(PatternTooLargeError) as caught:
+            depth_limited_graph(graph.root, 0, max_opens=3)
+        assert caught.value.size == 4
+        # The cap counts opens: the whole 26-element unfolding fits 26.
+        assert depth_limited_graph(graph.root, 0, max_opens=26).vertex_count() == 15
 
     def test_depth_limit_bounds_result_depth(self):
         graph = graph_of(FIGURE1_XML)

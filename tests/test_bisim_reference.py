@@ -1,16 +1,19 @@
 """Cross-validation of the single-pass bisimulation builder against an
 independent reference implementation (naive fixpoint partition
-refinement), plus equivalence properties that tie the two notions used
-in the paper together."""
+refinement), of the traveler against an explicitly unfolded tree, plus
+equivalence properties that tie the two notions used in the paper
+together."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bisim import bisim_graph_of_document
+from repro.bisim import bisim_graph_of_document, depth_limited_graph, graphs_isomorphic
+from repro.errors import PatternTooLargeError
 from repro.fb import fb_partition
 from repro.xmltree import Document, Element
 
@@ -95,6 +98,42 @@ class TestBuilderAgainstReference:
         assert partitions_equal(
             builder_partition(document), reference_downward_bisim(document)
         )
+
+
+def unfolded(vertex, depth: int) -> Element:
+    """The depth-``depth`` unfolding of ``vertex`` as an explicit tree."""
+    element = Element(vertex.label)
+    if depth > 1:
+        for child in vertex.children:
+            element.append(unfolded(child, depth - 1))
+    return element
+
+
+class TestTravelerAgainstExplicitUnfolding:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=9999),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_depth_limited_graph_is_the_graph_of_the_unfolded_tree(
+        self, size, seed, depth
+    ):
+        # One or two labels over random shapes: recursive documents, whose
+        # truncated unfoldings re-merge the most.
+        rng = random.Random(seed)
+        document = random_document(rng, ["n", "m"][: 1 + seed % 2], size)
+        for vertex in bisim_graph_of_document(document).vertices:
+            tree = unfolded(vertex, depth)
+            assert graphs_isomorphic(
+                depth_limited_graph(vertex, depth), bisim_graph_of_document(tree)
+            )
+            # The cap counts the unfolding's nodes: exactly enough passes,
+            # one fewer raises.
+            opens = tree.size()
+            depth_limited_graph(vertex, depth, max_opens=opens)
+            with pytest.raises(PatternTooLargeError):
+                depth_limited_graph(vertex, depth, max_opens=opens - 1)
 
 
 class TestFBRefinesDownwardBisim:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import BTreeError
 from repro.btree import BPlusTree
+from repro.btree.node import NO_LEAF, InternalNode, LeafNode
 from repro.storage import Pager
 
 
@@ -90,3 +91,127 @@ class TestBulkLoad:
             expected = sorted(v for k, v in pairs if k == probe)
             assert sorted(tree.search(probe)) == expected
         tree.check_invariants()
+
+
+def remeasuring_bulk_pages(
+    pairs: list[tuple[bytes, bytes]], page_size: int, fill_factor: float
+) -> list[bytes]:
+    """Every page of the bulk load as it packed before it kept a running
+    size: append, re-measure the whole node, pop what does not fit."""
+    pager = Pager(page_size=page_size)
+    budget = int(page_size * fill_factor)
+    root_page = pager.allocate()
+    nodes: dict[int, LeafNode | InternalNode] = {}
+    level: list[tuple[int, bytes]] = []
+    current, current_page, full = LeafNode(), pager.allocate(), False
+    for key, value in pairs:
+        if full:
+            current.next_leaf = pager.allocate()
+            level.append((current_page, current.keys[0]))
+            nodes[current_page] = current
+            current, current_page, full = LeafNode(), current.next_leaf, False
+        current.keys.append(key)
+        current.values.append(value)
+        full = current.serialized_size() > budget
+    level.append((current_page, current.keys[0]))
+    nodes[current_page] = current
+    while len(level) > 1:
+        parents: list[tuple[int, bytes]] = []
+        index = 0
+        while index < len(level):
+            node = InternalNode([], [level[index][0]])
+            first_key = level[index][1]
+            index += 1
+            while index < len(level):
+                node.keys.append(level[index][1])
+                node.children.append(level[index][0])
+                if node.serialized_size() > budget:
+                    node.keys.pop()
+                    node.children.pop()
+                    break
+                index += 1
+            page = pager.allocate()
+            nodes[page] = node
+            parents.append((page, first_key))
+        level = parents
+    # The built root moves into the page the empty tree started with.
+    nodes[root_page] = nodes.pop(level[0][0])
+    return [
+        bytes(nodes[page].serialize(page_size)) if page in nodes else bytes(page_size)
+        for page in range(pager.page_count)
+    ]
+
+
+def bulk_pages(pairs, page_size: int, fill_factor: float) -> list[bytes]:
+    tree = BPlusTree.bulk_load(pairs, Pager(page_size=page_size), fill_factor)
+    tree.flush()
+    return [bytes(tree.pager.read(page)) for page in range(tree.pager.page_count)]
+
+
+def leaf_pages(tree: BPlusTree):
+    """Page ids along the leaf chain."""
+    page = tree._leaf_for(None)
+    while page != NO_LEAF:
+        yield page
+        page = tree._node(page).next_leaf
+
+
+class TestRunningSize:
+    """The load keeps a running byte count per open node; the pages are
+    those of measuring the whole node after every append."""
+
+    def test_measures_per_node_not_per_pair(self, monkeypatch):
+        calls = {LeafNode: 0, InternalNode: 0}
+        for cls in calls:
+            measure = cls.serialized_size
+
+            def counted(node, cls=cls, measure=measure):
+                calls[cls] += 1
+                return measure(node)
+
+            monkeypatch.setattr(cls, "serialized_size", counted)
+        pairs = pairs_for(3000)
+        tree = BPlusTree.bulk_load(pairs, Pager(page_size=256))
+        tree.flush()  # one measurement per node, when it is serialized
+        monkeypatch.undo()
+        leaves = sum(1 for _ in leaf_pages(tree))
+        assert 100 < leaves < len(pairs) // 10
+        assert calls[LeafNode] <= leaves
+        assert calls[InternalNode] <= tree.pager.page_count - leaves
+
+    @pytest.mark.parametrize("fill_factor", [0.5, 0.9])
+    def test_keys_landing_exactly_on_the_budget(self, fill_factor):
+        # 5-byte keys, 2-byte values, 256-byte pages: a leaf entry and an
+        # internal (separator, child) both cost 11 bytes, and at 0.5 the
+        # budget (128) is the base (7) plus exactly 11 of them, so the
+        # eleventh lands on the budget and stays.
+        pairs = [(f"{i:05d}".encode(), b"vv") for i in range(12 * 12 * 3)]
+        assert bulk_pages(pairs, 256, fill_factor) == remeasuring_bulk_pages(
+            pairs, 256, fill_factor
+        )
+        if fill_factor == 0.5:
+            tree = BPlusTree.bulk_load(pairs, Pager(page_size=256), fill_factor)
+            assert [len(tree._node(p).keys) for p in leaf_pages(tree)] == [12] * 36
+            root = tree._node(tree.root_page)
+            assert [len(tree._node(p).children) for p in root.children] == [12] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.binary(min_size=1, max_size=12).map(lambda key: key[:1] * len(key)),
+                st.binary(max_size=8),
+            ),
+            min_size=1,
+            max_size=400,
+        ),
+        st.sampled_from([0.5, 0.7, 0.9]),
+    )
+    def test_pages_equal_the_remeasuring_load(self, raw_pairs, fill_factor):
+        # Keys are runs of one byte, so duplicates are common and
+        # straddle nodes.  An entry is at most 24 bytes: the one that
+        # overfills a 0.9 leaf still fits the page.
+        pairs = sorted(raw_pairs, key=lambda pair: pair[0])
+        assert bulk_pages(pairs, 256, fill_factor) == remeasuring_bulk_pages(
+            pairs, 256, fill_factor
+        )

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.bisim import (
-    BisimGraphBuilder,
+    bisim_graph_of_document,
     depth_limited_graph,
     depth_signature,
     reachable_vertices,
@@ -24,7 +24,7 @@ from repro.datasets import load_dataset
 from repro.spectral import ALL_COVERING_RANGE, FeatureCache, FeatureKey, FeatureRange
 from repro.spectral.cache import pattern_signature
 from repro.storage import PrimaryXMLStore
-from repro.xmltree import Document, Element, parse_xml, tree_events
+from repro.xmltree import Document, Element, parse_xml
 
 
 def dblp_like_store(documents: int = 4, scale: float = 0.01) -> PrimaryXMLStore:
@@ -181,9 +181,7 @@ class TestDepthSignature:
         rng = random.Random(5)
         for _ in range(25):
             document = Document(self._random_tree(rng, 5))
-            builder = BisimGraphBuilder()
-            builder.feed_all(tree_events(document.root))
-            graph = builder.finish()
+            graph = bisim_graph_of_document(document)
             memo: dict[tuple[int, int], bytes] = {}
             for vertex in reachable_vertices(graph.root):
                 for limit in (1, 2, 3, 6):
@@ -197,9 +195,7 @@ class TestDepthSignature:
         document = Document(
             parse_xml("<r><a><x><y/></x></a><a><x><z/></x></a></r>").root
         )
-        builder = BisimGraphBuilder()
-        builder.feed_all(tree_events(document.root))
-        graph = builder.finish()
+        graph = bisim_graph_of_document(document)
         # At depth 2 the two <a> subtrees look identical (both <a><x/>).
         assert depth_signature(graph.root, 2) == pattern_signature(
             depth_limited_graph(graph.root, 2)
@@ -207,7 +203,5 @@ class TestDepthSignature:
 
     def test_unlimited_depth_equals_vertex_signature(self):
         document = Document(parse_xml("<r><a><b/></a><c/></r>").root)
-        builder = BisimGraphBuilder()
-        builder.feed_all(tree_events(document.root))
-        graph = builder.finish()
+        graph = bisim_graph_of_document(document)
         assert depth_signature(graph.root, 0) == vertex_signature(graph.root)

@@ -194,6 +194,37 @@ class TestParallelStage:
         assert len(encoder) == size_before
 
 
+def reference_seed(encoder, element, text_label=None):
+    """Plain recursive preorder seeding: a node's text edges, then each
+    element child's edge followed by that child's subtree."""
+    if text_label is not None:
+        for text in element.text_children():
+            encoder.encode(element.tag, text_label(text.value))
+    for child in element.child_elements():
+        encoder.encode(element.tag, child.tag)
+        reference_seed(encoder, child, text_label)
+
+
+class TestSeedEncoder:
+    def test_text_edges_come_before_element_children_edges(self):
+        encoder = EdgeLabelEncoder()
+        document = parse_xml("<a>x<b>y<c/></b>z<d/></a>")
+        seed_encoder(encoder, document, text_label=lambda value: f"#{value}")
+        assert sorted(encoder._codes, key=encoder._codes.get) == [
+            ("a", "#x"), ("a", "#z"), ("a", "b"), ("b", "#y"), ("b", "c"), ("a", "d"),
+        ]
+
+    @pytest.mark.parametrize("text_label", [None, str.lower], ids=["plain", "values"])
+    @pytest.mark.parametrize("dataset", ["xbench", "dblp", "xmark", "treebank"])
+    def test_matches_recursive_preorder_reference(self, dataset, text_label):
+        seeded, reference = EdgeLabelEncoder(), EdgeLabelEncoder()
+        for document in load_dataset(dataset, scale=0.05, seed=3).documents:
+            seed_encoder(seeded, document, text_label=text_label)
+            reference_seed(reference, document.root, text_label)
+        assert len(seeded) > 0
+        assert seeded.to_dict() == reference.to_dict()
+
+
 class TestEncoderMerge:
     def test_merge_appends_unknown_pairs_in_code_order(self):
         ours = EdgeLabelEncoder()

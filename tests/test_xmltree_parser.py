@@ -1,4 +1,4 @@
-"""Unit tests for the XML parser, event streams, and serializer."""
+"""Unit tests for the XML parser and serializer."""
 
 from __future__ import annotations
 
@@ -10,23 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import load_dataset
-from repro.errors import BisimulationError, XMLSyntaxError
+from repro.errors import XMLSyntaxError
 from repro.xmltree import (
-    CloseEvent,
     Document,
     Element,
-    OpenEvent,
     Text,
-    TextEvent,
     parse_xml,
-    parse_xml_events,
     serialize,
     serialize_fragment,
-    tree_events,
-    tree_from_events,
 )
-from repro.xmltree.events import validate_events
-from repro.xmltree.parser import OpenEventWithAttributes
 
 
 class TestParserBasics:
@@ -53,6 +45,15 @@ class TestParserBasics:
         doc = parse_xml("<a>\n  <b/>\n</a>")
         assert doc.root.text() == ""
         assert doc.root.size() == 2
+
+    def test_preorder_ids_count_text_in_place(self):
+        doc = parse_xml('<a k="v">s<b>t</b><c/>u</a>')
+        assert [
+            (getattr(n, "tag", None) or n.value, n.node_id)
+            for n in document_order(doc.root)
+        ] == [("a", 0), ("s", 1), ("b", 2), ("t", 3), ("c", 4), ("u", 5)]
+        assert [(e.node_id, e.end) for e in doc.elements()] == [(0, 5), (2, 3), (4, 4)]
+        assert [e.attributes for e in doc.elements()] == [{"k": "v"}, {}, {}]
 
     def test_attributes(self):
         doc = parse_xml('<a id="1" name=\'x y\'/>')
@@ -157,15 +158,14 @@ def clone(element):
     return copy
 
 
-def walk_events(element):
-    """Document-order events of a numbered tree, text in place."""
-    yield OpenEvent(element.tag, element.node_id)
+def document_order(element):
+    """Every node of a numbered tree, text in place."""
+    yield element
     for child in element.children:
         if isinstance(child, Text):
-            yield TextEvent(child.value, child.node_id)
+            yield child
         else:
-            yield from walk_events(child)
-    yield CloseEvent(element.tag)
+            yield from document_order(child)
 
 
 def numbering(document):
@@ -190,14 +190,12 @@ def check_against_oracles(source):
     for node_id in not_elements:
         with pytest.raises(KeyError):
             document.element_at(node_id)
-    # The event stream is a view of that tree.
-    events = list(parse_xml_events(source))
-    assert events == list(walk_events(document.root))
-    for event in events:
-        if isinstance(event, OpenEvent):
-            attributes = document.element_at(event.start_ptr).attributes
-            assert isinstance(event, OpenEventWithAttributes) == bool(attributes)
-            assert getattr(event, "attributes", {}) == attributes
+    # Elements and text share one preorder sequence, text in place, and
+    # elements() is the element subsequence of it (tags and attributes
+    # were checked against expat above).
+    nodes = list(document_order(document.root))
+    assert [node.node_id for node in nodes] == list(range(document.node_count()))
+    assert [n for n in nodes if isinstance(n, Element)] == list(document.elements())
 
 
 # Characters that mean the same to both parsers anywhere in content:
@@ -408,59 +406,6 @@ class TestParserLeniencies:
         ]
         assert root.end == 3
 
-class TestEventStream:
-    def test_parse_events_sequence(self):
-        events = list(parse_xml_events("<a><b>t</b></a>"))
-        kinds = [type(e).__name__.replace("OpenEventWithAttributes", "OpenEvent")
-                 for e in events]
-        assert kinds == [
-            "OpenEvent",
-            "OpenEvent",
-            "TextEvent",
-            "CloseEvent",
-            "CloseEvent",
-        ]
-        assert events[0].label == "a"
-        assert events[1].label == "b"
-        assert events[2].value == "t"
-
-    def test_event_pointers_match_document_ids(self):
-        source = "<a><b>t</b><c/></a>"
-        doc = parse_xml(source)
-        opens = [e for e in parse_xml_events(source) if isinstance(e, OpenEvent)]
-        ids = [e.node_id for e in doc.elements()]
-        assert [e.start_ptr for e in opens] == ids
-
-    def test_tree_events_roundtrip(self):
-        doc = parse_xml("<a><b>t</b><c><d/></c></a>")
-        rebuilt = tree_from_events(tree_events(doc.root))
-        assert serialize(rebuilt) == serialize(doc)
-
-    def test_tree_events_without_text(self):
-        doc = parse_xml("<a>t<b/></a>")
-        events = list(tree_events(doc.root, include_text=False))
-        assert not any(isinstance(e, TextEvent) for e in events)
-
-    def test_validate_events_accepts_well_formed(self):
-        doc = parse_xml("<a><b/></a>")
-        assert len(list(validate_events(tree_events(doc.root)))) == 4
-
-    def test_validate_events_rejects_mismatch(self):
-        bad = [OpenEvent("a", 0), CloseEvent("b")]
-        with pytest.raises(BisimulationError):
-            list(validate_events(iter(bad)))
-
-    def test_validate_events_rejects_unclosed(self):
-        bad = [OpenEvent("a", 0)]
-        with pytest.raises(BisimulationError):
-            list(validate_events(iter(bad)))
-
-    def test_validate_events_rejects_orphan_text(self):
-        bad = [TextEvent("x", 0)]
-        with pytest.raises(BisimulationError):
-            list(validate_events(iter(bad)))
-
-
 class TestSerializer:
     def test_compact_roundtrip(self):
         source = '<a x="1"><b>hello &amp; goodbye</b><c/></a>'
@@ -491,24 +436,3 @@ class TestSerializer:
         reparsed = parse_xml(text)
         assert reparsed.root.text() == "<&>"
         assert reparsed.root.attributes["k"] == 'v"<'
-
-
-class TestBuilderErrors:
-    def test_multiple_roots_rejected(self):
-        events = [OpenEvent("a", 0), CloseEvent("a"), OpenEvent("b", 1), CloseEvent("b")]
-        with pytest.raises(XMLSyntaxError):
-            tree_from_events(iter(events))
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(XMLSyntaxError):
-            tree_from_events(iter([]))
-
-    def test_unclosed_rejected(self):
-        with pytest.raises(XMLSyntaxError):
-            tree_from_events(iter([OpenEvent("a", 0)]))
-
-    def test_builder_produces_document(self):
-        events = [OpenEvent("a", 0), TextEvent("t", 1), CloseEvent("a")]
-        doc = tree_from_events(iter(events))
-        assert isinstance(doc, Document)
-        assert doc.root.text() == "t"
