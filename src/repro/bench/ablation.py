@@ -86,10 +86,11 @@ def run_feature_ablation(
         range_based = 0
         spectrum_based = 0
         for entry in index.iter_entries():
-            if entry.key.root_label != query_key.root_label:
+            key = entry.key
+            if key.root_label != query_key.root_label:
                 continue
             label_only += 1
-            if entry.key.range.contains(query_key.range, guard=index.config.guard_band):
+            if key.range.contains(query_key.range, guard=index.config.guard_band):
                 range_based += 1
                 indexed_spectrum = spectra.get(entry.pointer.node_id)
                 if indexed_spectrum is None or spectrum_contains(

@@ -63,11 +63,25 @@ def encode_feature_key(label: str, lmax: float, lmin: float) -> bytes:
     return encode_label(label) + encode_float(lmax) + encode_float(lmin)
 
 
-def decode_feature_key(data: bytes) -> tuple[str, float, float]:
-    """Inverse of :func:`encode_feature_key`."""
+def label_terminator(data: bytes) -> int:
+    """Offset of a composite key's label terminator — the key-format
+    check: one NUL, sixteen float bytes after it.  Everything past the
+    terminator is fixed-width, so ``data[-16:-8]`` / ``data[-8:]`` of a
+    key that passes are the encoded λ_max / λ_min, and byte-wise
+    comparison of those slices is numeric comparison.
+
+    Raises:
+        BTreeError: ``data`` is not an encoded feature key.
+    """
     terminator = data.find(b"\x00")
     if terminator < 0 or len(data) != terminator + 17:
         raise BTreeError(f"malformed feature key of {len(data)} bytes")
+    return terminator
+
+
+def decode_feature_key(data: bytes) -> tuple[str, float, float]:
+    """Inverse of :func:`encode_feature_key`."""
+    terminator = label_terminator(data)
     label = data[:terminator].decode("utf-8")
     lmax = decode_float(data[terminator + 1 : terminator + 9])
     lmin = decode_float(data[terminator + 9 : terminator + 17])

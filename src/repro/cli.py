@@ -107,10 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable the cross-document spectral feature cache",
     )
     build.add_argument(
-        "--prune-backend", choices=["btree", "rtree"], default="btree",
-        help="default pruning backend baked into the index config",
-    )
-    build.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record a JSONL span trace of the build to PATH "
         "(overwrites; inspect with 'repro trace PATH')",
@@ -158,10 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, metavar="N",
         help="refinement worker processes (N>1 fans document groups out "
         "across N processes; results are identical to serial)",
-    )
-    query.add_argument(
-        "--prune-backend", choices=["btree", "rtree"], default=None,
-        help="pruning backend (default: the index config's choice)",
     )
     query.add_argument(
         "--no-plan-cache", action="store_true",
@@ -330,7 +322,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         value_buckets=args.beta,
         workers=args.workers,
         feature_cache=not args.no_cache,
-        prune_backend=args.prune_backend,
         shards=args.shards,
         shard_affinity=args.shard_affinity,
         shard_workers=args.shard_workers,
@@ -436,7 +427,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         index,
         workers=args.workers,
         plan_cache=not args.no_plan_cache,
-        prune_backend=args.prune_backend,
         pushdown=args.pushdown,
         metrics_log=log,
         slow_log=slow_log,
@@ -451,7 +441,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"plan={result.plan_seconds * 1000:.2f}ms{cached} "
         f"prune={result.prune_seconds * 1000:.2f}ms "
         f"refine={result.refine_seconds * 1000:.2f}ms "
-        f"[backend={result.backend} workers={result.workers} "
+        f"[workers={result.workers} "
         f"docs_fetched={result.documents_fetched}"
         f"{' pushdown' if result.pushdown else ''}]"
     )
@@ -618,7 +608,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
     labels: dict[str, int] = {}
     for entry in index.iter_entries():
-        labels[entry.key.root_label] = labels.get(entry.key.root_label, 0) + 1
+        label = entry.key.root_label
+        labels[label] = labels.get(label, 0) + 1
     top = sorted(labels.items(), key=lambda kv: -kv[1])[:10]
     print("  top root labels:")
     for label, count in top:

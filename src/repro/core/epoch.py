@@ -2,9 +2,9 @@
 
 The blunt invalidation model this replaces — one global ``generation``
 counter bumped by every mutation — made `add_document` /
-`remove_document` *correct* but expensive downstream: every cached plan,
-histogram, and spatial-view partition was discarded wholesale, even when
-the mutated document shared no root label with them.
+`remove_document` *correct* but expensive downstream: every cached plan
+and histogram was discarded wholesale, even when the mutated document
+shared no root label with them.
 
 This module provides the real thing:
 
@@ -13,7 +13,7 @@ This module provides the real thing:
   cached something at snapshot ``S`` asks a *later* snapshot which
   labels moved since ``S.epoch`` and refreshes only those slices.
 * :class:`EpochCachedView` — the one place that decision lives: a
-  derived view (λ_max histogram, spatial partitions) revalidated
+  derived view (the λ_max histogram) revalidated
   against a snapshot by full rebuild, scoped refresh, or not at all.
 * :class:`EpochManager` — publishes snapshots and coordinates readers
   and writers.  Readers :meth:`pin` the snapshot they started on (a
@@ -166,7 +166,7 @@ class EpochManager:
 
         While at least one pin is held no mutation can *apply* (writers
         wait), so everything the reader dereferences — B-tree pages,
-        histogram slices, spatial partitions — belongs to the pinned
+        histogram slices — belongs to the pinned
         snapshot.  A new pin queues behind pending writers (writer
         preference — see the module docstring for why anything weaker
         starves the mutation path under a hot read loop); once taken,
@@ -310,9 +310,9 @@ class EpochCachedView(Generic[V]):
     full invalidation (a floor bump).  Refreshes and rebuilds are
     counted on the index's manager (``epoch.invalidations.*``).
 
-    The index is handed to :meth:`get`, never stored: an index owns its
-    spatial view, and a view that pointed back would put the index (and
-    its B-tree, pager and store) in a reference cycle, freed only
+    The index is handed to :meth:`get`, never stored, so a view can be
+    owned by the index it describes without a reference cycle — which
+    would leave the index (and its B-tree, pager and store) to be freed
     whenever the cyclic collector next runs instead of when the last
     reference goes.
     """

@@ -25,15 +25,15 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
-from repro.btree import BPlusTree, encode_feature_key, label_upper_bound
-from repro.btree.keys import decode_feature_key
+from repro.btree import BPlusTree, encode_float, label_upper_bound
+from repro.btree.keys import decode_feature_key, encode_label, label_terminator
 from repro.core.construction import (
     ConstructionStats,
     GeneratorSettings,
     PhaseTimings,
     seed_encoder,
 )
-from repro.core.epoch import EpochCachedView, EpochManager
+from repro.core.epoch import EpochManager
 from repro.errors import (
     IndexCoverageError,
     PatternTooLargeError,
@@ -51,7 +51,6 @@ from repro.spectral import (
     FeatureRange,
     pattern_features,
 )
-from repro.spectral.features import ALL_COVERING_RANGE
 from repro.storage import (
     ClusteredStore,
     NodePointer,
@@ -84,11 +83,6 @@ class FixIndexConfig:
         feature_cache: consult the cross-document spectral feature
             cache during construction (on by default; disable to
             measure the uncached baseline).
-        prune_backend: default pruning scan backend for query
-            processors over this index — ``"btree"`` (the paper's
-            range scan) or ``"rtree"`` (per-label R-trees answering
-            the containment predicate as a 2-D dominance query,
-            DESIGN.md §8).  Both produce identical candidate sets.
         obs: observability settings (:class:`~repro.obs.ObsConfig`,
             DESIGN.md §10).  ``None`` means the metrics registry is
             live but span tracing is off; with ``ObsConfig(trace=True)``
@@ -135,7 +129,6 @@ class FixIndexConfig:
     guard_band: float = DEFAULT_GUARD_BAND
     workers: int = 1
     feature_cache: bool = True
-    prune_backend: str = "btree"
     obs: ObsConfig | None = None
     shards: int = 1
     shard_affinity: str = "hash"
@@ -145,11 +138,6 @@ class FixIndexConfig:
     btree_node_cache: int | None = None
 
     def __post_init__(self) -> None:
-        if self.prune_backend not in ("btree", "rtree"):
-            raise ValueError(
-                f"unknown prune backend {self.prune_backend!r} "
-                "(expected 'btree' or 'rtree')"
-            )
         if self.shards < 1:
             raise ValueError(f"need at least one shard, got {self.shards}")
         if self.shard_affinity not in ("hash", "root-label"):
@@ -212,11 +200,25 @@ class FixIndexConfig:
 
 @dataclass(frozen=True, slots=True)
 class IndexEntry:
-    """A decoded candidate returned by the pruning phase."""
+    """A candidate returned by the pruning phase: the B-tree key bytes
+    it is stored under and the pointers unpacked from its value.  The
+    pipeline orders and groups candidates by ``raw_key`` and
+    ``pointer`` alone; :attr:`key` decodes on demand, every time it is
+    read — a reader that wants more than one field binds it once."""
 
-    key: FeatureKey
+    raw_key: bytes
     pointer: NodePointer
     record: RecordPointer | None = None
+
+    @property
+    def key(self) -> FeatureKey:
+        """The decoded ``(root label, [λ_min, λ_max])`` feature key.
+
+        Raises:
+            BTreeError: ``raw_key`` is not an encoded feature key.
+        """
+        label, lmax, lmin = decode_feature_key(self.raw_key)
+        return FeatureKey(label, FeatureRange(lmin, lmax))
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,14 +296,6 @@ class BuildReport:
         }
 
 
-def _build_spatial_view(index: "FixIndex"):
-    # Imported here: repro.spatial.feature_index imports this module
-    # for the IndexEntry type.
-    from repro.spatial.feature_index import SpatialFeatureIndex
-
-    return SpatialFeatureIndex(index)
-
-
 class FixIndex:
     """The feature-based index over a primary store."""
 
@@ -346,11 +340,10 @@ class FixIndex:
         )
         #: the epoch layer: readers pin snapshots, mutations publish
         #: per-root-label epochs, and every cached view (plans,
-        #: histograms, spatial partitions) validates against it.
+        #: histograms) validates against it.
         self.epochs = EpochManager()
-        self._spatial = EpochCachedView(
-            _build_spatial_view, lambda index, view, labels: view.refresh(labels)
-        )
+        #: ``(epoch, view)`` of the last :meth:`spatial_view` call.
+        self._spatial = None
         #: incremental-maintenance accounting, kept apart from the batch
         #: build's stats so Table-1 phase totals never drift after
         #: mutations (published under ``build.incremental.*``).
@@ -835,7 +828,9 @@ class FixIndex:
             )
 
     def candidates(self, twig: TwigQuery) -> Iterator[IndexEntry]:
-        """All index entries whose key covers the twig's feature key.
+        """All index entries whose key covers the twig's feature key
+        (:class:`~repro.core.sharding.ShardedFixIndex` binds this same
+        function over its scatter scan).
 
         Raises:
             IndexCoverageError: when :meth:`covers` is false.
@@ -857,34 +852,52 @@ class FixIndex:
     ) -> Iterator[IndexEntry]:
         """Pruning scan for a precomputed feature key.
 
+        The Section 3.4 predicate — stored λ_max at least the query's,
+        stored λ_min at most the query's, each within the guard band —
+        is evaluated on the key bytes: the float encoding preserves
+        order, so comparing the key's last two 8-byte fields against the
+        two encoded thresholds *is* the numeric comparison, and no entry
+        is decoded to be judged.  (Eigenvalue ranges are symmetric,
+        λ_min = -λ_max, so the λ_max bound an anchored scan starts at
+        already implies the λ_min one — the scanned run is the candidate
+        set; the λ_min test stays because the key format does not
+        promise it.)
+
         ``anchored=False`` drops the root-label condition and scans every
         label's range (collection-mode ``//`` queries).
+
+        Raises:
+            BTreeError: a scanned key is not an encoded feature key.
         """
         guard = self.config.guard_band
+        # A zero threshold takes the sign that puts both stored zeros on
+        # the passing side, as ``<`` / ``>`` would: bytes tell -0.0
+        # (lower) from +0.0, arithmetic does not.
+        lmax_floor = encode_float((query_key.range.lmax - guard) or -0.0)
+        lmin_ceiling = encode_float((query_key.range.lmin + guard) or 0.0)
         if anchored:
             label = query_key.root_label
-            start = encode_feature_key(
-                label, query_key.range.lmax - guard, float("-inf")
-            )
+            start = encode_label(label) + lmax_floor
             end = label_upper_bound(label)
         else:
             start = None
             end = None
         for raw_key, raw_value in self.btree.scan(start=start, end=end):
-            stored_label, lmax, lmin = decode_feature_key(raw_key)
-            if lmax < query_key.range.lmax - guard:
+            label_terminator(raw_key)  # the format check; raises
+            if raw_key[-16:-8] < lmax_floor:
                 continue  # only reachable in unanchored scans
-            if lmin > query_key.range.lmin + guard:
+            if raw_key[-8:] > lmin_ceiling:
                 continue  # λ_min not contained
-            key = FeatureKey(stored_label, FeatureRange(lmin, lmax))
-            yield self._decode_entry(key, raw_value)
+            yield self._decode_entry(raw_key, raw_value)
 
-    def _decode_entry(self, key: FeatureKey, raw_value: bytes) -> IndexEntry:
+    def _decode_entry(self, raw_key: bytes, raw_value: bytes) -> IndexEntry:
+        """The entry of one B-tree pair — shared by the pruning scan and
+        the whole-index / per-label iterators."""
         if self.config.clustered:
             record = RecordPointer.unpack(raw_value[:8])
             pointer = NodePointer.unpack(raw_value[8:16])
-            return IndexEntry(key, pointer, record)
-        return IndexEntry(key, NodePointer.unpack(raw_value))
+            return IndexEntry(raw_key, pointer, record)
+        return IndexEntry(raw_key, NodePointer.unpack(raw_value))
 
     def pager_stats(self):
         """Combined access counters of every pager this index touches
@@ -909,29 +922,30 @@ class FixIndex:
         self.pager_stats().publish(registry)
 
     def spatial_view(self):
-        """The per-label R-tree view of this index's feature points,
-        maintained *incrementally*: a mutation only re-bulk-loads the
-        partitions of the root labels it touched (read back through a
-        per-label B-tree range scan); untouched labels keep their trees
-        pointer-identical.  A full invalidation (rebuild) still replaces
-        the view wholesale.
+        """The per-label R-tree view of this index's feature points —
+        the Section 8 ablation (``benchmarks/bench_ablation_rtree.py``,
+        the harness's ``spatial.rtree_*`` probe), not a query path.
+        Built on first use and again whenever the epoch has moved.
 
         Returns:
             :class:`~repro.spatial.feature_index.SpatialFeatureIndex`.
         """
-        return self._spatial.get(self)
+        epoch = self.epochs.epoch
+        if self._spatial is None or self._spatial[0] != epoch:
+            # Imported here: repro.spatial.feature_index imports this
+            # module for the IndexEntry type.
+            from repro.spatial.feature_index import SpatialFeatureIndex
+
+            self._spatial = (epoch, SpatialFeatureIndex(self))
+        return self._spatial[1]
 
     def iter_label_entries(self, label: str) -> Iterator[IndexEntry]:
         """Every entry carrying ``label``, in key order — the per-label
-        slice scoped refreshes (histogram slices, spatial partitions)
-        rebuild from."""
-        start = encode_feature_key(label, float("-inf"), float("-inf"))
+        slice a scoped histogram refresh rebuilds from."""
         for raw_key, raw_value in self.btree.scan(
-            start=start, end=label_upper_bound(label)
+            start=encode_label(label), end=label_upper_bound(label)
         ):
-            stored_label, lmax, lmin = decode_feature_key(raw_key)
-            key = FeatureKey(stored_label, FeatureRange(lmin, lmax))
-            yield self._decode_entry(key, raw_value)
+            yield self._decode_entry(raw_key, raw_value)
 
     # ------------------------------------------------------------------ #
     # Measurements
@@ -956,9 +970,7 @@ class FixIndex:
     def iter_entries(self) -> Iterator[IndexEntry]:
         """Every entry in key order (for stats and histograms)."""
         for raw_key, raw_value in self.btree.items():
-            label, lmax, lmin = decode_feature_key(raw_key)
-            key = FeatureKey(label, FeatureRange(lmin, lmax))
-            yield self._decode_entry(key, raw_value)
+            yield self._decode_entry(raw_key, raw_value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "clustered" if self.config.clustered else "unclustered"

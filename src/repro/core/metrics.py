@@ -167,7 +167,6 @@ class QueryRecord:
     refine_seconds: float
     plan_cached: bool
     documents_fetched: int
-    backend: str
     workers: int
 
     @property
@@ -189,7 +188,7 @@ def publish_query_metrics(registry: MetricsRegistry, result) -> None:
     processor calls it on its obs registry, and
     :class:`QueryMetricsLog` calls it on its backing registry, so both
     views agree on metric names — ``query.count``,
-    ``query.plan_cache.hits/misses``, per-backend candidate counters,
+    ``query.plan_cache.hits/misses``, the candidate counter,
     phase-second counters, and the latency histograms.
     """
     registry.counter("query.count").inc()
@@ -197,9 +196,6 @@ def publish_query_metrics(registry: MetricsRegistry, result) -> None:
         "query.plan_cache.hits" if result.plan_cached else "query.plan_cache.misses"
     ).inc()
     registry.counter("query.candidates").inc(result.candidate_count)
-    registry.counter(f"query.candidates.{result.backend}").inc(
-        result.candidate_count
-    )
     registry.counter("query.results").inc(result.result_count)
     registry.counter("query.documents_fetched").inc(result.documents_fetched)
     registry.counter("query.phase_seconds.plan").inc(result.plan_seconds)
@@ -259,7 +255,6 @@ class QueryMetricsLog:
                 refine_seconds=result.refine_seconds,
                 plan_cached=result.plan_cached,
                 documents_fetched=result.documents_fetched,
-                backend=result.backend,
                 workers=result.workers,
             )
         )

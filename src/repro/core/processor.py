@@ -6,10 +6,8 @@ eigensolve.  Plans are memoized per (query source, index generation) in
 a :class:`~repro.core.plan.PlanCache`, so repeated queries skip straight
 to the scan.
 
-Phase 1 — *pruning*: each fragment's feature key is range-scanned for
-covering entries, either on the B-tree (the paper's design) or on the
-per-label R-tree view (``prune_backend="rtree"``, Section 8 future
-work); both backends produce the same candidate set.  With a collection
+Phase 1 — *pruning*: each fragment's feature key is range-scanned on
+the B-tree for covering entries (Section 3.4).  With a collection
 index every fragment prunes and candidate sets intersect incrementally,
 most selective fragment first; with a depth-limited index only the top
 fragment prunes.  ``/``-rooted queries on depth-limited indexes drop
@@ -41,7 +39,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.btree import encode_feature_key
 from repro.core.epoch import EpochSnapshot
 from repro.core.index import FixIndex, IndexEntry
 from repro.core.plan import PlanCache, QueryPlan, build_plan
@@ -76,8 +73,6 @@ class FixQueryResult:
     #: distinct trees fetched by the refinement phase (documents plus
     #: clustered copy units).
     documents_fetched: int = 0
-    #: pruning backend that produced the candidates.
-    backend: str = "btree"
     #: refinement worker processes used.
     workers: int = 1
     #: True when shard-local push-down answered the query (prune and
@@ -121,8 +116,6 @@ class FixQueryProcessor:
         plan_cache: ``True`` (a fresh 256-entry cache), ``False``
             (plan every query), or a :class:`PlanCache` to share
             between processors.
-        prune_backend: ``"btree"`` or ``"rtree"``; defaults to the
-            index config's choice.
         pushdown: push the whole prune+refine pipeline down into each
             shard of a sharded index.  Shards that cannot contain a
             candidate for *every* fragment are skipped outright; the
@@ -159,7 +152,6 @@ class FixQueryProcessor:
         *,
         workers: int = 1,
         plan_cache: bool | PlanCache = True,
-        prune_backend: str | None = None,
         pushdown: bool = False,
         metrics_log=None,
         slow_log=None,
@@ -169,12 +161,6 @@ class FixQueryProcessor:
         self.refiner = refiner or NavigationalEngine(index.store)
         self.workers = max(1, workers)
         self.pushdown = pushdown
-        backend = prune_backend or index.config.prune_backend
-        if backend not in ("btree", "rtree"):
-            raise ValueError(
-                f"unknown prune backend {backend!r} (expected 'btree' or 'rtree')"
-            )
-        self.prune_backend = backend
         if isinstance(plan_cache, PlanCache):
             self.plan_cache: PlanCache | None = plan_cache
         else:
@@ -264,10 +250,9 @@ class FixQueryProcessor:
         materialized beyond the first, and an empty survivor set exits
         early.
         """
-        source = index.spatial_view() if self.prune_backend == "rtree" else index
         if len(order) == 1:
             entries = sorted(
-                source.candidates_for_key(
+                index.candidates_for_key(
                     plan.feature_keys[0], anchored=plan.anchored[0]
                 ),
                 key=_entry_sort_key,
@@ -275,7 +260,7 @@ class FixQueryProcessor:
         else:
             surviving: dict[NodePointer, IndexEntry] = {}
             for position, i in enumerate(order):
-                stream = source.candidates_for_key(
+                stream = index.candidates_for_key(
                     plan.feature_keys[i], anchored=plan.anchored[i]
                 )
                 if position == 0:
@@ -405,7 +390,7 @@ class FixQueryProcessor:
         the answer equals either the pre- or post-mutation index,
         never a mix of the two.
         """
-        result = FixQueryResult(backend=self.prune_backend, workers=self.workers)
+        result = FixQueryResult(workers=self.workers)
         source = query if isinstance(query, str) else query.source
         tracer = self.obs.tracer
         # Everything the tracer buffers from here on belongs to this
@@ -414,10 +399,7 @@ class FixQueryProcessor:
         epoch_info: dict = {}
         try:
             with self.index.epochs.pin() as snapshot, self.obs.span(
-                "query",
-                source=source,
-                backend=self.prune_backend,
-                workers=self.workers,
+                "query", source=source, workers=self.workers
             ) as query_span:
                 self._pin_local.snapshot = snapshot
                 epoch_info["epoch"] = snapshot.epoch
@@ -488,11 +470,9 @@ class FixQueryProcessor:
         return result
 
     def _publish_query_metrics(self, result: FixQueryResult) -> None:
-        """Publish ``query.*`` metrics plus backend scan counters."""
+        """Publish ``query.*`` metrics plus the B-tree scan counters."""
         registry = self.obs.registry
         self.index.publish_scan_stats(registry)
-        if self.prune_backend == "rtree":
-            self.index.spatial_view().publish(registry)
         if self.plan_cache is not None:
             self.plan_cache.publish(registry)
         self.index.epochs.publish(registry)
@@ -634,12 +614,7 @@ def _refine_doc_groups(
 
 
 def _entry_sort_key(entry: IndexEntry) -> tuple[bytes, NodePointer]:
-    """(encoded feature key, pointer): index-key order with a pointer
-    tie-break, making single-fragment candidate lists deterministic and
-    identical across pruning backends."""
-    return (
-        encode_feature_key(
-            entry.key.root_label, entry.key.range.lmax, entry.key.range.lmin
-        ),
-        entry.pointer,
-    )
+    """(stored key bytes, pointer): index-key order with a pointer
+    tie-break, making single-fragment candidate lists deterministic for
+    any shard layout."""
+    return (entry.raw_key, entry.pointer)

@@ -41,8 +41,8 @@ The invariants that make the coordinator transparent:
   a single shard.  Skip/visit counts publish as ``shards.*`` counters.
   With ``shard_workers > 1`` surviving shards are scanned concurrently
   on a shared thread pool and drained in dispatch order — concurrency
-  never changes the merge order.  The B-tree scatter, the R-tree
-  scatter and refinement push-down all run through one dispatcher
+  never changes the merge order.  The scatter scan and refinement
+  push-down run through one dispatcher
   (:meth:`ShardedFixIndex.dispatch_shards`).
 * **Failure containment.**  Storage or B-tree damage inside one shard —
   during a build worker's staging or a scatter scan — surfaces as a
@@ -136,36 +136,6 @@ class _ShardRouter:
         return sum(shard.store.size_bytes() for shard in self._owner.shards)
 
 
-class _ShardedSpatialView:
-    """Scatter-gather facade over the per-shard R-tree views, with the
-    same skip/ordering policy as the B-tree scatter."""
-
-    def __init__(self, owner: "ShardedFixIndex") -> None:
-        self._owner = owner
-
-    def candidates_for_key(
-        self, query_key: FeatureKey, anchored: bool = True
-    ) -> Iterator[IndexEntry]:
-        return self._owner._scatter_scan(
-            query_key, anchored, FixIndex.spatial_view, "R-tree scan"
-        )
-
-    def entries_inspected(self) -> int:
-        return sum(
-            shard.spatial_view().entries_inspected()
-            for shard in self._owner.shards
-        )
-
-    def nodes_visited(self) -> int:
-        return sum(
-            shard.spatial_view().nodes_visited() for shard in self._owner.shards
-        )
-
-    def publish(self, registry, prefix: str = "rtree.") -> None:
-        registry.sync_counter(prefix + "entries_inspected", self.entries_inspected())
-        registry.sync_counter(prefix + "nodes_visited", self.nodes_visited())
-
-
 class ShardedFixIndex:
     """Coordinator over ``config.shards`` independent :class:`FixIndex`
     shards, duck-typing the single-index surface.
@@ -219,7 +189,6 @@ class ShardedFixIndex:
                 shard.adopt_shared(self.encoder, self.feature_cache)
         self.shards: list[FixIndex] = shards
         self.store = _ShardRouter(self)
-        self._spatial_view: _ShardedSpatialView | None = None
         #: per-shard λ_max histograms, each kept fresh against its own
         #: shard's epochs (a mutation refreshes one shard's touched
         #: label slices and nothing else).
@@ -488,21 +457,9 @@ class ShardedFixIndex:
     # Pruning scan: scatter-gather
     # ------------------------------------------------------------------ #
 
-    def candidates(self, twig: TwigQuery) -> Iterator[IndexEntry]:
-        """All entries whose key covers the twig's feature key (same
-        contract as :meth:`FixIndex.candidates`).
-
-        Raises:
-            IndexCoverageError: when :meth:`covers` is false.
-        """
-        from repro.query.ast import Axis
-
-        self.ensure_covers(twig)
-        query_key = self.query_features(twig)
-        anchored = (
-            self.config.depth_limit > 0 or twig.leading_axis is Axis.CHILD
-        )
-        yield from self.candidates_for_key(query_key, anchored=anchored)
+    #: cover check, query features, anchored rule, scan — the single
+    #: index's own function, over this class's scatter scan.
+    candidates = FixIndex.candidates
 
     def candidates_for_key(
         self, query_key: FeatureKey, anchored: bool = True
@@ -516,24 +473,14 @@ class ShardedFixIndex:
         Raises:
             ShardError: when one shard's scan fails (names the shard).
         """
-        return self._scatter_scan(
-            query_key, anchored, lambda shard: shard, "pruning scan"
-        )
-
-    def _scatter_scan(
-        self, query_key: FeatureKey, anchored: bool, view_of, what: str
-    ) -> Iterator[IndexEntry]:
-        """The candidates of ``view_of(shard)`` — the shard itself, or
-        its R-tree view — gathered over every shard worth scanning, up
-        to ``shard_workers`` at a time."""
         for chunk in self.dispatch_shards(
             self.pushdown_shards((query_key,), (anchored,)),
             lambda shard_id: list(
-                view_of(self.shards[shard_id]).candidates_for_key(
+                self.shards[shard_id].candidates_for_key(
                     query_key, anchored=anchored
                 )
             ),
-            what,
+            "pruning scan",
             self.config.shard_workers,
         ):
             yield from chunk
@@ -541,7 +488,7 @@ class ShardedFixIndex:
     def dispatch_shards(self, order, per_shard, what: str, concurrency: int):
         """Run ``per_shard(shard_id)`` over the shards of ``order`` and
         yield the results in that order — the one dispatcher behind the
-        B-tree scatter, the R-tree scatter and refinement push-down.
+        scatter scan and refinement push-down.
 
         With ``concurrency > 1`` and more than one shard to visit, every
         call is submitted up front to the shared scan executor (bounded
@@ -631,14 +578,6 @@ class ShardedFixIndex:
         )
         return [shard_id for _, shard_id in ranked]
 
-    def spatial_view(self) -> _ShardedSpatialView:
-        """The scatter-gather R-tree facade (per-shard trees are built
-        lazily by each shard and refreshed per-label under the shard's
-        own epoch manager)."""
-        if self._spatial_view is None:
-            self._spatial_view = _ShardedSpatialView(self)
-        return self._spatial_view
-
     # ------------------------------------------------------------------ #
     # Measurements and metrics
     # ------------------------------------------------------------------ #
@@ -661,7 +600,7 @@ class ShardedFixIndex:
 
     def iter_label_entries(self, label: str) -> Iterator[IndexEntry]:
         """Every shard's surviving entries under one root label — the
-        scoped-refresh scan (histogram slices, spatial partitions)."""
+        scoped-refresh scan of a histogram slice."""
         for shard in self.shards:
             yield from shard.iter_label_entries(label)
 

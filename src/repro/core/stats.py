@@ -63,11 +63,12 @@ class FeatureHistogram:
         values: dict[str, list[float]] = {}
         unbounded: dict[str, int] = {}
         for entry in index.iter_entries():
-            label = entry.key.root_label
-            if entry.key.range.is_all_covering():
+            key = entry.key
+            label = key.root_label
+            if key.range.is_all_covering():
                 unbounded[label] = unbounded.get(label, 0) + 1
                 continue
-            values.setdefault(label, []).append(entry.key.range.lmax)
+            values.setdefault(label, []).append(key.range.lmax)
         self._histograms: dict[str, _LabelHistogram] = {}
         for label, lmaxes in values.items():
             self._histograms[label] = self._slice_of(
@@ -102,10 +103,11 @@ class FeatureHistogram:
             lmaxes: list[float] = []
             unbounded = 0
             for entry in index.iter_label_entries(label):
-                if entry.key.range.is_all_covering():
+                stored = entry.key.range
+                if stored.is_all_covering():
                     unbounded += 1
                 else:
-                    lmaxes.append(entry.key.range.lmax)
+                    lmaxes.append(stored.lmax)
             if not lmaxes and not unbounded:
                 self._histograms.pop(label, None)
             else:

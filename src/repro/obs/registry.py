@@ -8,7 +8,7 @@ numbers (DESIGN.md §10).  The older instrumentation islands —
 registry: they read and write named instruments here instead of keeping
 parallel sums, so one snapshot answers "where did the build spend its
 time", "what is the spectral-cache hit rate", and "how many candidates
-did each pruning backend produce" at once.
+did pruning produce" at once.
 
 Design constraints:
 

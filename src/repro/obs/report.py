@@ -178,7 +178,6 @@ def summarize_trace(events: list[dict]) -> TraceSummary:
                 "candidates": attrs.get("candidates", 0),
                 "results": attrs.get("results", 0),
                 "plan_cached": attrs.get("plan_cached", False),
-                "backend": attrs.get("backend", ""),
                 "error": event.get("error"),
             }
     for event in span_events:
@@ -341,8 +340,8 @@ def format_slow_queries(summary: TraceSummary, top: int = 10) -> str:
             f"(plan {entry.get('plan_s', 0.0) * 1e3:.2f} / "
             f"prune {entry.get('prune_s', 0.0) * 1e3:.2f} / "
             f"refine {entry.get('refine_s', 0.0) * 1e3:.2f}) "
-            f"cdt {entry.get('candidates', 0)} rst {entry.get('results', 0)} "
-            f"{entry.get('backend', '?')}  {entry.get('source', '<twig>')}"
+            f"cdt {entry.get('candidates', 0)} rst {entry.get('results', 0)}  "
+            f"{entry.get('source', '<twig>')}"
         )
         lines.append(
             f"      {epoch_bit}, {len(entry.get('spans', []))} span(s), "

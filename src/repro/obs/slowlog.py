@@ -131,7 +131,6 @@ class SlowQueryLog:
             "candidates": result.candidate_count,
             "results": result.result_count,
             "documents_fetched": result.documents_fetched,
-            "backend": result.backend,
             "workers": result.workers,
             "pushdown": getattr(result, "pushdown", False),
             "threshold_s": self.current_threshold(),

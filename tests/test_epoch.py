@@ -1,8 +1,8 @@
 """Tests for the epoch layer (snapshot isolation + scoped invalidation).
 
 Covers the epoch manager's snapshot/latching semantics, label-scoped
-plan retention across mutations, incremental histogram and spatial-view
-maintenance (sound *and* tight after removals), the separation of
+plan retention across mutations, incremental histogram maintenance
+(sound *and* tight after removals), the separation of
 ``build.incremental.*`` from the batch-build metrics, and — the
 integration property everything else exists for — that a query racing a
 mutation returns either the pre- or post-mutation answer, never a mix.
@@ -279,6 +279,7 @@ class TestHistogramRefresh:
         index = build_index()
         processor = FixQueryProcessor(index)
         processor.query("//book/title")
+        index.spatial_view()  # cached on the index: must not point back
         released = weakref.ref(index)
         gc.disable()
         try:
@@ -289,47 +290,33 @@ class TestHistogramRefresh:
 
 
 # --------------------------------------------------------------------- #
-# Spatial view maintenance
+# The spatial ablation view: rebuilt whenever the epoch has moved
 # --------------------------------------------------------------------- #
 
 
 class TestSpatialRefresh:
-    def test_untouched_partitions_keep_pointer_identity(self):
-        index = build_index(prune_backend="rtree")
-        view = index.spatial_view()
-        site_tree = view._trees["site"]
-        index.add_document(parse_xml("<bib><book><isbn/></book></bib>"))
-        refreshed = view_after = index.spatial_view()
-        assert view_after is view  # the view object is maintained
-        assert refreshed._trees["site"] is site_tree  # untouched label
-        assert refreshed._trees["bib"] is not None
-
     def test_rtree_answers_track_mutations(self):
-        index = build_index(prune_backend="rtree")
-        processor = FixQueryProcessor(index, prune_backend="rtree")
+        index = build_index()
+        view = index.spatial_view()
+        assert index.spatial_view() is view  # the epoch stands: kept
         doc_id = index.add_document(
             parse_xml("<bib><thesis><title/></thesis></bib>")
         )
-        result = processor.query("//thesis/title")
-        assert {p.doc_id for p in result.results} == {doc_id}
+        key = index.query_features(twig_of("//thesis/title"))
+        rebuilt = index.spatial_view()
+        assert rebuilt is not view
+        assert [e.pointer.doc_id for e in rebuilt.candidates_for_key(key)] == [
+            doc_id
+        ]
         index.remove_document(doc_id)
-        assert processor.query("//thesis/title").results == []
+        assert list(index.spatial_view().candidates_for_key(key)) == []
 
     def test_emptied_label_drops_its_tree(self):
-        index = build_index(prune_backend="rtree")
+        index = build_index()
         view = index.spatial_view()
         assert "site" in view._trees
         index.remove_document(2)
         assert "site" not in index.spatial_view()._trees
-
-    def test_work_counters_stay_monotone_across_refresh(self):
-        index = build_index(prune_backend="rtree")
-        processor = FixQueryProcessor(index, prune_backend="rtree")
-        processor.query("//book/title")
-        before = index.spatial_view().entries_inspected()
-        index.add_document(parse_xml("<bib><book><isbn/></book></bib>"))
-        processor.query("//book/title")
-        assert index.spatial_view().entries_inspected() >= before
 
 
 # --------------------------------------------------------------------- #
@@ -434,13 +421,11 @@ class TestShardedEpochs:
 CHURN_SOURCE = "<churn><part/><part/><part/></churn>"
 
 
-def _churn_and_query(index, backend: str, pushdown: bool = False):
+def _churn_and_query(index, pushdown: bool = False):
     """Race a mutator (add+remove of a 4-entry document) against a
     querying thread; every observed answer must equal a quiesced state's
     answer — 0 or 3 parts — never a torn in-between."""
-    processor = FixQueryProcessor(
-        index, prune_backend=backend, pushdown=pushdown
-    )
+    processor = FixQueryProcessor(index, pushdown=pushdown)
     errors: list[BaseException] = []
     done = threading.Event()
 
@@ -468,16 +453,14 @@ def _churn_and_query(index, backend: str, pushdown: bool = False):
 
 
 class TestConcurrentMutation:
-    @pytest.mark.parametrize("backend", ["btree", "rtree"])
-    def test_single_index_queries_see_whole_snapshots(self, backend):
-        _churn_and_query(build_index(), backend)
+    def test_single_index_queries_see_whole_snapshots(self):
+        _churn_and_query(build_index())
 
-    @pytest.mark.parametrize("backend", ["btree", "rtree"])
-    def test_sharded_queries_see_whole_snapshots(self, backend):
-        _churn_and_query(build_sharded(), backend)
+    def test_sharded_queries_see_whole_snapshots(self):
+        _churn_and_query(build_sharded())
 
     def test_sharded_pushdown_queries_see_whole_snapshots(self):
-        _churn_and_query(build_sharded(), "btree", pushdown=True)
+        _churn_and_query(build_sharded(), pushdown=True)
 
     def test_concurrent_answers_match_quiesced_rerun(self):
         # Adds only (no removals), so the final state is deterministic:

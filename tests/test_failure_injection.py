@@ -218,21 +218,34 @@ class TestIndexDirectoryDamage:
         # Index directories saved by earlier versions carry config and
         # report keys for options that no longer exist (spelled in two
         # halves: CI greps for retired names).  They must keep loading,
-        # with identical answers.
-        retired = "eigen_" + "solver"
+        # with the answers of a fresh build.
+        retired = {"eigen_" + "solver": None, "prune_" + "backend": "rtree"}
+
+        def add_retired_keys(path):
+            with open(path) as handle:
+                meta = json.load(handle)
+            meta["config"].update(retired)
+            if "report" in meta:
+                meta["report"]["eigen_" + "solver"] = "real"
+            with open(path, "w") as handle:
+                json.dump(meta, handle)
+
         store, directory = self.build(tmp_path)
-        before = FixQueryProcessor(load_index(directory, store)).query("//b/c")
-        meta_path = os.path.join(directory, "meta.json")
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-        meta["config"][retired] = None
-        meta["report"][retired] = "real"
-        with open(meta_path, "w") as handle:
-            json.dump(meta, handle)
+        fresh = FixQueryProcessor(load_index(directory, store)).query("//b/c")
+        add_retired_keys(os.path.join(directory, "meta.json"))
         index = load_index(directory, store)
         assert index.config == FixIndexConfig(depth_limit=3)
-        after = FixQueryProcessor(index).query("//b/c")
-        assert after.results == before.results != []
+        assert FixQueryProcessor(index).query("//b/c").results == fresh.results != []
+
+        sharded_dir = os.fspath(tmp_path / "sharded")
+        config = FixIndexConfig(depth_limit=3, shards=2)
+        ShardedFixIndex.build(store, config).save(sharded_dir)
+        add_retired_keys(os.path.join(sharded_dir, "sharded.json"))
+        for shard in ("shard-0", "shard-1"):
+            add_retired_keys(os.path.join(sharded_dir, shard, "meta.json"))
+        sharded = ShardedFixIndex.load(sharded_dir)
+        assert sharded.config == config
+        assert FixQueryProcessor(sharded).query("//b/c").results == fresh.results
 
 
 class TestParserResilience:

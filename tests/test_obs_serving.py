@@ -454,7 +454,6 @@ class _FakeResult:
     candidate_count = 10
     result_count = 2
     documents_fetched = 3
-    backend = "btree"
     workers = 1
     pushdown = False
 

@@ -6,7 +6,7 @@ one shard must surface as a typed :class:`ShardError` naming it.
 The parallel-build contract is stricter than answer identity: for any
 ``shard_workers`` the staged entries AND the saved on-disk bytes must be
 identical to the serial build, and refinement push-down must return the
-same pointers as scatter-gather on both prune backends."""
+same pointers as scatter-gather."""
 
 from __future__ import annotations
 
@@ -85,15 +85,6 @@ class TestPointerIdentity:
         )
         sharded = ShardedFixIndex.build(_store(_corpus()), config)
         assert _answers(sharded) == single_answers
-
-    @pytest.mark.parametrize("backend", ["rtree"])
-    def test_rtree_backend(self, backend, single_answers):
-        sharded = ShardedFixIndex.build(
-            _store(_corpus()), FixIndexConfig(depth_limit=0, shards=3)
-        )
-        processor = FixQueryProcessor(sharded, prune_backend=backend)
-        got = {q: processor.query(q).results for q in _QUERIES}
-        assert got == single_answers
 
     def test_depth_limited_mode(self):
         sources = _corpus(20)
@@ -246,8 +237,7 @@ class TestParallelBuild:
 
 
 class TestPushdown:
-    @pytest.mark.parametrize("backend", ["btree", "rtree"])
-    def test_matches_single(self, backend, single_answers):
+    def test_matches_single(self, single_answers):
         config = FixIndexConfig(
             depth_limit=0,
             shards=4,
@@ -255,9 +245,7 @@ class TestPushdown:
             shard_workers=2,
         )
         sharded = ShardedFixIndex.build(_store(_corpus()), config)
-        processor = FixQueryProcessor(
-            sharded, pushdown=True, prune_backend=backend
-        )
+        processor = FixQueryProcessor(sharded, pushdown=True)
         got = {}
         for query in _QUERIES:
             result = processor.query(query)
@@ -311,14 +299,12 @@ class TestScatterOrdering:
         counters = concurrent.obs.registry.snapshot()["counters"]
         assert counters.get("shards.visited", 0) > 0
 
-
-    @pytest.mark.parametrize("backend", ["btree", "rtree"])
-    def test_anchored_query_skips_unrelated_shards(self, backend):
+    def test_anchored_query_skips_unrelated_shards(self):
         config = FixIndexConfig(
             depth_limit=0, shards=4, shard_affinity="root-label"
         )
         sharded = ShardedFixIndex.build(_store(_corpus()), config)
-        FixQueryProcessor(sharded, prune_backend=backend).query("/book/sec/p")
+        FixQueryProcessor(sharded).query("/book/sec/p")
         counters = sharded.obs.registry.snapshot()["counters"]
         assert counters.get("shards.skipped", 0) > 0
         assert counters.get("shards.visited", 0) >= 1
@@ -414,11 +400,10 @@ class TestPersistence:
 
 
 class TestShardDamage:
-    @pytest.mark.parametrize("backend", ["btree", "rtree"])
     @pytest.mark.parametrize("pushdown", [False, True])
     @pytest.mark.parametrize("shard_workers", [1, 2])
     def test_corrupted_shard_page_names_the_shard(
-        self, tmp_path, backend, pushdown, shard_workers
+        self, tmp_path, pushdown, shard_workers
     ):
         sharded = ShardedFixIndex.build(
             _store(_corpus()), FixIndexConfig(depth_limit=0, shards=4)
@@ -431,9 +416,7 @@ class TestShardDamage:
         with open(pages, "wb") as handle:  # every page becomes garbage
             handle.write(b"\xff" * size)
         loaded = ShardedFixIndex.load(directory, shard_workers=shard_workers)
-        processor = FixQueryProcessor(
-            loaded, prune_backend=backend, pushdown=pushdown
-        )
+        processor = FixQueryProcessor(loaded, pushdown=pushdown)
         with pytest.raises(ShardError) as excinfo:
             processor.query("//meta")
         assert excinfo.value.shard == victim

@@ -1,4 +1,4 @@
-"""Tests for the R-tree and the spatial feature-index backend."""
+"""Tests for the R-tree and the spatial feature-index ablation."""
 
 from __future__ import annotations
 
@@ -192,22 +192,6 @@ class TestSpatialFeatureIndex:
             1 for e in index.iter_entries() if e.key.root_label == "item"
         )
         assert spatial.entries_inspected() <= label_entries
-
-    def test_publish_after_reset_keeps_registry_monotonic(self, built):
-        from repro.obs import MetricsRegistry
-
-        index, spatial = built
-        registry = MetricsRegistry()
-        key = index.query_features(twig_of("//person[phone]"))
-        list(spatial.candidates_for_key(key))
-        spatial.publish(registry)
-        visited = registry.counter("rtree.nodes_visited").value
-        inspected = registry.counter("rtree.entries_inspected").value
-        assert visited > 0
-        spatial.reset_stats()
-        spatial.publish(registry)  # totals dropped to 0: must not regress
-        assert registry.counter("rtree.nodes_visited").value == visited
-        assert registry.counter("rtree.entries_inspected").value == inspected
 
     def test_all_covering_entries_always_returned(self):
         bundle = load_dataset("treebank", scale=0.05, seed=3)

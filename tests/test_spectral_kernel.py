@@ -27,7 +27,14 @@ from hypothesis import strategies as st
 
 from repro.bisim import bisim_graph_of_document, depth_limited_graph
 from repro.btree.keys import decode_feature_key
+from repro.bench.paper_queries import (
+    FIGURE6_QUERIES,
+    FIGURE7_QUERIES,
+    TABLE2_QUERIES,
+)
 from repro.core import FixIndex, FixIndexConfig, FixQueryProcessor
+from repro.core.plan import build_plan
+from repro.datasets import dataset_names, load_dataset
 from repro.query import matching_elements, twig_of
 from repro.spectral import (
     EdgeLabelEncoder,
@@ -313,7 +320,35 @@ class TestEndToEndSolverAB:
 
     def test_real_keys_exactly_symmetric(self, index):
         for entry in index.iter_entries():
-            assert entry.key.range.lmin == -entry.key.range.lmax
+            stored = entry.key.range
+            assert stored.lmin == -stored.lmax
+
+    @pytest.mark.parametrize("value_buckets", [None, 8])
+    @pytest.mark.parametrize("dataset", dataset_names())
+    def test_symmetry_holds_on_every_dataset_shape(self, dataset, value_buckets):
+        """What lets one λ_max threshold stand for the whole containment
+        predicate (an anchored scan's range *is* its candidate set):
+        stored keys and query keys alike have ``λ_min == -λ_max``, bit
+        for bit, on all four paper shapes, with and without values."""
+        bundle = load_dataset(dataset, scale=0.2, seed=42)
+        index = FixIndex.build(
+            bundle.store(),
+            FixIndexConfig(
+                depth_limit=bundle.depth_limit, value_buckets=value_buckets
+            ),
+        )
+        assert index.entry_count > 0
+        for entry in index.iter_entries():
+            stored = entry.key.range
+            assert stored.lmin == -stored.lmax
+        queries = [q for d, _, q in TABLE2_QUERIES + FIGURE6_QUERIES if d == dataset]
+        if dataset == "dblp" and value_buckets:
+            queries += [q for _, q in FIGURE7_QUERIES]
+        for query in queries:
+            keys = build_plan(index, query).feature_keys
+            assert keys
+            for key in keys:
+                assert key.range.lmin == -key.range.lmax, query
 
     def test_identical_query_results(self, index):
         for query in ("//section[para]", "//chapter//item", "/book/chapter"):
