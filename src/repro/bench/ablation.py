@@ -29,6 +29,7 @@ from repro.bench.reporting import format_table, percent
 from repro.core import FixIndex, FixIndexConfig, evaluate_pruning
 from repro.core.metrics import true_result_units
 from repro.datasets import load_dataset
+from repro.errors import PatternTooLargeError
 from repro.query import twig_of
 from repro.spectral import spectrum_contains
 from repro.spectral.eigen import graph_spectrum
@@ -127,10 +128,10 @@ def _index_spectra(index: FixIndex, document: Document) -> dict[int, np.ndarray]
                 pattern = depth_limited_graph(
                     vertex,
                     index.config.depth_limit,
-                    max_opens=index.config.max_unfolding_opens,
+                    max_vertices=index.config.max_pattern_vertices,
                 )
                 cached = graph_spectrum(pattern, index.encoder)
-            except Exception:
+            except PatternTooLargeError:
                 cached = np.zeros(0)  # treat as all-covering
             per_vertex[vertex.vid] = cached
         if cached.size:

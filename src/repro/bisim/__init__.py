@@ -17,8 +17,11 @@ Contents:
   per-element ``(vertex, start_ptr)`` pairs that drive subpattern
   enumeration.
 * :func:`~repro.bisim.traveler.depth_limited_graph` — the BISIM-TRAVELER
-  of Section 4.4: replays a vertex's depth-limited unfolding into the
-  handlers of a fresh builder, which re-minimizes it.
+  of Section 4.4: the minimal graph of a vertex's depth-limited
+  unfolding, built by truncating the DAG in place (interning the distinct
+  ``(vertex, remaining depth)`` classes) rather than walking the
+  unfolding.  :class:`~repro.bisim.traveler.PatternTable` is the same
+  thing holding its intern table across the vertices of one graph.
 * :mod:`~repro.bisim.dag` — small DAG utilities (edges, topological
   order, canonical keys for isomorphism testing).
 """
@@ -26,7 +29,6 @@ Contents:
 from repro.bisim.builder import BisimGraphBuilder, bisim_graph_of_document
 from repro.bisim.dag import (
     canonical_key,
-    depth_signature,
     graphs_isomorphic,
     edge_count,
     edges,
@@ -35,16 +37,16 @@ from repro.bisim.dag import (
     vertex_signature,
 )
 from repro.bisim.graph import BisimGraph, BisimVertex
-from repro.bisim.traveler import depth_limited_graph
+from repro.bisim.traveler import PatternTable, depth_limited_graph
 
 __all__ = [
     "BisimGraph",
     "BisimGraphBuilder",
     "BisimVertex",
+    "PatternTable",
     "bisim_graph_of_document",
     "canonical_key",
     "depth_limited_graph",
-    "depth_signature",
     "edge_count",
     "edges",
     "graphs_isomorphic",

@@ -123,55 +123,3 @@ def vertex_signature(
             if child.vid not in memo:
                 stack.append((child, False))
     return memo[vertex.vid]
-
-
-def depth_signature(
-    vertex: BisimVertex,
-    depth_limit: int,
-    _memo: dict[tuple[int, int], bytes] | None = None,
-) -> bytes:
-    """Signature of ``vertex``'s depth-limited pattern, without unfolding.
-
-    Equal, by construction, to ``vertex_signature`` of the root of
-    ``depth_limited_graph(vertex, depth_limit)`` — but computed directly
-    on the source DAG in O(vertices × depth) hash steps, where actually
-    unfolding can explode exponentially.  This is what lets a feature
-    -cache *hit* skip both the BISIM-TRAVELER replay and the
-    eigen-decomposition.
-
-    The equivalence holds because re-minimizing the truncated unfolding
-    merges children exactly when their depth-``d-1`` views coincide;
-    here that merge is the deduplication of equal child digests (a
-    ``set``), which ``vertex_signature`` never needs on an already
-    -minimal graph but truncation can reintroduce.  The root of the
-    unfolding sits at depth 1, matching
-    :func:`~repro.bisim.traveler.depth_limited_graph`.
-
-    Pass a shared ``_memo`` ((vid, depth) → digest) to amortize across
-    the vertices of one document's graph.
-    """
-    if depth_limit <= 0:
-        return vertex_signature(vertex)
-    memo: dict[tuple[int, int], bytes] = {} if _memo is None else _memo
-    stack: list[tuple[BisimVertex, int, bool]] = [(vertex, depth_limit, False)]
-    while stack:
-        node, depth, ready = stack.pop()
-        state = (node.vid, depth)
-        if state in memo:
-            continue
-        if ready:
-            digest = blake2b(digest_size=SIGNATURE_BYTES)
-            digest.update(node.label.encode("utf-8"))
-            digest.update(b"\x00")
-            if depth > 1:
-                child_sigs = {memo[(c.vid, depth - 1)] for c in node.children}
-                for child_sig in sorted(child_sigs):
-                    digest.update(child_sig)
-            memo[state] = digest.digest()
-            continue
-        stack.append((node, depth, True))
-        if depth > 1:
-            for child in node.children:
-                if (child.vid, depth - 1) not in memo:
-                    stack.append((child, depth - 1, False))
-    return memo[(vertex.vid, depth_limit)]

@@ -1,73 +1,112 @@
-"""BISIM-TRAVELER (Section 4.4): depth-limited unfolding of a vertex.
+"""BISIM-TRAVELER (Section 4.4): the depth-limited pattern of a vertex.
 
 ``GEN-SUBPATTERN`` cannot simply take the sub-DAG below a vertex, because
 cutting a bisimulation graph at depth ``L`` re-introduces structural
 repetition: the truncated unfolding "is no longer a bisimulation graph"
 (the paper's bib example: the depth-2 subgraph at ``bib`` repeats
-``article``).  The traveler therefore *replays* the unfolding into the
-open/close handlers of a fresh :class:`BisimGraphBuilder`, which
-re-minimizes it into a proper bisimulation graph of the depth-``L``
-pattern.
-
-Unfolding a DAG can explode exponentially, so the traveler takes a cap on
-the number of opens and raises :class:`PatternTooLargeError` when it
-is exceeded — the index construction catches this and falls back to the
-paper's artificial all-covering feature range.
+``article``).  The paper re-minimizes by replaying the unfolded tree
+through a second CONSTRUCT-ENTRIES, but the unfolding can be
+exponentially larger than the DAG.  Here the DAG is truncated in place:
+the depth-``d`` view of a vertex is ``(label, {depth-(d-1) views of its
+children})`` and two views are bisimilar exactly when those pairs are
+equal, so interning the pairs bottom-up over the distinct ``(vertex,
+remaining depth)`` classes yields the minimal graph directly, in work
+bounded by DAG size × depth.
 """
 
 from __future__ import annotations
 
 from repro.errors import PatternTooLargeError
-from repro.bisim.builder import BisimGraphBuilder
 from repro.bisim.graph import BisimGraph, BisimVertex
+
+
+class PatternTable:
+    """The depth-limited patterns of one source graph, interned together.
+
+    The ``(source vid, remaining depth) → pattern vertex`` memo and the
+    ``(label, child pattern vids) → pattern vertex`` intern table persist
+    across :meth:`pattern` calls, so the patterns of all of a graph's
+    vertices share their sub-patterns.  The memo is keyed by source vid:
+    one table per source graph.  Interning a vertex beyond
+    ``max_vertices`` raises :class:`PatternTooLargeError`.
+    """
+
+    def __init__(self, max_vertices: int | None = None) -> None:
+        self.max_vertices = max_vertices
+        self.vertices: list[BisimVertex] = []
+        #: (label, *sorted child pattern vids) → pattern vertex.
+        self._interned: dict[tuple, BisimVertex] = {}
+        #: remaining depth → source vid → pattern vertex.
+        self._memo: dict[int, dict[int, BisimVertex]] = {}
+
+    def pattern(self, vertex: BisimVertex, depth_limit: int) -> BisimGraph:
+        """Minimal bisimulation graph of ``vertex``'s unfolding down to
+        ``depth_limit`` (``<= 0``: its full height), root at depth 1.
+        Its ``vertices`` is the whole table; the pattern is what its
+        ``root`` reaches."""
+        memo = self._memo
+        # A view deeper than the vertex is tall is its full view: clamping
+        # folds all such states into one.
+        if depth_limit <= 0 or depth_limit > vertex.height:
+            depth_limit = vertex.height
+        # Explicit stack (Treebank-deep graphs overflow recursion).  A
+        # state whose child states are not all interned yet goes back
+        # under them and is revisited once they are.
+        stack = [(vertex, depth_limit)]
+        while stack:
+            node, depth = stack.pop()
+            at_depth = memo.setdefault(depth, {})
+            if node.vid in at_depth:
+                continue
+            child_vids = set()
+            missing = []
+            if depth > 1:
+                for child in node.children:
+                    below = min(depth - 1, child.height)
+                    found = memo.get(below, {}).get(child.vid)
+                    if found is None:
+                        missing.append((child, below))
+                    else:
+                        child_vids.add(found.vid)
+            if missing:
+                stack.append((node, depth))
+                stack.extend(missing)
+            else:
+                at_depth[node.vid] = self._intern(node.label, sorted(child_vids))
+        return BisimGraph(memo[depth_limit][vertex.vid], self.vertices)
+
+    def _intern(self, label: str, child_vids: list[int]) -> BisimVertex:
+        signature = (label, *child_vids)
+        found = self._interned.get(signature)
+        if found is None:
+            vertices = self.vertices
+            if self.max_vertices is not None and len(vertices) >= self.max_vertices:
+                raise PatternTooLargeError(
+                    f"pattern has more than {self.max_vertices} vertices",
+                    size=len(vertices) + 1,
+                )
+            children = tuple(vertices[vid] for vid in child_vids)
+            found = BisimVertex(len(vertices), label, children)
+            vertices.append(found)
+            self._interned[signature] = found
+        return found
 
 
 def depth_limited_graph(
     vertex: BisimVertex,
     depth_limit: int,
-    max_opens: int | None = None,
+    max_vertices: int | None = None,
 ) -> BisimGraph:
     """Re-minimized bisimulation graph of ``vertex``'s unfolding down to
     ``depth_limit`` — what GEN-SUBPATTERN indexes.
 
     The root of the unfolding is at depth 1, so a ``depth_limit`` of ``k``
-    produces a ``k``-pattern.  A ``depth_limit <= 0`` means *unlimited*
-    (unfold the full height of the vertex — used when the whole pattern
-    should be indexed).
-
-    Children are visited in vid order, making the replay — and therefore
-    the re-minimized graph and its features — deterministic.
-
-    Args:
-        vertex: unfolding root.
-        depth_limit: maximum pattern depth, or ``<= 0`` for unlimited.
-        max_opens: optional cap on the unfolding's node count.
+    produces a ``k``-pattern; ``depth_limit <= 0`` means *unlimited* (the
+    full height of the vertex).  Children are in vid order and every
+    vertex of the result is reachable from its root.
 
     Raises:
-        PatternTooLargeError: when the unfolding exceeds ``max_opens``.
+        PatternTooLargeError: when the pattern has more than
+            ``max_vertices`` vertices.
     """
-    if depth_limit <= 0:
-        depth_limit = vertex.height
-    builder = BisimGraphBuilder()
-    opens = 0
-    # Iterative DFS.  Stack holds (vertex, depth) to open, or a close marker.
-    stack: list[tuple[BisimVertex, int] | None] = [(vertex, 1)]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            builder.close()
-            continue
-        node, depth = item
-        opens += 1
-        if max_opens is not None and opens > max_opens:
-            raise PatternTooLargeError(
-                f"depth-{depth_limit} unfolding of vertex {node.vid} exceeds "
-                f"{max_opens} nodes",
-                size=opens,
-            )
-        builder.open(node.label, -1)
-        stack.append(None)
-        if depth < depth_limit:
-            for child in reversed(node.children):
-                stack.append((child, depth + 1))
-    return builder.finish()
+    return PatternTable(max_vertices).pattern(vertex, depth_limit)

@@ -8,10 +8,11 @@ node id)`` entries, in the two regimes CONSTRUCT-INDEX distinguishes:
   features of its full bisimulation graph.
 * **subpattern mode** (``depth_limit > 0`` and the document is deeper):
   the builder's per-element callback drives GEN-SUBPATTERN — for every
-  element, the depth-limited unfolding of its bisimulation vertex is
-  re-minimized through the traveler and its features computed, memoized
-  per vertex so the eigen-decomposition runs once per equivalence class
-  (Theorem 4 still guarantees exactly one *entry* per element).
+  element, the depth-limited pattern of its bisimulation vertex comes
+  out of the document's :class:`~repro.bisim.PatternTable` and its
+  features are computed, memoized per vertex so the eigen-decomposition
+  runs once per equivalence class (Theorem 4 still guarantees exactly
+  one *entry* per element).
 
 A generator may additionally carry a cross-document
 :class:`~repro.spectral.cache.FeatureCache`: before solving the
@@ -29,7 +30,7 @@ form) per bucket — before the entries are yielded.  Batching changes
 contract), so the staged entry stream is identical to per-pattern
 solving.
 
-Patterns whose unfolding or matrix exceeds the configured caps fall back
+Patterns whose matrix exceeds the configured cap fall back
 to the all-covering feature range (Section 6.1's artificial ``[0, ∞]``),
 counted in the returned statistics and never cached.
 """
@@ -45,9 +46,9 @@ import numpy as np
 from repro.errors import PatternTooLargeError
 from repro.bisim import (
     BisimGraphBuilder,
+    PatternTable,
     bisim_graph_of_document,
-    depth_limited_graph,
-    depth_signature,
+    vertex_signature,
 )
 from repro.bisim.graph import BisimVertex
 from repro.btree import encode_feature_key
@@ -158,7 +159,7 @@ class PhaseTimings:
         encode: the deterministic encoder-seeding pre-pass (§7).
         bisim:  bisimulation-graph construction (the tree walk and
                 interning), measured as the entry-generation residual.
-        unfold: BISIM-TRAVELER depth-limited unfolding + re-minimization.
+        unfold: BISIM-TRAVELER depth-limited truncation of the DAG.
         matrix: canonical-order anti-symmetric matrix assembly
             (:func:`~repro.spectral.matrix.pattern_matrix`; cache
             misses only).
@@ -257,7 +258,7 @@ def seed_encoder(
     (and the serial path) extracts features under an identical, complete
     encoder.  Completeness holds because every edge of every pattern the
     build can produce — full bisimulation graphs in unit mode, depth
-    -limited re-minimized unfoldings in subpattern mode — descends from
+    -limited truncations in subpattern mode — descends from
     a (parent label, child label) tree edge walked here (text nodes
     included when the value extension is active).
     """
@@ -301,7 +302,6 @@ class _PendingFeature:
     vertex: BisimVertex
     label: str
     matrix: np.ndarray
-    size: int
     signature: bytes | None = None
     key: FeatureKey | None = None
 
@@ -321,7 +321,6 @@ class GeneratorSettings:
     depth_limit: int
     value_buckets: int | None
     max_pattern_vertices: int
-    max_unfolding_opens: int
     feature_cache: bool
 
     @classmethod
@@ -354,7 +353,6 @@ class GeneratorSettings:
             self.depth_limit,
             text_label=self.value_hasher(),
             max_pattern_vertices=self.max_pattern_vertices,
-            max_unfolding_opens=self.max_unfolding_opens,
             cache=cache,
             obs=obs,
         )
@@ -369,7 +367,6 @@ class EntryGenerator:
         depth_limit: int,
         text_label: Callable[[str], str] | None = None,
         max_pattern_vertices: int = 800,
-        max_unfolding_opens: int = 20000,
         cache: FeatureCache | None = None,
         obs: Obs | None = None,
     ) -> None:
@@ -377,7 +374,6 @@ class EntryGenerator:
         self.depth_limit = depth_limit
         self.text_label = text_label
         self.max_pattern_vertices = max_pattern_vertices
-        self.max_unfolding_opens = max_unfolding_opens
         self.cache = cache
         #: observability context: span capture plus the registry the
         #: phase timings are a view over (a private, non-tracing one
@@ -385,8 +381,6 @@ class EntryGenerator:
         self.obs = obs if obs is not None else Obs()
         self.stats = ConstructionStats()
         self.timings = PhaseTimings(registry=self.obs.registry)
-        #: per-document (vid, depth) → signature memo for the cache path.
-        self._sig_memo: dict[tuple[int, int], bytes] = {}
         #: the batch queue: misses awaiting the stacked eigensolve, with
         #: vid/signature indexes so repeats join the in-flight feature
         #: instead of re-queueing the same matrix.
@@ -477,9 +471,12 @@ class EntryGenerator:
         return Entry(key, document.root.node_id)
 
     def _subpattern_entries(self, document: Document) -> Iterator[Entry]:
-        # Builder vids restart per document, so the signature memo must
-        # not leak across documents.
-        self._sig_memo = {}
+        # One pattern table per document (builder vids restart), with
+        # the cache path's pattern vid → signature memo over it; both
+        # are dropped when the walk ends, before the queued matrices
+        # are solved.
+        patterns = PatternTable()
+        signatures: dict[int, bytes] = {}
         staged: list[tuple[FeatureKey | _PendingFeature, int]] = []
         builder = BisimGraphBuilder(text_label=self.text_label)
         for vertex, start_ptr in builder.walk(document.root):
@@ -489,7 +486,9 @@ class EntryGenerator:
             # staged against the (possibly pending) feature and yielded
             # after the end-of-document flush.
             self.stats.entries += 1
-            staged.append((self._vertex_features(vertex), start_ptr))
+            feature = self._vertex_features(vertex, patterns, signatures)
+            staged.append((feature, start_ptr))
+        del patterns, signatures
         graph = builder.finish()
         self.stats.bisim_vertices += graph.vertex_count()
         self.stats.per_document_vertices.append(graph.vertex_count())
@@ -506,7 +505,7 @@ class EntryGenerator:
     # ------------------------------------------------------------------ #
 
     def _vertex_features(
-        self, vertex: BisimVertex
+        self, vertex: BisimVertex, patterns: PatternTable, signatures: dict[int, bytes]
     ) -> FeatureKey | _PendingFeature:
         """GEN-SUBPATTERN + BTREE-INSERT's feature half: memoized per
         bisimulation vertex (Algorithm 1's ``u.eigs`` check).
@@ -520,20 +519,21 @@ class EntryGenerator:
         existing pending feature, preserving the solve-once-per-class
         accounting of Algorithm 1.
 
-        With a cache attached, the pattern's signature is computed
-        *directly on the vertex* (:func:`~repro.bisim.dag
-        .depth_signature`), so a hit skips not just the eigensolve but
-        the whole BISIM-TRAVELER unfolding — the unfolding of a shared
-        subpattern can be exponentially larger than its DAG.
+        The cache is addressed by the signature of the pattern's root in
+        the document's table, so a hit costs one memoized truncation and
+        skips the matrix and the eigensolve.
         """
         if vertex.eigs is not None:
             return vertex.eigs
         pending = self._pending_by_vid.get(vertex.vid)
         if pending is not None:
             return pending
+        started = time.perf_counter()
+        pattern = patterns.pattern(vertex, self.depth_limit)
+        self.timings.unfold += time.perf_counter() - started
         signature = None
         if self.cache is not None:
-            signature = depth_signature(vertex, self.depth_limit, self._sig_memo)
+            signature = vertex_signature(pattern.root, signatures)
             pending = self._pending_by_sig.get(signature)
             if pending is not None:
                 # A distinct vertex whose depth-L view is already queued:
@@ -548,18 +548,6 @@ class EntryGenerator:
                 vertex.eigs = cached
                 return cached
             self.stats.cache_misses += 1
-        started = time.perf_counter()
-        try:
-            pattern = depth_limited_graph(
-                vertex, self.depth_limit, max_opens=self.max_unfolding_opens
-            )
-        except PatternTooLargeError:
-            self.timings.unfold += time.perf_counter() - started
-            self.stats.oversized_patterns += 1
-            key = FeatureKey(vertex.label, ALL_COVERING_RANGE)
-            vertex.eigs = key
-            return key
-        self.timings.unfold += time.perf_counter() - started
         started = time.perf_counter()
         try:
             matrix = pattern_matrix(
@@ -577,7 +565,6 @@ class EntryGenerator:
             vertex=vertex,
             label=pattern.root.label,
             matrix=matrix,
-            size=pattern.vertex_count(),
             signature=signature,
         )
         self._pending.append(pending)
@@ -607,8 +594,9 @@ class EntryGenerator:
             key = FeatureKey(item.label, FeatureRange(lmin, lmax))
             item.key = key
             item.vertex.eigs = key
-            if item.size > self.stats.largest_pattern:
-                self.stats.largest_pattern = item.size
+            self.stats.largest_pattern = max(
+                self.stats.largest_pattern, len(item.matrix)
+            )
             if self.cache is not None and item.signature is not None:
                 self.cache.store(item.signature, key)
         self._pending = []

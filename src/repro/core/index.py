@@ -74,7 +74,6 @@ class FixIndexConfig:
         max_pattern_vertices: eigen-decomposition size cap; larger
             patterns fall back to the all-covering range (the paper's
             ~3000-edge fallback).
-        max_unfolding_opens: cap on a depth-limited unfolding's size.
         guard_band: numerical slack for the containment predicate.
         workers: processes for the build's document fan-out.  ``1``
             builds in-process; ``k > 1`` stages documents across ``k``
@@ -125,7 +124,6 @@ class FixIndexConfig:
     clustered: bool = False
     value_buckets: int | None = None
     max_pattern_vertices: int = 800
-    max_unfolding_opens: int = 20000
     guard_band: float = DEFAULT_GUARD_BAND
     workers: int = 1
     feature_cache: bool = True

@@ -101,7 +101,7 @@ class FeatureError(ReproError):
 
 
 class PatternTooLargeError(FeatureError):
-    """Raised when a depth-limited pattern unfolding exceeds a size cap.
+    """Raised when a pattern has more vertices than a size cap allows.
 
     The paper handles over-large subpatterns (more than ~3000 edges) by
     skipping eigenvalue computation and indexing them under the artificial

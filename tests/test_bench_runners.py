@@ -21,7 +21,11 @@ from repro.bench import (
     run_table1,
     run_table2,
 )
+from repro.bench import ablation
 from repro.bench.reporting import megabytes, percent
+from repro.core import FixIndex, FixIndexConfig
+from repro.storage import PrimaryXMLStore
+from repro.xmltree import parse_xml
 
 SCALE = 0.06
 
@@ -114,6 +118,25 @@ class TestAblationRunners:
         assert rows
         for row in rows:
             assert row.cdt_spectrum <= row.cdt_range <= row.cdt_label_only <= row.ent
+
+    def test_index_spectra_hides_oversized_patterns_and_nothing_else(
+        self, monkeypatch
+    ):
+        document = parse_xml("<a><b><c/></b><d/></a>")
+        store = PrimaryXMLStore()
+        store.add_document(document)
+        index = FixIndex.build(
+            store, FixIndexConfig(depth_limit=3, max_pattern_vertices=2)
+        )
+        # Over the cap means all-covering: no spectrum to compare.
+        assert sorted(ablation._index_spectra(index, document)) == [1, 2, 3]
+
+        def broken(*_):
+            raise ValueError("a real bug")
+
+        monkeypatch.setattr(ablation, "graph_spectrum", broken)
+        with pytest.raises(ValueError):
+            ablation._index_spectra(index, document)
 
     def test_beta_sweep(self):
         rows = run_beta_sweep(scale=SCALE, betas=(2, 16))

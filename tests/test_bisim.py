@@ -4,11 +4,14 @@ paper's own worked example (Figure 2)."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import BisimulationError, PatternTooLargeError
 from repro.bisim import (
     BisimGraphBuilder,
+    BisimVertex,
     bisim_graph_of_document,
     canonical_key,
     depth_limited_graph,
@@ -211,28 +214,35 @@ class TestTraveler:
         assert limited.vertex_count() == 2
         assert limited.depth() == 2
 
-    def test_event_stream_is_balanced(self):
-        # Every node of the depth-3 unfolding is opened once and closed
-        # once: finish() accepts the replay, and the closes (one extent
-        # member each) number the unfolding's nodes.
-        graph = graph_of(FIGURE1_XML)
+    def test_doubling_dag_is_truncated_not_unfolded(self):
+        # 40 levels where a_i and b_i both have children {a_(i-1),
+        # b_(i-1)}: the unfolding has 2**40 nodes, the pattern two
+        # vertices per level.  Only work on the DAG itself can finish.
+        a, b = BisimVertex(0, "a", ()), BisimVertex(1, "b", ())
+        for level in range(1, 40):
+            a, b = (
+                BisimVertex(2 * level, "a", (a, b)),
+                BisimVertex(2 * level + 1, "b", (a, b)),
+            )
+        started = time.perf_counter()
+        full = depth_limited_graph(a, 0)
+        assert time.perf_counter() - started < 1.0
+        assert full.vertex_count() == 79  # b_39 is not below a_39
+        assert full.depth() == 40
+        # Cut at depth 10, every level's a and b still differ by label.
+        assert depth_limited_graph(a, 10).vertex_count() == 19
 
-        def unfolding_size(vertex, depth):
-            if depth == 1:
-                return 1
-            return 1 + sum(unfolding_size(c, depth - 1) for c in vertex.children)
-
-        limited = depth_limited_graph(graph.root, 3)
-        closes = sum(v.extent_size for v in limited.vertices)
-        assert closes == unfolding_size(graph.root, 3) > 0
-
-    def test_max_opens_cap(self):
+    def test_max_vertices_cap(self):
         graph = graph_of(FIGURE1_XML)
         with pytest.raises(PatternTooLargeError) as caught:
-            depth_limited_graph(graph.root, 0, max_opens=3)
-        assert caught.value.size == 4
-        # The cap counts opens: the whole 26-element unfolding fits 26.
-        assert depth_limited_graph(graph.root, 0, max_opens=26).vertex_count() == 15
+            depth_limited_graph(graph.root, 0, max_vertices=14)
+        assert caught.value.size == 15
+        # The cap counts the result's vertices: all 15 classes fit 15.
+        assert depth_limited_graph(graph.root, 0, 15).vertex_count() == 15
+        # ... and a truncation that re-merges needs fewer than its source.
+        assert depth_limited_graph(graph.root, 2, 5).vertex_count() == 5
+        with pytest.raises(PatternTooLargeError):
+            depth_limited_graph(graph.root, 2, 4)
 
     def test_depth_limit_bounds_result_depth(self):
         graph = graph_of(FIGURE1_XML)

@@ -8,13 +8,19 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bisim import bisim_graph_of_document, depth_limited_graph, graphs_isomorphic
-from repro.errors import PatternTooLargeError
+from repro.bisim import (
+    PatternTable,
+    bisim_graph_of_document,
+    depth_limited_graph,
+    graphs_isomorphic,
+    vertex_signature,
+)
+from repro.core.construction import EntryGenerator, seed_encoder
 from repro.fb import fb_partition
+from repro.spectral import EdgeLabelEncoder, FeatureCache
 from repro.xmltree import Document, Element
 
 
@@ -128,12 +134,54 @@ class TestTravelerAgainstExplicitUnfolding:
             assert graphs_isomorphic(
                 depth_limited_graph(vertex, depth), bisim_graph_of_document(tree)
             )
-            # The cap counts the unfolding's nodes: exactly enough passes,
-            # one fewer raises.
-            opens = tree.size()
-            depth_limited_graph(vertex, depth, max_opens=opens)
-            with pytest.raises(PatternTooLargeError):
-                depth_limited_graph(vertex, depth, max_opens=opens - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=0, max_value=9999),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_shared_table_is_the_one_shot_pattern_and_never_leaks(
+        self, shapes, depth_limit
+    ):
+        documents = [
+            random_document(random.Random(seed), ["n", "m"][: 1 + seed % 2], size)
+            for size, seed in shapes
+        ]
+        # One table (and one signature memo over it) across all vertices
+        # and depths of a graph names every pattern as a fresh table and
+        # as the explicitly unfolded tree do.
+        for document in documents:
+            table, memo = PatternTable(), {}
+            for vertex in bisim_graph_of_document(document).vertices:
+                for depth in range(1, 7):
+                    shared = vertex_signature(table.pattern(vertex, depth).root, memo)
+                    assert shared == vertex_signature(
+                        depth_limited_graph(vertex, depth).root
+                    )
+                    assert shared == vertex_signature(
+                        bisim_graph_of_document(unfolded(vertex, depth)).root
+                    )
+        # The generator's table is per document: what an earlier document
+        # left behind (builder vids restart) never shows in a later one.
+        encoder = EdgeLabelEncoder()
+        for document in documents:
+            seed_encoder(encoder, document)
+
+        def staged(doc_ids):
+            generator = EntryGenerator(encoder, depth_limit, cache=FeatureCache())
+            return generator.stage(doc_ids, documents.__getitem__)
+
+        everything = range(len(documents))
+        assert staged(everything) == [
+            entry for doc_id in everything for entry in staged([doc_id])
+        ]
 
 
 class TestFBRefinesDownwardBisim:

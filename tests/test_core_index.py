@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from repro.btree import encode_feature_key, encode_float
 from repro.errors import BTreeError, IndexCoverageError
-from repro.core import FixIndex, FixIndexConfig
-from repro.query import twig_of
+from repro.core import FixIndex, FixIndexConfig, FixQueryProcessor
+from repro.query import matching_elements, twig_of
 from repro.spectral import FeatureKey, FeatureRange
 from repro.storage import NodePointer, PrimaryXMLStore
 from repro.xmltree import parse_xml
@@ -120,6 +121,50 @@ class TestSubpatternConstruction:
         item_count = sum(1 for e in document.root.find_all("item"))
         assert len(candidates) == item_count
         assert any(e.key.range.is_all_covering() for e in candidates)
+
+    def test_wide_unfolding_of_a_small_pattern_gets_its_real_key(self):
+        # Every <n> above the bottom level has four children, pairwise
+        # non-bisimilar only by the <m*/> leaf one level below the depth
+        # limit.  The root's depth-8 unfolding therefore has 21,845
+        # nodes, but cut at depth 8 the siblings all look alike and its
+        # pattern is a chain of eight vertices: a small pattern, however
+        # large the tree it stands for.
+        depth, variants = 8, 5
+
+        @functools.cache
+        def subtree(level: int, variant: int) -> str:
+            if level == depth:
+                return f"<n><m{variant}/></n>"
+            children = (
+                subtree(level + 1, other)
+                for other in range(variants)
+                if other != variant
+            )
+            return "<n>" + "".join(children) + "</n>"
+
+        document = parse_xml(subtree(1, 0))
+        store = PrimaryXMLStore()
+        store.add_document(document)
+        index = FixIndex.build(store, FixIndexConfig(depth_limit=depth))
+        assert index.report.stats.oversized_patterns == 0
+        (root_entry,) = (
+            entry
+            for entry in index.iter_entries()
+            if entry.pointer.node_id == document.root.node_id
+        )
+        assert math.isfinite(root_entry.key.range.lmax)
+        for query in (
+            "/n/n/n/n/n/n/n/n",
+            "//n/n[m0]",
+            "//n[m1][m2]",
+            "//n[n/m0][n/m1]",
+            "//n/n/n/m4",
+        ):
+            truth = sorted(
+                NodePointer(0, element.node_id)
+                for element in matching_elements(twig_of(query), document)
+            )
+            assert FixQueryProcessor(index).query(query).results == truth, query
 
 
 class TestPruningScan:

@@ -20,6 +20,7 @@ from repro.errors import (
 )
 from repro.btree import BPlusTree
 from repro.btree.node import LeafNode, deserialize_node
+from repro.cli import main as cli_main
 from repro.core import (
     FixIndex,
     FixIndexConfig,
@@ -218,9 +219,18 @@ class TestIndexDirectoryDamage:
         # Index directories saved by earlier versions carry config and
         # report keys for options that no longer exist (spelled in two
         # halves: CI greps for retired names).  They must keep loading,
-        # with the answers of a fresh build.
-        retired = {"eigen_" + "solver": None, "prune_" + "backend": "rtree"}
+        # with the answers of a fresh build, and the CLI must keep
+        # reading them.
+        for case, retired in enumerate(
+            (
+                {"eigen_" + "solver": None, "prune_" + "backend": "rtree"},
+                {"max_unfolding_" + "opens": 20000},
+                {"max_unfolding_" + "opens": 5},
+            )
+        ):
+            self.check_loads_with_retired_keys(tmp_path / str(case), retired)
 
+    def check_loads_with_retired_keys(self, tmp_path, retired):
         def add_retired_keys(path):
             with open(path) as handle:
                 meta = json.load(handle)
@@ -231,6 +241,7 @@ class TestIndexDirectoryDamage:
                 json.dump(meta, handle)
 
         store, directory = self.build(tmp_path)
+        store.save(os.path.join(directory, "store"))
         fresh = FixQueryProcessor(load_index(directory, store)).query("//b/c")
         add_retired_keys(os.path.join(directory, "meta.json"))
         index = load_index(directory, store)
@@ -246,6 +257,10 @@ class TestIndexDirectoryDamage:
         sharded = ShardedFixIndex.load(sharded_dir)
         assert sharded.config == config
         assert FixQueryProcessor(sharded).query("//b/c").results == fresh.results
+
+        for saved in (directory, sharded_dir):
+            assert cli_main(["stats", saved]) == 0
+            assert cli_main(["verify", saved, "--fast"]) == 0
 
 
 class TestParserResilience:

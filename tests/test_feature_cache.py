@@ -13,9 +13,9 @@ import random
 import pytest
 
 from repro.bisim import (
+    PatternTable,
     bisim_graph_of_document,
     depth_limited_graph,
-    depth_signature,
     reachable_vertices,
     vertex_signature,
 )
@@ -163,10 +163,9 @@ class TestAllCoveringNeverCached:
 
 
 class TestDepthSignature:
-    """The skip-unfold invariant: the signature computed directly on the
-    source vertex equals the signature of the unfolded, re-minimized
-    pattern — this is what makes cache keys independent of the path
-    (direct vs unfolded) that produced them."""
+    """The cache key of a depth-limited pattern is its root's signature
+    in the document's pattern table: it must not depend on what else the
+    table holds, and must name the pattern's structure and nothing else."""
 
     LABELS = "abcd"
 
@@ -182,12 +181,13 @@ class TestDepthSignature:
         for _ in range(25):
             document = Document(self._random_tree(rng, 5))
             graph = bisim_graph_of_document(document)
-            memo: dict[tuple[int, int], bytes] = {}
+            table = PatternTable()
+            memo: dict[int, bytes] = {}
             for vertex in reachable_vertices(graph.root):
                 for limit in (1, 2, 3, 6):
-                    direct = depth_signature(vertex, limit, memo)
-                    unfolded = depth_limited_graph(vertex, limit)
-                    assert direct == vertex_signature(unfolded.root)
+                    shared = vertex_signature(table.pattern(vertex, limit).root, memo)
+                    alone = depth_limited_graph(vertex, limit)
+                    assert shared == pattern_signature(alone)
 
     def test_truncation_merges_children(self):
         # Two children that differ only below the cut must collapse to
@@ -196,12 +196,14 @@ class TestDepthSignature:
             parse_xml("<r><a><x><y/></x></a><a><x><z/></x></a></r>").root
         )
         graph = bisim_graph_of_document(document)
-        # At depth 2 the two <a> subtrees look identical (both <a><x/>).
-        assert depth_signature(graph.root, 2) == pattern_signature(
+        # At depth 2 the two <a> subtrees look identical (both childless).
+        assert pattern_signature(
             depth_limited_graph(graph.root, 2)
-        )
+        ) == pattern_signature(bisim_graph_of_document(parse_xml("<r><a/></r>")))
 
     def test_unlimited_depth_equals_vertex_signature(self):
         document = Document(parse_xml("<r><a><b/></a><c/></r>").root)
         graph = bisim_graph_of_document(document)
-        assert depth_signature(graph.root, 0) == vertex_signature(graph.root)
+        assert pattern_signature(
+            depth_limited_graph(graph.root, 0)
+        ) == vertex_signature(graph.root)
