@@ -1,34 +1,40 @@
 """Index-entry generation for one document (Algorithm 1's core).
 
 This module turns a document into a stream of ``(FeatureKey, element
-node id)`` entries, in the two regimes CONSTRUCT-INDEX distinguishes:
+node id)`` entries.  CONSTRUCT-INDEX's two regimes share one feature
+routine and differ only in which closes of the bisimulation walk emit
+an entry:
 
-* **unit mode** (small document, or ``depth_limit == 0``): the whole
-  document is one indexable unit; one entry is produced, keyed by the
-  features of its full bisimulation graph.
-* **subpattern mode** (``depth_limit > 0`` and the document is deeper):
-  the builder's per-element callback drives GEN-SUBPATTERN — for every
-  element, the depth-limited pattern of its bisimulation vertex comes
-  out of the document's :class:`~repro.bisim.PatternTable` and its
-  features are computed, memoized per vertex so the eigen-decomposition
-  runs once per equivalence class (Theorem 4 still guarantees exactly
-  one *entry* per element).
+* **unit mode** (``depth_limit == 0``): the whole document is one
+  indexable unit; only the root emits, and its pattern is the finished
+  bisimulation graph itself.
+* **subpattern mode** (``depth_limit > 0``): every element emits
+  (GEN-SUBPATTERN; Theorem 4's one *entry* per element), and the pattern
+  of its bisimulation vertex is the depth-limited truncation out of the
+  document's :class:`~repro.bisim.PatternTable`.
+
+Either way a vertex becomes a feature one way — pattern → canonical
+signature → anti-symmetric matrix → ``(λ_min, λ_max)`` — memoized on the
+vertex (Algorithm 1's ``u.eigs``), so the eigen-decomposition runs once
+per equivalence class.
 
 A generator may additionally carry a cross-document
 :class:`~repro.spectral.cache.FeatureCache`: before solving the
 eigenproblem for a pattern, its canonical signature is looked up, so
-isomorphic subpatterns recurring *across* documents pay the O(n³)
+isomorphic patterns recurring *across* documents pay the O(n³)
 decomposition once per distinct pattern rather than once per document.
 
-In subpattern mode the cache misses of a document are not solved one
-by one (DESIGN.md §9): each miss contributes its anti-symmetric matrix
-to a batch queue, and when the document's walk ends the queue
-is flushed through :func:`repro.spectral.kernel.solve_batch` — matrices
-grouped by dimension, one stacked-LAPACK call (or vectorized closed
-form) per bucket — before the entries are yielded.  Batching changes
-*when* ranges are computed, never their bytes (the kernel's determinism
+The cache misses of a document are not solved one by one (DESIGN.md
+§9): each miss contributes its anti-symmetric matrix to the document's
+batch queue, and when the walk ends the queue is flushed through
+:func:`repro.spectral.kernel.solve_batch` — matrices grouped by
+dimension, one stacked-LAPACK call (or vectorized closed form) per
+bucket — before the entries are yielded.  Batching changes *when*
+ranges are computed, never their bytes (the kernel's determinism
 contract), so the staged entry stream is identical to per-pattern
-solving.
+solving.  The queue and every vid-keyed memo are locals of one
+document's walk (builder vids restart per document): a generator holds
+nothing a failed document could leave behind for the next one.
 
 Patterns whose matrix exceeds the configured cap fall back
 to the all-covering feature range (Section 6.1's artificial ``[0, ∞]``),
@@ -50,7 +56,7 @@ from repro.bisim import (
     bisim_graph_of_document,
     vertex_signature,
 )
-from repro.bisim.graph import BisimVertex
+from repro.bisim.graph import BisimGraph, BisimVertex
 from repro.btree import encode_feature_key
 from repro.core.values import ValueHasher
 from repro.obs import MetricsRegistry, Obs
@@ -60,9 +66,7 @@ from repro.spectral import (
     FeatureCache,
     FeatureKey,
     FeatureRange,
-    eigenvalue_range,
     pattern_matrix,
-    pattern_signature,
     solve_batch,
 )
 from repro.xmltree import Document, Element
@@ -156,7 +160,8 @@ class PhaseTimings:
 
     Phases:
         parse:  fetching/parsing documents out of primary storage.
-        encode: the deterministic encoder-seeding pre-pass (§7).
+        encode: deterministic encoder seeding (§7) — per document in
+                the staging loop, plus the pre-pass before a fan-out.
         bisim:  bisimulation-graph construction (the tree walk and
                 interning), measured as the entry-generation residual.
         unfold: BISIM-TRAVELER depth-limited truncation of the DAG.
@@ -250,15 +255,17 @@ def seed_encoder(
 ) -> None:
     """Register every edge-label pair of ``document`` with ``encoder``.
 
-    This is the deterministic pre-pass of the build pipeline: walking
-    documents in ``doc_id`` order and elements in preorder (a node's
-    text edges before its element children's, the order
+    This is the deterministic seeding step of the build pipeline:
+    walking documents in ``doc_id`` order and elements in preorder (a
+    node's text edges before its element children's, the order
     :meth:`~repro.bisim.BisimGraphBuilder.walk` registers them in) fixes
-    the code assignment *before* any feature is computed, so every worker
-    (and the serial path) extracts features under an identical, complete
-    encoder.  Completeness holds because every edge of every pattern the
-    build can produce — full bisimulation graphs in unit mode, depth
-    -limited truncations in subpattern mode — descends from
+    a document's code assignment *before* any of its features is
+    computed, so every worker (seeded over the whole corpus up front)
+    and the serial path (seeded document by document,
+    :meth:`EntryGenerator.stage`) extract features under identical
+    codes.  Completeness holds because every edge of every pattern a
+    document can produce — its full bisimulation graph in unit mode,
+    depth-limited truncations in subpattern mode — descends from
     a (parent label, child label) tree edge walked here (text nodes
     included when the value extension is active).
     """
@@ -292,18 +299,14 @@ class Entry:
 
 @dataclass(slots=True)
 class _PendingFeature:
-    """A cache miss awaiting the batched eigensolve.
+    """A cache miss awaiting the batched eigensolve: the matrix to
+    solve, every vertex whose ``eigs`` the flush sets to the result, and
+    the signature to cache it under (``None`` when no cache is
+    attached)."""
 
-    Carries everything the flush needs to finish the feature: the
-    vertex to memoize on, the matrix to solve, and the signature to
-    store the result under (``None`` when no cache is attached).
-    """
-
-    vertex: BisimVertex
-    label: str
+    vertices: list[BisimVertex]
     matrix: np.ndarray
-    signature: bytes | None = None
-    key: FeatureKey | None = None
+    signature: bytes | None
 
 
 #: One staged index entry: (encoded B-tree key, doc_id, node_id).
@@ -381,12 +384,6 @@ class EntryGenerator:
         self.obs = obs if obs is not None else Obs()
         self.stats = ConstructionStats()
         self.timings = PhaseTimings(registry=self.obs.registry)
-        #: the batch queue: misses awaiting the stacked eigensolve, with
-        #: vid/signature indexes so repeats join the in-flight feature
-        #: instead of re-queueing the same matrix.
-        self._pending: list[_PendingFeature] = []
-        self._pending_by_vid: dict[int, _PendingFeature] = {}
-        self._pending_by_sig: dict[bytes, _PendingFeature] = {}
 
     # ------------------------------------------------------------------ #
     # Entry streams
@@ -402,7 +399,12 @@ class EntryGenerator:
         The build's one staging loop.  ``load`` turns a doc id into its
         tree and is charged to the ``parse`` phase — the in-process
         build passes the store's (LRU-cached) ``get_document``, a worker
-        parses the source it was shipped.  Every document gets a
+        parses the source it was shipped.  The document's edge-label
+        pairs are registered (:func:`seed_encoder`, the ``encode``
+        phase) before its entries are generated, so one fetch serves
+        both and codes come out in the whole-corpus pre-pass's
+        first-seen order; under an encoder a fan-out already seeded
+        this registers nothing.  Every document gets a
         ``build.doc`` span and an observation in the ``build.doc_*``
         sketches of this generator's :class:`~repro.obs.Obs`; what its
         generation time leaves after unfold/matrix/eigen is the
@@ -419,8 +421,11 @@ class EntryGenerator:
         for doc_id in doc_ids:
             started = time.perf_counter()
             document = load(doc_id)
-            timings.parse += time.perf_counter() - started
+            loaded = time.perf_counter()
+            timings.parse += loaded - started
+            seed_encoder(self.encoder, document, text_label=self.text_label)
             started = time.perf_counter()
+            timings.encode += started - loaded
             with self.obs.span("build.doc", doc=doc_id) as span:
                 entries_before = len(staged)
                 for entry in self.entries_for(document):
@@ -442,11 +447,16 @@ class EntryGenerator:
     def entries_for(self, document: Document) -> Iterator[Entry]:
         """Yield every index entry for ``document``.
 
-        Chooses unit vs. subpattern mode per CONSTRUCT-INDEX: a document
-        no deeper than the depth limit (or any document when the limit is
-        0) is a single unit.
+        Emission rule per CONSTRUCT-INDEX: the document root alone when
+        the limit is 0 (unit mode), every element otherwise.
         """
-        self.stats.documents += 1
+        stats = self.stats
+        stats.documents += 1
+        # Misses awaiting the stacked eigensolve, and the same by
+        # signature so a repeat joins the in-flight feature instead of
+        # re-queueing its matrix.
+        queue: list[_PendingFeature] = []
+        in_flight: dict[bytes, _PendingFeature] = {}
         # Algorithm 1 as published also indexes documents shallower than
         # the depth limit as single units, but a unit entry is keyed by
         # the *document root's* label and therefore invisible to covered
@@ -456,183 +466,133 @@ class EntryGenerator:
         # every document); unit mode is the collection scenario,
         # depth_limit == 0.  See DESIGN.md §5a.
         if self.depth_limit <= 0:
-            self.stats.unit_documents += 1
-            yield self._unit_entry(document)
+            stats.unit_documents += 1
+            # The unit's pattern is the finished graph itself, digested
+            # in its own vid space.
+            graph = bisim_graph_of_document(document, text_label=self.text_label)
+            self._vertex_features(graph.root, graph, {}, queue, in_flight)
+            emitted = [(graph.root, document.root.node_id)]
         else:
-            self.stats.subpattern_documents += 1
-            yield from self._subpattern_entries(document)
-
-    def _unit_entry(self, document: Document) -> Entry:
-        graph = bisim_graph_of_document(document, text_label=self.text_label)
-        self.stats.bisim_vertices += graph.vertex_count()
-        self.stats.per_document_vertices.append(graph.vertex_count())
-        key = self._features_of_graph(graph)
-        self.stats.entries += 1
-        return Entry(key, document.root.node_id)
-
-    def _subpattern_entries(self, document: Document) -> Iterator[Entry]:
-        # One pattern table per document (builder vids restart), with
-        # the cache path's pattern vid → signature memo over it; both
-        # are dropped when the walk ends, before the queued matrices
-        # are solved.
-        patterns = PatternTable()
-        signatures: dict[int, bytes] = {}
-        staged: list[tuple[FeatureKey | _PendingFeature, int]] = []
-        builder = BisimGraphBuilder(text_label=self.text_label)
-        for vertex, start_ptr in builder.walk(document.root):
-            # GEN-SUBPATTERN runs per close; by close time the vertex's
-            # children are final, so its depth-L view is computable
-            # immediately.  Misses join the batch queue; the entry is
-            # staged against the (possibly pending) feature and yielded
-            # after the end-of-document flush.
-            self.stats.entries += 1
-            feature = self._vertex_features(vertex, patterns, signatures)
-            staged.append((feature, start_ptr))
-        del patterns, signatures
-        graph = builder.finish()
-        self.stats.bisim_vertices += graph.vertex_count()
-        self.stats.per_document_vertices.append(graph.vertex_count())
-        self._flush_eigen_batch()
-        for feature, start_ptr in staged:
-            if isinstance(feature, _PendingFeature):
-                assert feature.key is not None  # set by the flush
-                yield Entry(feature.key, start_ptr)
-            else:
-                yield Entry(feature, start_ptr)
+            stats.subpattern_documents += 1
+            # One pattern table per document (builder vids restart), with
+            # the pattern vid → signature memo over it; both are dropped
+            # when the walk ends, before the queued matrices are solved.
+            patterns = PatternTable()
+            signatures: dict[int, bytes] = {}
+            emitted = []
+            builder = BisimGraphBuilder(text_label=self.text_label)
+            for vertex, start_ptr in builder.walk(document.root):
+                # GEN-SUBPATTERN runs per close; by close time the
+                # vertex's children are final, so its depth-L view is
+                # computable immediately (Algorithm 1's ``u.eigs`` check:
+                # once per vertex).
+                if vertex.eigs is None:
+                    started = time.perf_counter()
+                    pattern = patterns.pattern(vertex, self.depth_limit)
+                    self.timings.unfold += time.perf_counter() - started
+                    self._vertex_features(
+                        vertex, pattern, signatures, queue, in_flight
+                    )
+                emitted.append((vertex, start_ptr))
+            del patterns, signatures
+            graph = builder.finish()
+        stats.entries += len(emitted)
+        stats.bisim_vertices += graph.vertex_count()
+        stats.per_document_vertices.append(graph.vertex_count())
+        self._flush_eigen_batch(queue)
+        del queue, in_flight  # the solved matrices go before entries stream out
+        for vertex, start_ptr in emitted:
+            yield Entry(vertex.eigs, start_ptr)
 
     # ------------------------------------------------------------------ #
     # Feature extraction with memoization, caching, and fallback
     # ------------------------------------------------------------------ #
 
     def _vertex_features(
-        self, vertex: BisimVertex, patterns: PatternTable, signatures: dict[int, bytes]
-    ) -> FeatureKey | _PendingFeature:
-        """GEN-SUBPATTERN + BTREE-INSERT's feature half: memoized per
-        bisimulation vertex (Algorithm 1's ``u.eigs`` check).
+        self,
+        vertex: BisimVertex,
+        pattern: BisimGraph,
+        signatures: dict[int, bytes],
+        queue: list[_PendingFeature],
+        in_flight: dict[bytes, _PendingFeature],
+    ) -> None:
+        """BTREE-INSERT's feature half for a vertex seen for the first
+        time: set ``vertex.eigs`` from ``pattern``.
 
-        Resolved features (memoized, cached, or the oversized fallback)
-        come back as :class:`FeatureKey`\\ s immediately; a genuine miss
-        contributes its matrix to the queue and returns the
-        :class:`_PendingFeature` whose ``key`` the end-of-document
-        :meth:`_flush_eigen_batch` fills in.  Repeats of an in-flight
-        vertex (or, with a cache, of an in-flight signature) join the
-        existing pending feature, preserving the solve-once-per-class
-        accounting of Algorithm 1.
+        A resolved feature (cached, or the oversized fallback) is stored
+        as its :class:`FeatureKey` at once; a genuine miss contributes
+        its matrix to ``queue`` and leaves the :class:`_PendingFeature`
+        in ``vertex.eigs`` until the end-of-document
+        :meth:`_flush_eigen_batch` overwrites it with the key.  A
+        distinct vertex whose pattern is already queued joins that
+        pending feature, preserving the solve-once-per-class accounting
+        of Algorithm 1.
 
-        The cache is addressed by the signature of the pattern's root in
-        the document's table, so a hit costs one memoized truncation and
-        skips the matrix and the eigensolve.
+        ``signatures`` is the vid → digest memo of ``pattern``'s vertex
+        space: the cache is addressed by the digest of the pattern's
+        root, and the matrix builder orders dimensions by the same memo,
+        so each pattern vertex is digested once per document.
         """
-        if vertex.eigs is not None:
-            return vertex.eigs
-        pending = self._pending_by_vid.get(vertex.vid)
-        if pending is not None:
-            return pending
-        started = time.perf_counter()
-        pattern = patterns.pattern(vertex, self.depth_limit)
-        self.timings.unfold += time.perf_counter() - started
         signature = None
         if self.cache is not None:
             signature = vertex_signature(pattern.root, signatures)
-            pending = self._pending_by_sig.get(signature)
+            pending = in_flight.get(signature)
             if pending is not None:
-                # A distinct vertex whose depth-L view is already queued:
-                # an in-flight hit (per-pattern solving would have stored
-                # and re-read it by now, so it counts as a cache hit).
+                # An in-flight hit (per-pattern solving would have
+                # stored and re-read it by now, so it counts as a cache
+                # hit).
                 self.stats.cache_hits += 1
-                self._pending_by_vid[vertex.vid] = pending
-                return pending
+                pending.vertices.append(vertex)
+                vertex.eigs = pending
+                return
             cached = self.cache.lookup(signature)
             if cached is not None:
                 self.stats.cache_hits += 1
                 vertex.eigs = cached
-                return cached
+                return
             self.stats.cache_misses += 1
         started = time.perf_counter()
         try:
             matrix = pattern_matrix(
-                pattern, self.encoder, max_vertices=self.max_pattern_vertices
+                pattern,
+                self.encoder,
+                max_vertices=self.max_pattern_vertices,
+                signatures=signatures,
             )
         except PatternTooLargeError:
             self.timings.matrix += time.perf_counter() - started
             self.stats.oversized_patterns += 1
             # Cap artifact, not a pattern feature: never cached.
-            key = FeatureKey(vertex.label, ALL_COVERING_RANGE)
-            vertex.eigs = key
-            return key
-        self.timings.matrix += time.perf_counter() - started
-        pending = _PendingFeature(
-            vertex=vertex,
-            label=pattern.root.label,
-            matrix=matrix,
-            signature=signature,
-        )
-        self._pending.append(pending)
-        self._pending_by_vid[vertex.vid] = pending
-        if signature is not None:
-            self._pending_by_sig[signature] = pending
-        return pending
-
-    def _flush_eigen_batch(self) -> None:
-        """Solve every queued miss with one stacked call per dimension
-        bucket, memoize/cache the resulting keys, and clear the queue."""
-        pending = self._pending
-        if not pending:
+            vertex.eigs = FeatureKey(vertex.label, ALL_COVERING_RANGE)
             return
+        self.timings.matrix += time.perf_counter() - started
+        pending = _PendingFeature([vertex], matrix, signature)
+        vertex.eigs = pending
+        queue.append(pending)
+        if signature is not None:
+            in_flight[signature] = pending
+
+    def _flush_eigen_batch(self, queue: list[_PendingFeature]) -> None:
+        """Solve every queued miss with one stacked call per dimension
+        bucket and memoize/cache the resulting keys."""
+        if not queue:
+            return
+        stats = self.stats
         started = time.perf_counter()
-        with self.obs.span("build.eigen.batch", matrices=len(pending)) as span:
-            ranges, buckets = solve_batch([item.matrix for item in pending])
+        with self.obs.span("build.eigen.batch", matrices=len(queue)) as span:
+            ranges, buckets = solve_batch([item.matrix for item in queue])
             span.set(buckets=len(buckets))
         self.timings.eigen += time.perf_counter() - started
-        self.stats.eigen_computations += len(pending)
-        self.stats.eigen_batches += len(buckets)
+        stats.eigen_computations += len(queue)
+        stats.eigen_batches += len(buckets)
         for batch_size in buckets.values():
-            self.stats.eigen_batch_sizes[batch_size] = (
-                self.stats.eigen_batch_sizes.get(batch_size, 0) + 1
+            stats.eigen_batch_sizes[batch_size] = (
+                stats.eigen_batch_sizes.get(batch_size, 0) + 1
             )
-        for item, (lmin, lmax) in zip(pending, ranges):
-            key = FeatureKey(item.label, FeatureRange(lmin, lmax))
-            item.key = key
-            item.vertex.eigs = key
-            self.stats.largest_pattern = max(
-                self.stats.largest_pattern, len(item.matrix)
-            )
-            if self.cache is not None and item.signature is not None:
+        for item, (lmin, lmax) in zip(queue, ranges):
+            key = FeatureKey(item.vertices[0].label, FeatureRange(lmin, lmax))
+            for vertex in item.vertices:
+                vertex.eigs = key
+            stats.largest_pattern = max(stats.largest_pattern, len(item.matrix))
+            if item.signature is not None:
                 self.cache.store(item.signature, key)
-        self._pending = []
-        self._pending_by_vid = {}
-        self._pending_by_sig = {}
-
-    def _features_of_graph(self, graph) -> FeatureKey:
-        """Features of a whole-document pattern graph (unit mode),
-        consulting the cache under the graph's own signature."""
-        size = graph.vertex_count()
-        signature = None
-        if self.cache is not None:
-            signature = pattern_signature(graph)
-            cached = self.cache.lookup(signature)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                return cached
-            self.stats.cache_misses += 1
-        started = time.perf_counter()
-        try:
-            matrix = pattern_matrix(
-                graph, self.encoder, max_vertices=self.max_pattern_vertices
-            )
-        except PatternTooLargeError:
-            self.timings.matrix += time.perf_counter() - started
-            self.stats.oversized_patterns += 1
-            # Cap artifact, not a pattern feature: never cached.
-            return FeatureKey(graph.root.label, ALL_COVERING_RANGE)
-        self.timings.matrix += time.perf_counter() - started
-        started = time.perf_counter()
-        lmin, lmax = eigenvalue_range(matrix)
-        self.timings.eigen += time.perf_counter() - started
-        key = FeatureKey(graph.root.label, FeatureRange(lmin, lmax))
-        self.stats.eigen_computations += 1
-        if size > self.stats.largest_pattern:
-            self.stats.largest_pattern = size
-        if signature is not None:
-            self.cache.store(signature, key)
-        return key

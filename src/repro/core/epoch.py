@@ -223,14 +223,6 @@ class EpochManager:
                 self._applying = False
                 self._cond.notify_all()
 
-    def advance(self, labels: Iterable[str] | None) -> EpochSnapshot:
-        """Publish a new epoch without the exclusive apply window — for
-        callers that already hold a coarser latch (a sharded
-        coordinator advancing a shard it mutated under its own
-        ``mutation``)."""
-        with self._cond:
-            return self._advance_locked(labels)
-
     def _advance_locked(self, labels: Iterable[str] | None) -> EpochSnapshot:
         previous = self._snapshot
         epoch = previous.epoch + 1
@@ -267,9 +259,9 @@ class EpochManager:
     # Downstream refresh accounting
     # ------------------------------------------------------------------ #
 
-    def note_scoped_refresh(self, label_count: int = 1) -> None:
-        """A consumer refreshed ``label_count`` label slices instead of
-        rebuilding (counts one scoped invalidation event)."""
+    def note_scoped_refresh(self) -> None:
+        """A consumer refreshed only the stale label slices of a view
+        instead of rebuilding it (one scoped invalidation event)."""
         self.scoped_invalidations += 1
 
     def note_full_refresh(self) -> None:
@@ -345,6 +337,6 @@ class EpochCachedView(Generic[V]):
                 epochs.note_full_refresh()
             elif stale:
                 self._refresh(index, self.value, stale)
-                epochs.note_scoped_refresh(len(stale))
+                epochs.note_scoped_refresh()
         self.snapshot = snapshot
         return self.value

@@ -389,14 +389,8 @@ class FixIndex:
         index.rebuild()
         return index
 
-    def rebuild(self, *, seed: bool = True) -> None:
-        """Run the full construction pipeline over the current store.
-
-        ``seed=False`` skips the deterministic encoder pre-pass — the
-        caller (a sharded coordinator) has already registered every
-        edge-label pair in global document order, so re-seeding here
-        would only re-parse every document for nothing.
-        """
+    def rebuild(self) -> None:
+        """Run the full construction pipeline over the current store."""
         started = time.perf_counter()
         with self.obs.span(
             "build",
@@ -405,7 +399,7 @@ class FixIndex:
             clustered=self.config.clustered,
         ) as build_span:
             with self.obs.span("build.stage") as stage_span:
-                staged = self._stage_entries(seed=seed)
+                staged = self._stage_entries()
                 stage_span.set(
                     entries=len(staged),
                     documents=self.report.stats.documents,
@@ -431,10 +425,10 @@ class FixIndex:
         coordinator's per-shard build worker).
 
         The insert path is exactly :meth:`rebuild`'s, so the on-disk
-        tree is byte-identical to a serial ``rebuild(seed=False)`` over
-        the same documents; the worker's stats and phase timings are
-        folded into this index's report (aggregate CPU-seconds per
-        phase, the parallel-build convention).  ``report.seconds``
+        tree is byte-identical to a serial :meth:`rebuild` over the same
+        documents under the same encoder; the worker's stats and phase
+        timings are folded into this index's report (aggregate
+        CPU-seconds per phase, the parallel-build convention).  ``report.seconds``
         covers only the coordinator-side merge + insert — staging ran
         in the worker, overlapped with other shards.
         """
@@ -495,30 +489,27 @@ class FixIndex:
             self.report.feature_cache_patterns = cache["patterns"]
             registry.gauge("build.cache.patterns").set(cache["patterns"])
 
-    def _stage_entries(self, seed: bool = True) -> list[tuple[bytes, int, int]]:
+    def _stage_entries(self) -> list[tuple[bytes, int, int]]:
         """Generate ``(encoded key, doc_id, node_id)`` for every entry,
         in document order (generation order within a document)."""
-        timings = self._generator.timings
-        doc_ids = []
-        # Deterministic encoder pre-pass: register every edge-label pair
-        # in doc_id/document order before any feature is computed, so
-        # code assignment (hence every eigenvalue) is independent of the
-        # staging strategy.  See DESIGN.md §7.  A sharded coordinator
-        # seeds the shared encoder globally instead (``seed=False``).
-        for doc_id in self.store.doc_ids():
-            doc_ids.append(doc_id)
-            if not seed:
-                continue
-            started = time.perf_counter()
-            document = self.store.get_document(doc_id)
-            timings.parse += time.perf_counter() - started
-            started = time.perf_counter()
-            seed_encoder(self.encoder, document, text_label=self.value_hasher)
-            timings.encode += time.perf_counter() - started
-
+        doc_ids = list(self.store.doc_ids())
         if self.config.workers > 1 and len(doc_ids) > 1:
             from repro.core.parallel import parallel_stage
 
+            # Workers need a complete encoder snapshot before the first
+            # feature: register every edge-label pair in doc_id/document
+            # order up front, so code assignment (hence every
+            # eigenvalue) is independent of the staging strategy.  See
+            # DESIGN.md §7.  The serial loop below registers the same
+            # pairs in the same order, document by document.
+            timings = self._generator.timings
+            for doc_id in doc_ids:
+                started = time.perf_counter()
+                document = self.store.get_document(doc_id)
+                timings.parse += time.perf_counter() - started
+                started = time.perf_counter()
+                seed_encoder(self.encoder, document, text_label=self.value_hasher)
+                timings.encode += time.perf_counter() - started
             return self._absorb_staged(
                 parallel_stage(
                     self.store,
@@ -618,19 +609,8 @@ class FixIndex:
         """
         self._require_unclustered()
         doc_id = self.store.add_document(document)
-        self.index_document(doc_id, document)
+        self.apply_staged_add(self.stage_document(doc_id, document))
         return doc_id
-
-    def index_document(self, doc_id: int, document) -> StagedMutation:
-        """Generate and insert the index entries for an already-stored
-        document (the indexing half of :meth:`add_document` — a sharded
-        coordinator stores under a global id first, then indexes here).
-        Returns the applied :class:`StagedMutation`.
-        """
-        self._require_unclustered()
-        staged = self.stage_document(doc_id, document)
-        self.apply_staged_add(staged)
-        return staged
 
     def stage_document(self, doc_id: int, document) -> StagedMutation:
         """Compute one document's insertion delta without touching any

@@ -31,7 +31,6 @@ from repro.core.index import FixIndex
 from repro.core.processor import FixQueryProcessor, FixQueryResult
 from repro.core.stats import FeatureHistogram
 from repro.engine.navigational import NavigationalEngine
-from repro.query.decompose import decompose
 from repro.query.twig import TwigQuery, twig_of
 
 
@@ -139,9 +138,12 @@ class QueryOptimizer:
                 ),
             )
 
-        top = decompose(twig)[0]
+        # The top fragment's key and anchoring as the processor will
+        # scan them (``build_plan``'s rule): on a collection index a
+        # ``//``-leading query scans every label.
+        scan = self._processor.plan_for(twig)
         estimate = self.histogram.estimate_candidates(
-            self.index.query_features(top)
+            scan.feature_keys[0], anchored=scan.anchored[0]
         )
         index_cost = model.descent_cost + estimate * model.candidate_cost
         if index_cost <= scan_cost:

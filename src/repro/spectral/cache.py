@@ -33,7 +33,7 @@ one encoder (one index build) and must never be shared across encoders.
 The all-covering fallback range for over-large patterns is **never**
 cached: it is not a real feature of the pattern but an artifact of the
 configured size caps, and callers decide the fallback themselves (see
-``EntryGenerator._features_of_graph``).
+``EntryGenerator._vertex_features``).
 """
 
 from __future__ import annotations

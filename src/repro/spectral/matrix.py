@@ -30,6 +30,7 @@ def pattern_matrix(
     graph: BisimGraph,
     encoder: EdgeLabelEncoder,
     max_vertices: int | None = None,
+    signatures: dict[int, bytes] | None = None,
 ) -> np.ndarray:
     """Build the anti-symmetric matrix of ``graph`` under ``encoder``.
 
@@ -41,6 +42,10 @@ def pattern_matrix(
         max_vertices: optional cap; exceeding it raises
             :class:`~repro.errors.PatternTooLargeError` so index
             construction can fall back to the all-covering range.
+        signatures: optional vid → digest memo over ``graph``'s vertex
+            space (:func:`~repro.bisim.dag.vertex_signature`'s
+            ``_memo``), for a caller that has digested part of the graph
+            already; it only saves recomputing the same digests.
 
     Returns:
         An ``(n, n)`` float64 array with ``M.T == -M``.
@@ -52,7 +57,8 @@ def pattern_matrix(
             f"pattern has {n} vertices, above the cap of {max_vertices}",
             size=n,
         )
-    signatures: dict[int, bytes] = {}
+    if signatures is None:
+        signatures = {}
     vertices.sort(key=lambda vertex: (vertex_signature(vertex, signatures), vertex.vid))
     index_of = {vertex.vid: i for i, vertex in enumerate(vertices)}
     # Edge gathering stays in Python (the encoder is a Python dict) but

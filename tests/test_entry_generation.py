@@ -1,0 +1,209 @@
+"""What the single feature path of entry generation guarantees
+(``core/construction.py``): per-document state dies with the document,
+unit mode is the root of the subpattern walk, the shared signature memo
+is only a memo, and a serial build fetches each document once.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.bisim.dag as dag
+import repro.storage.primary as primary
+from repro.bisim import PatternTable, bisim_graph_of_document
+from repro.core import FixIndex, FixIndexConfig
+from repro.core.construction import GeneratorSettings, seed_encoder
+from repro.datasets import dataset_names, load_dataset
+from repro.datasets.base import store_of
+from repro.spectral import EdgeLabelEncoder, FeatureCache, pattern_matrix
+from repro.storage import NodePointer, PrimaryXMLStore
+from repro.xmltree import Document, Element, parse_xml
+
+
+def _calls_counted(monkeypatch, module, name: str) -> list[int]:
+    """Patch ``module.name`` with a counting wrapper; the returned
+    one-element list holds the running call count."""
+    real = getattr(module, name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestNoStateOutlivesADocument:
+    SENTINEL = "boom"
+
+    def test_failed_document_leaves_nothing_for_the_next(self):
+        """A generator whose walk raised mid-document stages the next
+        document exactly as a fresh generator does."""
+
+        def text_label(value: str) -> str:
+            if value == self.SENTINEL:
+                raise RuntimeError("poisoned text node")
+            return f"#{value}"
+
+        # ``c`` and ``b`` close (their features are queued) before the
+        # walk reaches the sentinel under ``d``.
+        failing = parse_xml(
+            f"<a><b><c>x</c></b><e>y</e><d>{self.SENTINEL}</d></a>"
+        )
+        following = parse_xml("<n><p><o>x</o></p><q>y</q></n>")
+        seeded = EdgeLabelEncoder()
+        for document in (failing, following):
+            seed_encoder(seeded, document, text_label=lambda value: f"#{value}")
+
+        def generator():
+            return GeneratorSettings(
+                depth_limit=3,
+                value_buckets=None,
+                max_pattern_vertices=800,
+                feature_cache=True,
+            ).generator(
+                EdgeLabelEncoder.from_dict(seeded.to_dict()), cache=FeatureCache()
+            )
+
+        reused, fresh = generator(), generator()
+        reused.text_label = fresh.text_label = text_label
+        with pytest.raises(RuntimeError):
+            list(reused.entries_for(failing))
+        before = copy.deepcopy(reused.stats)
+
+        entries = list(reused.entries_for(following))
+        assert entries == list(fresh.entries_for(following))
+        assert {entry.key.root_label for entry in entries} == set("npoq")
+        for field in dataclasses.fields(fresh.stats):
+            was = getattr(before, field.name)
+            now = getattr(reused.stats, field.name)
+            want = getattr(fresh.stats, field.name)
+            if field.name == "per_document_vertices":
+                assert now[len(was):] == want
+            elif field.name == "eigen_batch_sizes":
+                delta = {size: now[size] - was.get(size, 0) for size in now}
+                assert {s: c for s, c in delta.items() if c} == want
+            elif field.name == "largest_pattern":
+                assert now == want
+            else:
+                assert now - was == want, field.name
+
+
+_LABELS = ["a", "b", "c"]
+_TEXTS = ["x", "y", "z", "w", "v"]
+
+
+@st.composite
+def small_documents(draw) -> Document:
+    """A random tree over three labels, with text under some nodes."""
+    root = Element(draw(st.sampled_from(_LABELS)))
+    frontier = [root]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        grown: list[Element] = []
+        for parent in frontier:
+            for _ in range(draw(st.integers(min_value=0, max_value=3))):
+                grown.append(parent.add_element(draw(st.sampled_from(_LABELS))))
+            if draw(st.booleans()):
+                parent.add_text(draw(st.sampled_from(_TEXTS)))
+        frontier = grown[:6]
+    return Document(root)
+
+
+class TestUnitIsTheRootAtFullDepth:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(small_documents(), min_size=1, max_size=4),
+        st.sampled_from([None, 4]),
+    )
+    def test_unit_key_equals_full_depth_root_key(self, documents, buckets):
+        """The ``depth_limit=0`` entry of a document is byte-equal to the
+        node-0 entry of a build whose limit covers every document — the
+        all-covering fallback of an over-cap document included."""
+        store = store_of(documents)
+        full_depth = max(document.max_depth() for document in documents) + 1
+        common = dict(value_buckets=buckets, max_pattern_vertices=6)
+        units = FixIndex.build(store, FixIndexConfig(depth_limit=0, **common))
+        elements = FixIndex.build(
+            store, FixIndexConfig(depth_limit=full_depth, **common)
+        )
+        roots = {
+            NodePointer.unpack(value).doc_id: key
+            for key, value in elements.btree.items()
+            if NodePointer.unpack(value).node_id == 0
+        }
+        assert roots == {
+            NodePointer.unpack(value).doc_id: key
+            for key, value in units.btree.items()
+        }
+        assert len(roots) == len(documents)
+
+
+class TestSharedSignatureMemo:
+    @pytest.mark.parametrize("dataset", dataset_names())
+    def test_matrix_is_bitwise_equal_with_a_shared_memo(self, dataset):
+        bundle = load_dataset(dataset, scale=0.03, seed=42)
+        encoder = EdgeLabelEncoder()
+        checked = 0
+        for document in bundle.documents:
+            seed_encoder(encoder, document)
+            graph = bisim_graph_of_document(document)
+            table = PatternTable()
+            shared: dict[int, bytes] = {}
+            for vertex in graph.vertices:
+                pattern = table.pattern(vertex, bundle.depth_limit)
+                with_memo = pattern_matrix(pattern, encoder, signatures=shared)
+                assert with_memo.tobytes() == pattern_matrix(pattern, encoder).tobytes()
+                checked += 1
+            # The memo filled with this table's vertices, and only those.
+            assert set(shared) <= {v.vid for v in table.vertices}
+        assert checked > 0
+
+    @pytest.mark.parametrize("dataset", ["xbench", "xmark"])
+    def test_each_pattern_vertex_is_digested_at_most_once(
+        self, dataset, monkeypatch
+    ):
+        """Over one build: at most one digest per pattern-table vertex
+        (subpattern mode) or per unit-graph vertex (unit mode) — the
+        cache key and the matrix order come out of one memo."""
+        bundle = load_dataset(dataset, scale=0.1, seed=42)
+        budget = 0
+        for document in bundle.documents:
+            graph = bisim_graph_of_document(document)
+            if bundle.depth_limit <= 0:
+                budget += graph.vertex_count()
+                continue
+            table = PatternTable()
+            for vertex in graph.vertices:
+                table.pattern(vertex, bundle.depth_limit)
+            budget += len(table.vertices)
+        digests = _calls_counted(monkeypatch, dag, "blake2b")
+        index = FixIndex.build(
+            bundle.store(), FixIndexConfig(depth_limit=bundle.depth_limit)
+        )
+        assert index.report.stats.cache_misses > 0
+        assert 0 < digests[0] <= budget
+
+
+class TestSerialBuildParsesOnce:
+    def test_one_parse_per_document_beyond_the_store_cache(self, monkeypatch):
+        """130 sources in a default (64-document) store cache: the serial
+        build seeds and stages off one fetch, and loads the same tree as
+        the fan-out, which seeds in a pre-pass."""
+        store = PrimaryXMLStore()
+        for i in range(130):
+            store.add_source(
+                f"<doc><s{i % 7}><t{i % 5}/>{'<u/>' * (i % 3)}</s{i % 7}>"
+                f"<v{i % 11}><w/></v{i % 11}></doc>"
+            )
+        parses = _calls_counted(monkeypatch, primary, "parse_xml")
+        serial = FixIndex.build(store, FixIndexConfig(depth_limit=0))
+        assert parses[0] == 130
+        fanned = FixIndex.build(store, FixIndexConfig(depth_limit=0, workers=2))
+        assert list(serial.btree.items()) == list(fanned.btree.items())
+        assert serial.encoder.to_dict() == fanned.encoder.to_dict()

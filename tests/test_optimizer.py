@@ -71,6 +71,26 @@ class TestPlanning:
         )
         assert frugal.plan("//rare[gem]").path is AccessPath.FULL_SCAN
 
+    def test_collection_estimate_uses_the_scan_anchoring(self):
+        """On a collection index a ``//``-leading query scans every
+        label, so the estimate must sum over labels too — 30 ``<bib>``
+        units all hold an ``article[author]``, none is rooted there."""
+        store = PrimaryXMLStore()
+        for i in range(30):
+            store.add_document(
+                parse_xml(
+                    "<bib>"
+                    + "<article><author/><title/></article>" * (1 + i % 3)
+                    + "</bib>"
+                )
+            )
+        index = FixIndex.build(store, FixIndexConfig(depth_limit=0))
+        optimizer = QueryOptimizer(index)
+        plan, result = optimizer.execute("//article[author]")
+        scanned = len(optimizer._processor.prune("//article[author]"))
+        assert scanned == 30 and len(result.results) == 30
+        assert scanned / 2 <= plan.estimated_candidates <= scanned * 2
+
 
 class TestExecution:
     @pytest.mark.parametrize(

@@ -362,24 +362,36 @@ class TestEndToEndSolverAB:
             )
             assert FixQueryProcessor(index).query(query).results == truth
 
-    def test_batching_observability(self, index):
-        stats = index.report.stats
-        assert stats.eigen_batches > 0
-        assert sum(
-            size * count for size, count in stats.eigen_batch_sizes.items()
-        ) >= stats.eigen_batches
+    @pytest.fixture(scope="class")
+    def collection_index(self):
+        """The same corpus as one unit per document (``depth_limit=0``):
+        unit documents queue and flush through the same batch."""
+        return FixIndex.build(_corpus(), FixIndexConfig(depth_limit=0))
 
-    def test_solver_stats_parity(self, index):
+    def test_batching_observability(self, index, collection_index):
+        for built in (index, collection_index):
+            stats = built.report.stats
+            assert stats.eigen_batches > 0
+            dispatched = sum(
+                size * count for size, count in stats.eigen_batch_sizes.items()
+            )
+            assert stats.eigen_batches <= dispatched <= stats.eigen_computations
+
+    def test_solver_stats_parity(self, index, collection_index):
         """Batching changes when eigenproblems are solved, not how many:
-        every cache miss is solved exactly once, and every element gets
-        exactly one entry."""
-        stats = index.report.stats
-        assert stats.eigen_computations == (
-            stats.cache_misses - stats.oversized_patterns
-        )
-        assert stats.entries == sum(
+        every cache miss is solved exactly once, and every element (every
+        document, in unit mode) gets exactly one entry."""
+        for built in (index, collection_index):
+            stats = built.report.stats
+            assert stats.eigen_computations == (
+                stats.cache_misses - stats.oversized_patterns
+            )
+        assert index.report.stats.entries == sum(
             index.store.get_document(doc_id).element_count()
             for doc_id in index.store.doc_ids()
+        )
+        assert collection_index.report.stats.entries == len(
+            list(collection_index.store.doc_ids())
         )
 
 
