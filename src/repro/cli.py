@@ -336,7 +336,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         index.save(args.out)
         print(
             f"built {index!r} in {seconds:.2f}s -> {args.out} "
-            f"({index.size_bytes() / 1e6:.2f} MB B-trees)"
+            f"({index.size_bytes() / 1e6:.2f} MB B-trees and structure)"
         )
         entries = " ".join(
             f"shard{shard_id}={shard.entry_count}"
@@ -356,7 +356,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         save_index(index, args.out)
         print(
             f"built {index!r} in {seconds:.2f}s -> {args.out} "
-            f"({index.size_bytes() / 1e6:.2f} MB B-tree)"
+            f"({index.size_bytes() / 1e6:.2f} MB B-tree and structure)"
         )
         stats = index.report.stats
         phases = " ".join(
@@ -529,7 +529,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"  shards:         {index.shard_count} "
               f"(affinity {config.shard_affinity}, "
               f"{config.shard_workers} worker(s))")
-        print(f"  B-trees:        {index.size_bytes() / 1e6:.2f} MB, "
+        btree_bytes = sum(shard.btree.size_bytes() for shard in index.shards)
+        print(f"  B-trees:        {btree_bytes / 1e6:.2f} MB, "
               f"heights {heights}")
         for shard_id, shard in enumerate(index.shards):
             print(f"    shard {shard_id}: {shard.entry_count} entries, "
@@ -549,11 +550,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 why = "consider fewer shards"
             print(f"  warning: shard(s) {empty} hold no entries — {why}")
     else:
-        print(f"  B-tree:         {index.size_bytes() / 1e6:.2f} MB, "
+        print(f"  B-tree:         {index.btree.size_bytes() / 1e6:.2f} MB, "
               f"height {index.btree.height()}")
     if index.clustered_store is not None:
         print(f"  clustered copy: {index.clustered_store.size_bytes() / 1e6:.2f} MB, "
               f"{index.clustered_store.unit_count} units")
+    structures = [
+        shard.structure for shard in (index.shards if sharded else [index])
+    ]
+    if None in structures:
+        print("  structure:      none (directory saved without one: queries "
+              "fetch documents to refine; the next save writes it)")
+    else:
+        print(
+            f"  structure:      "
+            f"{sum(s.vertex_count for s in structures)} vertices, "
+            f"{sum(s.edge_count for s in structures)} edges, "
+            f"{sum(s.size_bytes() for s in structures)} bytes "
+            f"({sum(s.document_count for s in structures)} documents)"
+        )
     print(f"  depth limit:    {config.depth_limit}")
     print(f"  value buckets:  {config.value_buckets}")
     print(f"  edge labels:    {len(index.encoder)}")

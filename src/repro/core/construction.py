@@ -58,6 +58,7 @@ from repro.bisim import (
 )
 from repro.bisim.graph import BisimGraph, BisimVertex
 from repro.btree import encode_feature_key
+from repro.core.structure import StagedStructure, StructureDag
 from repro.core.values import ValueHasher
 from repro.obs import MetricsRegistry, Obs
 from repro.spectral import (
@@ -348,9 +349,11 @@ class GeneratorSettings:
         encoder: EdgeLabelEncoder,
         cache: FeatureCache | None = None,
         obs: Obs | None = None,
+        structure: StructureDag | StagedStructure | None = None,
     ) -> "EntryGenerator":
         """An :class:`EntryGenerator` for these settings over
-        ``encoder``, consulting ``cache`` and reporting into ``obs``."""
+        ``encoder``, consulting ``cache``, reporting into ``obs`` and
+        recording document structure into ``structure``."""
         return EntryGenerator(
             encoder,
             self.depth_limit,
@@ -358,6 +361,7 @@ class GeneratorSettings:
             max_pattern_vertices=self.max_pattern_vertices,
             cache=cache,
             obs=obs,
+            structure=structure,
         )
 
 
@@ -372,12 +376,16 @@ class EntryGenerator:
         max_pattern_vertices: int = 800,
         cache: FeatureCache | None = None,
         obs: Obs | None = None,
+        structure: StructureDag | StagedStructure | None = None,
     ) -> None:
         self.encoder = encoder
         self.depth_limit = depth_limit
         self.text_label = text_label
         self.max_pattern_vertices = max_pattern_vertices
         self.cache = cache
+        #: where each document's bisimulation graph and entry vertices
+        #: are recorded (DESIGN.md §14); ``None`` records nothing.
+        self.structure = structure
         #: observability context: span capture plus the registry the
         #: phase timings are a view over (a private, non-tracing one
         #: unless the owning index passes its own).
@@ -428,7 +436,7 @@ class EntryGenerator:
             timings.encode += started - loaded
             with self.obs.span("build.doc", doc=doc_id) as span:
                 entries_before = len(staged)
-                for entry in self.entries_for(document):
+                for entry in self.entries_for(document, doc_id):
                     staged.append((entry.encoded_key(), doc_id, entry.node_id))
                 span.set(entries=len(staged) - entries_before)
             doc_elapsed = time.perf_counter() - started
@@ -444,11 +452,16 @@ class EntryGenerator:
         )
         return staged
 
-    def entries_for(self, document: Document) -> Iterator[Entry]:
+    def entries_for(
+        self, document: Document, doc_id: int | None = None
+    ) -> Iterator[Entry]:
         """Yield every index entry for ``document``.
 
         Emission rule per CONSTRUCT-INDEX: the document root alone when
-        the limit is 0 (unit mode), every element otherwise.
+        the limit is 0 (unit mode), every element otherwise.  Given a
+        ``doc_id``, the finished graph and the vertex of each entry are
+        recorded under it in :attr:`structure` once the walk is over —
+        a document whose walk raises records nothing.
         """
         stats = self.stats
         stats.documents += 1
@@ -499,6 +512,8 @@ class EntryGenerator:
         stats.entries += len(emitted)
         stats.bisim_vertices += graph.vertex_count()
         stats.per_document_vertices.append(graph.vertex_count())
+        if self.structure is not None and doc_id is not None:
+            self.structure.add_document(doc_id, graph.vertices, emitted)
         self._flush_eigen_batch(queue)
         del queue, in_flight  # the solved matrices go before entries stream out
         for vertex, start_ptr in emitted:

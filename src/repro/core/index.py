@@ -34,6 +34,7 @@ from repro.core.construction import (
     seed_encoder,
 )
 from repro.core.epoch import EpochManager
+from repro.core.structure import StagedStructure, StructureDag
 from repro.errors import (
     IndexCoverageError,
     PatternTooLargeError,
@@ -239,6 +240,9 @@ class StagedMutation:
     stats: ConstructionStats
     #: wall-clock seconds spent staging.
     seconds: float
+    #: an added document's structure, held until the apply records it
+    #: (``None`` for removals and on an index that keeps none).
+    structure: StagedStructure | None = None
 
 
 @dataclass
@@ -329,8 +333,17 @@ class FixIndex:
         #: tracer (enabled via ``config.obs``).  Shared by the entry
         #: generator and, by default, every processor over this index.
         self.obs = obs if obs is not None else Obs.from_config(self.config.obs)
+        #: the collection-wide bisimulation DAG refinement decides
+        #: structural twigs on (DESIGN.md §14), filled by the entry
+        #: generator and mutated only inside the epoch window.  ``None``
+        #: on an index loaded from a directory saved without one: such
+        #: an index refines by fetching until it is saved or rebuilt.
+        self.structure: StructureDag | None = StructureDag()
         self._generator = self._settings.generator(
-            self.encoder, cache=self.feature_cache, obs=self.obs
+            self.encoder,
+            cache=self.feature_cache,
+            obs=self.obs,
+            structure=self.structure,
         )
         self.value_hasher = self._generator.text_label
         self.report = BuildReport(
@@ -366,6 +379,29 @@ class FixIndex:
         if feature_cache is not None:
             self.feature_cache = self._generator.cache = feature_cache
 
+    def set_structure(self, structure: StructureDag | None) -> None:
+        """Replace the structure DAG this index refines on and its
+        generator records into."""
+        self.structure = self._generator.structure = structure
+
+    def restore_structure(self) -> None:
+        """Recompute the structure DAG by regenerating every stored
+        document's entries (and discarding them) — what a directory
+        saved without one pays, once, at its next save."""
+        structure = StructureDag()
+        shadow = self._settings.generator(
+            self.encoder, cache=self.feature_cache, structure=structure
+        )
+        for doc_id in self.store.doc_ids():
+            for _ in shadow.entries_for(self.store.get_document(doc_id), doc_id):
+                pass
+        self.set_structure(structure)
+
+    def structure_of(self, doc_id: int) -> StructureDag | None:
+        """The DAG holding ``doc_id``'s entries (a sharded index
+        answers with the owning shard's)."""
+        return self.structure
+
     # ------------------------------------------------------------------ #
     # Construction (Algorithm 1)
     # ------------------------------------------------------------------ #
@@ -392,6 +428,7 @@ class FixIndex:
     def rebuild(self) -> None:
         """Run the full construction pipeline over the current store."""
         started = time.perf_counter()
+        self.set_structure(StructureDag())
         with self.obs.span(
             "build",
             depth_limit=self.config.depth_limit,
@@ -528,7 +565,8 @@ class FixIndex:
         report and obs context; returns the entries to load.
 
         Stats and phase timings merge into the generator's (aggregate
-        CPU-seconds per phase, the parallel-build convention).  Worker
+        CPU-seconds per phase, the parallel-build convention); the
+        staged structure DAG becomes this index's.  Worker
         span streams arrive in chunk order — the order the entries are
         concatenated in — so the merged trace is deterministic for any
         worker count, and the ``build.doc_*`` sketch states, pre-merged
@@ -538,6 +576,7 @@ class FixIndex:
         """
         self._generator.stats.merge(staged.stats)
         self._generator.timings.merge(staged.timings)
+        self.set_structure(staged.structure)
         if self.obs.tracing:
             self.obs.tracer.absorb(
                 staged.trace_events, parent_id=self.obs.tracer.current_id
@@ -617,13 +656,17 @@ class FixIndex:
         shared structure a reader scans — safe to run concurrently with
         pinned queries; only :meth:`apply_staged_add` needs the
         exclusive epoch window."""
-        return self._mutation_delta(doc_id, document)
+        recorded = StagedStructure() if self.structure is not None else None
+        return self._mutation_delta(doc_id, document, recorded)
 
-    def _mutation_delta(self, doc_id: int, document=None) -> StagedMutation:
+    def _mutation_delta(
+        self, doc_id: int, document=None, structure: StagedStructure | None = None
+    ) -> StagedMutation:
         """One document's ``(encoded key, packed pointer)`` entries,
         touched root labels and generation stats, timed — what an add
         inserts and a removal deletes.  ``document=None`` fetches the
-        stored one (inside the timed region).
+        stored one (inside the timed region); ``structure`` receives
+        the document's structure (an add's, for the apply to record).
 
         Generated by a throwaway shadow generator: it shares the encoder
         (so keys come out identical) and routes explicitly through the
@@ -635,10 +678,12 @@ class FixIndex:
         started = time.perf_counter()
         if document is None:
             document = self.store.get_document(doc_id)
-        shadow = self._settings.generator(self.encoder, cache=self.feature_cache)
+        shadow = self._settings.generator(
+            self.encoder, cache=self.feature_cache, structure=structure
+        )
         entries: list[tuple[bytes, bytes]] = []
         labels: set[str] = set()
-        for entry in shadow.entries_for(document):
+        for entry in shadow.entries_for(document, doc_id):
             labels.add(entry.key.root_label)
             entries.append(
                 (entry.encoded_key(), NodePointer(doc_id, entry.node_id).pack())
@@ -649,6 +694,7 @@ class FixIndex:
             labels=frozenset(labels),
             stats=shadow.stats,
             seconds=time.perf_counter() - started,
+            structure=structure,
         )
 
     def apply_staged_add(self, staged: StagedMutation) -> None:
@@ -661,6 +707,9 @@ class FixIndex:
             with self.epochs.mutation(staged.labels):
                 for key, value in staged.entries:
                     self.btree.insert(key, value)
+                if self.structure is not None:
+                    for recorded in staged.structure or ():
+                        self.structure.add_document(*recorded)
             apply_seconds = time.perf_counter() - apply_started
             span.set(
                 entries=len(staged.entries),
@@ -711,6 +760,8 @@ class FixIndex:
                     if self.btree.delete(key, value):
                         removed += 1
                 self.store.remove_document(staged.doc_id)
+                if self.structure is not None:
+                    self.structure.drop_document(staged.doc_id)
             apply_seconds = time.perf_counter() - apply_started
             span.set(
                 removed=removed,
@@ -935,12 +986,17 @@ class FixIndex:
         return len(self.btree)
 
     def size_bytes(self) -> int:
-        """B-tree footprint (the ``|UIdx|`` column of Table 1)."""
-        return self.btree.size_bytes()
+        """Index footprint (the ``|UIdx|`` column of Table 1): the
+        B-tree's pages plus the structure sidecar as a save would write
+        it now."""
+        total = self.btree.size_bytes()
+        if self.structure is not None:
+            total += self.structure.size_bytes()
+        return total
 
     def total_size_bytes(self) -> int:
-        """B-tree plus clustered copies (``|CIdx|``)."""
-        total = self.btree.size_bytes()
+        """:meth:`size_bytes` plus clustered copies (``|CIdx|``)."""
+        total = self.size_bytes()
         if self.clustered_store is not None:
             total += self.clustered_store.size_bytes()
         return total

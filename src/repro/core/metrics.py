@@ -198,6 +198,9 @@ def publish_query_metrics(registry: MetricsRegistry, result) -> None:
     registry.counter("query.candidates").inc(result.candidate_count)
     registry.counter("query.results").inc(result.result_count)
     registry.counter("query.documents_fetched").inc(result.documents_fetched)
+    registry.counter("query.refine.fetches_avoided").inc(result.fetches_avoided)
+    registry.counter("query.refine.dag_verdicts").inc(result.dag_verdicts)
+    registry.counter("query.refine.dag_reused").inc(result.dag_reused)
     registry.counter("query.phase_seconds.plan").inc(result.plan_seconds)
     registry.counter("query.phase_seconds.prune").inc(result.prune_seconds)
     registry.counter("query.phase_seconds.refine").inc(result.refine_seconds)

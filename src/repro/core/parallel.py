@@ -56,6 +56,7 @@ from repro.core.construction import (
     PhaseTimings,
     StagedEntry,
 )
+from repro.core.structure import StructureDag
 from repro.engine import refine_candidates
 from repro.errors import ShardError
 from repro.obs import MetricsRegistry, Obs
@@ -84,6 +85,10 @@ class StagedBuild:
     #: merge replays the serial observation order exactly (see
     #: :class:`~repro.obs.sketch.QuantileSketch`).
     sketches: dict = field(default_factory=dict)
+    #: the staged documents' structure (DESIGN.md §14), for the index
+    #: to absorb — in chunk order, so vertex numbering is the serial
+    #: build's.
+    structure: StructureDag = field(default_factory=StructureDag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +133,7 @@ def _stage_task(task: StageTask) -> StagedBuild:
         EdgeLabelEncoder.from_dict(task.encoder),
         cache=task.settings.fresh_cache(),
         obs=obs,
+        structure=StructureDag(),
     )
     store = None
     if task.store_ref is not None:
@@ -160,6 +166,7 @@ def _stage_task(task: StageTask) -> StagedBuild:
         generator.encoder.to_dict(),
         trace_events=obs.tracer.events,
         sketches=obs.registry.snapshot()["sketches"],
+        structure=generator.structure,
     )
 
 
@@ -213,6 +220,7 @@ def parallel_stage(
         merged.stats.merge(result.stats)
         merged.timings.merge(result.timings)
         merged.trace_events.extend(result.trace_events)
+        merged.structure.absorb(result.structure)
         # Chunk order — the same order the entries concatenate in — is
         # what makes the merged sketch state deterministic (and, for
         # short worker streams, identical to the serial build's).

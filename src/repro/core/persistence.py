@@ -5,6 +5,7 @@ Layout of an index directory::
 
     meta.json        # config, encoder, B-tree root/entry count, report
     btree.pages      # the B+tree, one page per node
+    structure.dag    # the collection-wide bisimulation DAG (DESIGN.md §14)
     clustered.pages  # the key-ordered unit copies (clustered indexes only)
 
 The primary store is *not* part of the index (same as the paper's
@@ -22,6 +23,7 @@ import os
 
 from repro.btree import BPlusTree
 from repro.core.index import FixIndex, FixIndexConfig
+from repro.core.structure import STRUCTURE_FILE, StructureDag
 from repro.errors import StorageError
 from repro.spectral import EdgeLabelEncoder
 from repro.storage import ClusteredStore, Pager, PrimaryXMLStore
@@ -43,6 +45,10 @@ def save_index(index: FixIndex, directory: str) -> None:
             os.path.join(directory, _CLUSTERED_FILE)
         )
         clustered_units = index.clustered_store.unit_count
+    if index.structure is None:
+        index.restore_structure()
+    with open(os.path.join(directory, STRUCTURE_FILE), "wb") as handle:
+        handle.write(index.structure.to_bytes())
     meta = {
         "format_version": _FORMAT_VERSION,
         "config": index.config.to_dict(),
@@ -90,9 +96,14 @@ def load_index(
         page_cache_pages: override the saved buffer-pool bound for this
             session (the on-disk config is not modified).
 
+    A directory saved before the structure sidecar existed loads with
+    ``index.structure`` set to ``None``: queries refine by fetching
+    documents, and the next :func:`save_index` writes the file.
+
     Raises:
-        StorageError: missing/unreadable directory, format mismatch, or
-            a missing or ill-typed metadata section.
+        StorageError: missing/unreadable directory, format mismatch, a
+            missing or ill-typed metadata section, or a damaged
+            structure file.
     """
     meta_path = os.path.join(directory, _META_FILE)
     try:
@@ -129,6 +140,14 @@ def load_index(
     if page_cache_pages is not None:
         config = dataclasses.replace(config, page_cache_pages=page_cache_pages)
     index = FixIndex(store, config, encoder=encoder)
+    structure_path = os.path.join(directory, STRUCTURE_FILE)
+    try:
+        with open(structure_path, "rb") as handle:
+            index.set_structure(StructureDag.from_bytes(handle.read()))
+    except FileNotFoundError:
+        index.set_structure(None)
+    except StorageError as exc:
+        raise StorageError(f"{structure_path!r}: {exc}") from exc
 
     pager = Pager(
         os.path.join(directory, _BTREE_FILE),

@@ -14,17 +14,23 @@ fragment prunes.  ``/``-rooted queries on depth-limited indexes drop
 non-root candidates *inside* this phase, so ``prune_seconds`` and
 ``candidate_count`` describe the same candidate list refinement sees.
 
-Phase 2 — *refinement*: candidates are grouped by the document (or
-clustered copy) they refine against, each group's tree is fetched
-exactly once, and all of the group's candidates are validated against
-it — optionally fanned out across ``workers`` processes.  The result
-list is pointer-ordered and identical for any worker count.  The
-leading ``//`` is rewritten to ``/`` for depth-limited indexes (every
-descendant of an indexed pattern instance is itself indexed, so each
-candidate only answers for its own root — Algorithm 2, lines 7-8).
-Clustered candidates refine against their copy when the query fits
-inside the copy's depth horizon, falling back to primary storage for
-decomposed queries whose fragments may match deeper.
+Phase 2 — *refinement*: a candidate's structural verdict is read off
+the index's bisimulation DAG (DESIGN.md §14) — one memoised verdict per
+(query node, vertex), shared by every candidate of the query — and no
+tree is fetched for a twig without value literals.  What still needs a
+tree (structural survivors of a twig with literals, every candidate
+when a ``refiner`` was passed explicitly or the index has no DAG) is
+grouped by the document (or clustered copy) it refines against, each
+group's tree is fetched exactly once, and all of the group's candidates
+are validated against it — optionally fanned out across ``workers``
+processes.  The result list is pointer-ordered and identical for any
+worker count.  The leading ``//`` is rewritten to ``/`` for
+depth-limited indexes (every descendant of an indexed pattern instance
+is itself indexed, so each candidate only answers for its own root —
+Algorithm 2, lines 7-8).  Clustered candidates refine against their
+copy when the query fits inside the copy's depth horizon, falling back
+to primary storage for decomposed queries whose fragments may match
+deeper.
 
 With ``pushdown=True`` over a sharded index, phases 1 and 2 both run
 *inside* each shard that survives the histogram emptiness test (applied
@@ -43,6 +49,7 @@ from repro.core.epoch import EpochSnapshot
 from repro.core.index import FixIndex, IndexEntry
 from repro.core.plan import PlanCache, QueryPlan, build_plan
 from repro.core.stats import histogram_view
+from repro.core.structure import TwigVerdicts
 from repro.engine import (
     NavigationalEngine,
     StructuralJoinEngine,
@@ -70,9 +77,15 @@ class FixQueryResult:
     refine_seconds: float = 0.0
     #: True when the plan came out of the cache (no eigensolve paid).
     plan_cached: bool = False
-    #: distinct trees fetched by the refinement phase (documents plus
-    #: clustered copy units).
+    #: trees the refinement phase fetched (documents plus clustered
+    #: copy units); 0 when the structure DAG decided every candidate.
     documents_fetched: int = 0
+    #: trees a fetch-everything refinement would have fetched on top.
+    fetches_avoided: int = 0
+    #: (query node, vertex) verdicts evaluated on the structure DAG,
+    #: and answered from the query's memo.
+    dag_verdicts: int = 0
+    dag_reused: int = 0
     #: refinement worker processes used.
     workers: int = 1
     #: True when shard-local push-down answered the query (prune and
@@ -103,13 +116,18 @@ class FixQueryProcessor:
     The refinement operator is pluggable — the paper's point that FIX
     "can be coupled with any path processing operator that can perform
     query refinement".  Both shipped engines satisfy the contract
-    (``refine``, ``refine_group``, ``evaluate_document``); the
-    navigational one is the default, matching the paper's NoK pairing.
+    (``refine``, ``refine_group``, ``evaluate_document``).  Left to
+    itself the processor reads structural verdicts off the index's
+    bisimulation DAG and keeps a navigational engine (the paper's NoK
+    pairing) for the value step.
 
     Args:
         index: the index to prune against.
-        refiner: refinement engine (default: navigational over the
-            index's primary store).
+        refiner: refinement engine.  Passing one makes it judge every
+            candidate on its fetched tree; the default decides
+            structure on the DAG and runs a navigational engine over
+            the index's primary store only where a value literal (or a
+            missing DAG) calls for the tree.
         workers: refinement worker processes.  ``1`` refines in
             process; ``k > 1`` fans document groups out across ``k``
             processes with results identical to serial.
@@ -159,6 +177,8 @@ class FixQueryProcessor:
     ) -> None:
         self.index = index
         self.refiner = refiner or NavigationalEngine(index.store)
+        #: an explicit refiner sees every candidate's tree.
+        self._decide_on_structure = refiner is None
         self.workers = max(1, workers)
         self.pushdown = pushdown
         if isinstance(plan_cache, PlanCache):
@@ -333,15 +353,16 @@ class FixQueryProcessor:
             "push-down",
             max(self.workers, self.index.config.shard_workers),
         )
-        survivors: list[NodePointer] = []
-        for candidates, shard_survivors, fetched, prune_s, refine_s in outcomes:
-            result.candidate_count += candidates
-            result.documents_fetched += fetched
-            result.prune_seconds += prune_s
-            result.refine_seconds += refine_s
-            survivors.extend(shard_survivors)
-        survivors.sort()
-        result.results = survivors
+        for part in outcomes:
+            result.candidate_count += part.candidate_count
+            result.documents_fetched += part.documents_fetched
+            result.fetches_avoided += part.fetches_avoided
+            result.dag_verdicts += part.dag_verdicts
+            result.dag_reused += part.dag_reused
+            result.prune_seconds += part.prune_seconds
+            result.refine_seconds += part.refine_seconds
+            result.results.extend(part.results)
+        result.results.sort()
 
     def _pushdown_shard(
         self,
@@ -349,14 +370,17 @@ class FixQueryProcessor:
         plan: QueryPlan,
         frag_order: list[int],
         kind: str,
-    ) -> tuple[int, list[NodePointer], int, float, float]:
-        """One shard's complete prune+refine, safe to run on a scan
-        thread: every object it touches (shard index, pager, store
-        cache, fresh engine) belongs to this shard alone."""
+    ) -> FixQueryResult:
+        """One shard's complete prune+refine — its share of the query's
+        result — safe to run on a scan thread: every object it touches
+        (shard index, pager, store cache, structure DAG, fresh engine)
+        belongs to this shard alone."""
         shard = self.index.shards[shard_id]
+        part = FixQueryResult()
         prune_started = time.perf_counter()
         entries = self._prune_in(shard, plan, frag_order)
-        prune_seconds = time.perf_counter() - prune_started
+        part.prune_seconds = time.perf_counter() - prune_started
+        part.candidate_count = len(entries)
 
         refine_started = time.perf_counter()
         refiner = (
@@ -364,18 +388,9 @@ class FixQueryProcessor:
             if kind == "structural_join"
             else NavigationalEngine(shard.store)
         )
-        doc_groups = _group_by_document(entries)
-        survivors = _refine_doc_groups(
-            refiner, shard.store, plan.refined, doc_groups
-        )
-        refine_seconds = time.perf_counter() - refine_started
-        return (
-            len(entries),
-            survivors,
-            len(doc_groups),
-            prune_seconds,
-            refine_seconds,
-        )
+        self._refine(shard, refiner, plan.refined, entries, part, fan_out=False)
+        part.refine_seconds = time.perf_counter() - refine_started
+        return part
 
     # ------------------------------------------------------------------ #
     # Full pipeline
@@ -437,15 +452,19 @@ class FixQueryProcessor:
 
                     with self.obs.span("query.refine") as refine_span:
                         started = time.perf_counter()
-                        survivors, fetched = self._refine_grouped(
-                            plan.refined, candidates
+                        self._refine(
+                            self.index,
+                            self.refiner,
+                            plan.refined,
+                            candidates,
+                            result,
+                            fan_out=True,
                         )
-                        survivors.sort()
-                        result.results = survivors
-                        result.documents_fetched = fetched
+                        result.results.sort()
                         result.refine_seconds = time.perf_counter() - started
                         refine_span.set(
-                            groups=fetched, survivors=len(survivors)
+                            groups=result.documents_fetched,
+                            survivors=result.result_count,
                         )
 
                 query_span.set(
@@ -489,43 +508,120 @@ class FixQueryProcessor:
     # Refinement phase
     # ------------------------------------------------------------------ #
 
-    def _refine_grouped(
-        self, twig: TwigQuery, candidates: list[IndexEntry]
-    ) -> tuple[list[NodePointer], int]:
-        """Group candidates by their refinement tree, fetch each tree
-        once, validate all of its candidates against it."""
+    def _refine(
+        self,
+        index,
+        refiner,
+        twig: TwigQuery,
+        candidates: list[IndexEntry],
+        result: FixQueryResult,
+        *,
+        fan_out: bool,
+    ) -> None:
+        """Refine ``candidates`` of ``index`` — the whole index, or the
+        one shard a push-down pruned them out of — adding the survivors
+        (unsorted) and the fetch and verdict counts to ``result``.
+
+        Structural verdicts come off the index's DAG first (unless a
+        refiner was passed explicitly); whatever still needs a tree is
+        grouped by the tree it refines against, each fetched once, and
+        judged by ``refiner`` — across the worker pool when ``fan_out``
+        allows and there is more than one tree.
+        """
         use_copy = self._copy_suffices(twig)
         copy_entries: list[IndexEntry] = []
-        doc_entries: list[IndexEntry] = []
+        doc_groups: dict[int, list[IndexEntry]] = {}
         for entry in candidates:
             if entry.record is not None and use_copy:
                 copy_entries.append(entry)
             else:
-                doc_entries.append(entry)
-        doc_groups = _group_by_document(doc_entries)
+                doc_groups.setdefault(entry.pointer.doc_id, []).append(entry)
+        wanted = len(copy_entries) + len(doc_groups)
+        if self._decide_on_structure:
+            copy_entries, doc_groups = self._structural_pass(
+                index, twig, copy_entries, doc_groups, result
+            )
+        fetched = len(copy_entries) + len(doc_groups)
+        result.documents_fetched += fetched
+        result.fetches_avoided += wanted - fetched
 
-        group_count = len(copy_entries) + len(doc_groups)
-        if self.workers > 1 and group_count > 1:
+        if fan_out and self.workers > 1 and fetched > 1:
             kind = self._parallel_refiner_kind()
             if kind is not None:
-                return (
-                    self._refine_parallel(twig, copy_entries, doc_groups, kind),
-                    group_count,
+                result.results.extend(
+                    self._refine_parallel(twig, copy_entries, doc_groups, kind)
                 )
-
-        survivors: list[NodePointer] = []
+                return
         for entry in copy_entries:
-            assert self.index.clustered_store is not None
-            unit = self.index.clustered_store.get_unit(entry.record)
-            (ok,) = refine_candidates(
-                self.refiner, twig, unit, [unit.root.node_id]
-            )
+            unit = index.clustered_store.get_unit(entry.record)
+            (ok,) = refine_candidates(refiner, twig, unit, [unit.root.node_id])
             if ok:
-                survivors.append(entry.pointer)
-        survivors.extend(
-            _refine_doc_groups(self.refiner, self.index.store, twig, doc_groups)
-        )
-        return survivors, group_count
+                result.results.append(entry.pointer)
+        for doc_id in sorted(doc_groups):
+            entries = doc_groups[doc_id]
+            flags = refine_candidates(
+                refiner,
+                twig,
+                index.store.get_document(doc_id),
+                [entry.pointer.node_id for entry in entries],
+            )
+            result.results.extend(
+                entry.pointer for entry, ok in zip(entries, flags) if ok
+            )
+
+    def _structural_pass(
+        self,
+        index,
+        twig: TwigQuery,
+        copy_entries: list[IndexEntry],
+        doc_groups: dict[int, list[IndexEntry]],
+        result: FixQueryResult,
+    ) -> tuple[list[IndexEntry], dict[int, list[IndexEntry]]]:
+        """Judge every candidate's structure on the DAG its entry is
+        recorded in, and return what still needs a tree: nothing the
+        DAG rejected; what it accepted only when the twig carries a
+        value literal (otherwise that is a survivor already, added to
+        ``result``); and every candidate without a recorded vertex."""
+        keep_accepted = twig.has_values()
+        judges: dict[int, TwigVerdicts] = {}
+
+        def undecided(doc_id: int, entries: list[IndexEntry]) -> list[IndexEntry]:
+            dag = index.structure_of(doc_id)
+            slots = dag.slots_of(doc_id) if dag is not None else None
+            if slots is None:
+                return entries
+            judge = judges.get(id(dag))
+            if judge is None:
+                judge = judges[id(dag)] = TwigVerdicts(dag, twig)
+            accepts = judge.accepts
+            known = len(slots)
+            pending = []
+            for entry in entries:
+                node_id = entry.pointer.node_id
+                slot = slots[node_id] if node_id < known else 0
+                if not slot:
+                    pending.append(entry)
+                elif accepts(slot - 1):
+                    if keep_accepted:
+                        pending.append(entry)
+                    else:
+                        result.results.append(entry.pointer)
+            return pending
+
+        copy_entries = [
+            entry
+            for entry in copy_entries
+            if undecided(entry.pointer.doc_id, [entry])
+        ]
+        doc_groups = {
+            doc_id: pending
+            for doc_id, entries in doc_groups.items()
+            if (pending := undecided(doc_id, entries))
+        }
+        for judge in judges.values():
+            result.dag_verdicts += judge.computed
+            result.dag_reused += judge.reused
+        return copy_entries, doc_groups
 
     def _refine_parallel(
         self,
@@ -582,35 +678,6 @@ class FixQueryProcessor:
         if self.index.config.depth_limit <= 0:
             return True  # whole-unit copies
         return twig.is_twig() and twig.depth() <= self.index.config.depth_limit
-
-
-def _group_by_document(
-    entries: list[IndexEntry],
-) -> dict[int, list[IndexEntry]]:
-    groups: dict[int, list[IndexEntry]] = {}
-    for entry in entries:
-        groups.setdefault(entry.pointer.doc_id, []).append(entry)
-    return groups
-
-
-def _refine_doc_groups(
-    refiner, store, twig: TwigQuery, doc_groups: dict[int, list[IndexEntry]]
-) -> list[NodePointer]:
-    """Fetch each group's document from ``store`` exactly once, in
-    doc-id order, and keep the candidates ``refiner`` validates."""
-    survivors: list[NodePointer] = []
-    for doc_id in sorted(doc_groups):
-        entries = doc_groups[doc_id]
-        flags = refine_candidates(
-            refiner,
-            twig,
-            store.get_document(doc_id),
-            [entry.pointer.node_id for entry in entries],
-        )
-        survivors.extend(
-            entry.pointer for entry, ok in zip(entries, flags) if ok
-        )
-    return survivors
 
 
 def _entry_sort_key(entry: IndexEntry) -> tuple[bytes, NodePointer]:

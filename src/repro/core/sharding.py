@@ -250,6 +250,11 @@ class ShardedFixIndex:
     def shard_for_document(self, doc_id: int) -> FixIndex:
         return self.shards[self.shard_of(doc_id)]
 
+    def structure_of(self, doc_id: int):
+        """The owning shard's structure DAG (one per shard: vertex ids
+        mean nothing across shards)."""
+        return self.shard_for_document(doc_id).structure
+
     def _route_source(self, source: str) -> int:
         """Routing decision for a raw document: stable content hash, or
         root-label affinity."""
@@ -636,7 +641,9 @@ class ShardedFixIndex:
         registry = self.obs.registry
         self.publish_scan_stats(registry)
         registry.gauge("index.entries").set(self.entry_count)
-        registry.gauge("index.btree_bytes").set(self.size_bytes())
+        registry.gauge("index.btree_bytes").set(
+            sum(shard.btree.size_bytes() for shard in self.shards)
+        )
         registry.gauge("index.generation").set(self.generation)
         registry.gauge("shards.count").set(self.shard_count)
         for shard_id, shard in enumerate(self.shards):

@@ -15,6 +15,11 @@ Checks performed:
    whose tag equals the key's root label.
 5. **Clustered copies** — each copy unit parses and its root tag matches
    the entry's label.
+6. **Structure DAG** — every entry has a recorded vertex carrying the
+   key's root label, and every stored document's bisimulation graph,
+   rebuilt, is vertex for vertex (by canonical signature) the recorded
+   one; a mismatch names the document.  Skipped, with nothing
+   reported, for an index loaded without a structure file.
 
 Returns a :class:`VerificationReport`; ``ok`` is True when no problems
 were found.  Exposed on the CLI as ``python -m repro verify DIR``.
@@ -28,6 +33,7 @@ from repro.errors import ReproError
 from repro.btree.keys import decode_feature_key
 from repro.core.construction import GeneratorSettings
 from repro.core.index import FixIndex
+from repro.core.structure import StructureDag
 from repro.storage import NodePointer
 
 
@@ -73,15 +79,19 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
 
     # 3 (precompute). Expected keys per pointer, regenerated from primary.
     expected: dict[NodePointer, bytes] = {}
+    structure = index.structure
     if recompute_keys:
+        rebuilt = StructureDag()
         shadow = GeneratorSettings.from_config(index.config).generator(
-            index.encoder
+            index.encoder, structure=rebuilt
         )
         for doc_id in index.store.doc_ids():
             document = index.store.get_document(doc_id)
-            for entry in shadow.entries_for(document):
+            for entry in shadow.entries_for(document, doc_id):
                 pointer = NodePointer(doc_id, entry.node_id)
                 expected[pointer] = entry.encoded_key()
+        if structure is not None:
+            _compare_structures(report, structure, rebuilt)
 
     # 2, 3, 4, 5. Walk every stored entry.
     seen: set[NodePointer] = set()
@@ -108,6 +118,20 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
                 f"label mismatch at {entry.pointer}: key says {label!r}, "
                 f"element is <{element.tag}>"
             )
+        if structure is not None:
+            vertex = structure.vertex_of(
+                entry.pointer.doc_id, entry.pointer.node_id
+            )
+            if vertex is None:
+                report.add(
+                    f"document {entry.pointer.doc_id}: no structure vertex "
+                    f"recorded for {entry.pointer}"
+                )
+            elif structure.label_of(vertex) != label:
+                report.add(
+                    f"document {entry.pointer.doc_id}: structure vertex of "
+                    f"{entry.pointer} is not a {label!r}"
+                )
         if recompute_keys:
             want = expected.get(entry.pointer)
             if want is None:
@@ -139,6 +163,40 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
                 report.add(f"missing entry for unit {pointer}")
 
     return report
+
+
+def _compare_structures(
+    report: VerificationReport, recorded: StructureDag, rebuilt: StructureDag
+) -> None:
+    """Every live document's recorded slots against its rebuilt ones:
+    the same nodes carry entries, on bisimilar vertices."""
+    recorded_digests: dict[int, bytes] = {}
+    rebuilt_digests: dict[int, bytes] = {}
+    for doc_id in sorted(set(recorded.doc_ids()) | set(rebuilt.doc_ids())):
+        have, want = recorded.slots_of(doc_id), rebuilt.slots_of(doc_id)
+        if have is None:
+            report.add(f"document {doc_id}: no structure recorded")
+            continue
+        if want is None:
+            report.add(
+                f"document {doc_id}: structure recorded for a document the "
+                "store does not hold"
+            )
+            continue
+        same = len(have) == len(want) and all(
+            bool(a) == bool(b)
+            and (
+                not a
+                or recorded.signature(a - 1, recorded_digests)
+                == rebuilt.signature(b - 1, rebuilt_digests)
+            )
+            for a, b in zip(have, want)
+        )
+        if not same:
+            report.add(
+                f"document {doc_id}: recorded structure differs from its "
+                "rebuilt bisimulation graph"
+            )
 
 
 def _key_of(label: str, lmax: float, lmin: float):

@@ -141,16 +141,17 @@ class PrimaryXMLStore:
         )
 
     def remove_document(self, doc_id: int) -> None:
-        """Tombstone a document.  Its id is never reused; the record
-        bytes remain on their pages (no compaction — the build-once
-        workloads here never need it, and pointers into the removed
-        document now fail loudly).
+        """Tombstone a document.  Its id is never reused, so pointers
+        into the removed document now fail loudly; its record is
+        released, and a page left without a live record is overwritten
+        by later additions (no compaction beyond that).
 
         Raises:
             RecordError: for unknown or already-removed ids.
         """
         if not 0 <= doc_id < len(self._directory) or self._directory[doc_id] is None:
             raise RecordError(f"no document with id {doc_id}")
+        self._records.release(self._directory[doc_id])
         self._directory[doc_id] = None
         self._cache.pop(doc_id, None)
 

@@ -8,8 +8,11 @@ Layout of a data page::
 
 Records larger than a page's capacity are split across a chain of
 *overflow* pages; the head segment stores a continuation page id.  A
-:class:`RecordPointer` is ``(page_id, slot)`` — stable for the lifetime
-of the file (records are append-only here; FIX never updates in place).
+:class:`RecordPointer` is ``(page_id, slot)`` — stable for as long as
+the record is live (FIX never updates in place).  A record passed to
+:meth:`RecordFile.release` is dead; a page holding only dead records is
+overwritten by later appends instead of a fresh page being allocated,
+so a store under add/remove churn stops growing.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ class RecordFile:
         self._pager = pager
         self._current_page: int | None = None
         self._record_count = 0
+        #: live head segments per page appended to through this handle
+        #: (pages of a reattached file are unknown here and never
+        #: reused), and the pages whose records have all been released.
+        self._live: dict[int, int] = {}
+        self._free_pages: list[int] = []
 
     @property
     def record_count(self) -> int:
@@ -89,7 +97,7 @@ class RecordFile:
         chunks = [rest[i : i + chunk_size] for i in range(0, len(rest), chunk_size)]
         next_page = _NO_PAGE
         for chunk in reversed(chunks):
-            page_id = self._pager.allocate()
+            page_id = self._fresh_page()
             buffer = bytearray(self._pager.page_size)
             struct.pack_into("<I", buffer, 0, next_page)
             buffer[4 : 4 + len(chunk)] = chunk
@@ -112,7 +120,11 @@ class RecordFile:
         needed = _SLOT.size + _SEGMENT.size + len(head)
         page_id = self._current_page
         if page_id is None or self._free_space(page_id) < needed:
-            page_id = self._pager.allocate()
+            if page_id is not None and not self._live[page_id]:
+                # Emptied while it was the append target.
+                del self._live[page_id]
+                self._free_pages.append(page_id)
+            page_id = self._fresh_page()
             buffer = bytearray(self._pager.page_size)
             _HEADER.pack_into(buffer, 0, 0, self._pager.page_size)
             self._pager.write(page_id, buffer)
@@ -127,7 +139,38 @@ class RecordFile:
         _SLOT.pack_into(buffer, slot_offset, start, payload_length)
         _HEADER.pack_into(buffer, 0, slot_count + 1, start)
         self._pager.mark_dirty(page_id)
+        self._live[page_id] = self._live.get(page_id, 0) + 1
         return RecordPointer(page_id, slot_count)
+
+    def _fresh_page(self) -> int:
+        """A page to overwrite from its first byte: one whose records
+        were all released, else a newly allocated one."""
+        if self._free_pages:
+            return self._free_pages.pop()
+        return self._pager.allocate()
+
+    def release(self, pointer: RecordPointer) -> None:
+        """Declare the record at ``pointer`` dead: the caller will never
+        read it again.  Its overflow pages, and its head page once that
+        holds no live record and is no longer the append target, become
+        reusable by later appends.  A record that was not appended
+        through this handle is left alone."""
+        live = self._live.get(pointer.page_id)
+        if live is None:
+            return
+        buffer = self._pager.read(pointer.page_id)
+        offset, _ = _SLOT.unpack_from(
+            buffer, _HEADER.size + pointer.slot * _SLOT.size
+        )
+        _, page_id = _SEGMENT.unpack_from(buffer, offset)
+        while page_id != _NO_PAGE:
+            self._free_pages.append(page_id)
+            (page_id,) = struct.unpack_from("<I", self._pager.read(page_id), 0)
+        if live > 1 or pointer.page_id == self._current_page:
+            self._live[pointer.page_id] = live - 1
+        else:
+            del self._live[pointer.page_id]
+            self._free_pages.append(pointer.page_id)
 
     def _free_space(self, page_id: int) -> int:
         buffer = self._pager.read(page_id)

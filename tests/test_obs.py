@@ -28,6 +28,7 @@ from repro.core import (
     QueryMetricsLog,
 )
 from repro.core.construction import BUILD_PHASES, PhaseTimings
+from repro.engine import NavigationalEngine
 from repro.obs import (
     NOOP_SPAN,
     MetricsRegistry,
@@ -399,7 +400,10 @@ class TestWorkerTraceMerge:
     def test_traced_parallel_refine_matches_serial(self):
         index = FixIndex.build(corpus(), FixIndexConfig(depth_limit=4))
         obs = Obs(trace=True)
-        parallel = FixQueryProcessor(index, workers=2, obs=obs)
+        # An explicit refiner: the tree path is the one that fans out.
+        parallel = FixQueryProcessor(
+            index, refiner=NavigationalEngine(index.store), workers=2, obs=obs
+        )
         serial = FixQueryProcessor(index)
         for query in QUERIES:
             assert parallel.query(query).results == serial.query(query).results

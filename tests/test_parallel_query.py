@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FixIndex, FixIndexConfig, FixQueryProcessor
-from repro.engine import StructuralJoinEngine
+from repro.engine import NavigationalEngine, StructuralJoinEngine
 from repro.query import matching_elements, query_matches_document, twig_of
 from repro.storage import NodePointer, PrimaryXMLStore
 from repro.xmltree import parse_xml
@@ -105,10 +105,15 @@ class TestWorkerDeterminism:
         assert_pointer_ordered(baseline)
         assert baseline == ground_truth(store, query, config.depth_limit)
         for workers in WORKER_COUNTS:
-            result = FixQueryProcessor(index, workers=workers).query(query)
-            assert result.results == baseline, (query, workers)
-            assert_pointer_ordered(result.results)
-            assert result.workers == workers
+            # Decided on the structure DAG, and by the navigational
+            # engine over fetched trees (the path that fans out).
+            for refiner in (None, NavigationalEngine(store)):
+                result = FixQueryProcessor(
+                    index, refiner=refiner, workers=workers
+                ).query(query)
+                assert result.results == baseline, (query, workers)
+                assert_pointer_ordered(result.results)
+                assert result.workers == workers
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_structural_join_refiner_parallel(self, workers):
@@ -168,7 +173,7 @@ class TestGroupedFetchAccounting:
     def test_grouped_fetches_each_document_once(self):
         store = varied_store(8)
         index = FixIndex.build(store, FixIndexConfig(depth_limit=4))
-        processor = FixQueryProcessor(index)
+        processor = FixQueryProcessor(index, refiner=NavigationalEngine(store))
         query = "//item[name]/mailbox"
         # One fetch per distinct candidate document, however many
         # candidates each document holds.
@@ -177,16 +182,24 @@ class TestGroupedFetchAccounting:
         result = processor.query(query)
         assert result.documents_fetched == len(candidate_docs)
         assert result.documents_fetched < result.candidate_count
+        assert result.fetches_avoided == 0
         assert (
             processor.refiner.stats.documents_opened - opened_before
             == len(candidate_docs)
         )
+        # Left to the structure DAG, the same query fetches none of them.
+        decided = FixQueryProcessor(index).query(query)
+        assert decided.results == result.results
+        assert decided.documents_fetched == 0
+        assert decided.fetches_avoided == len(candidate_docs)
 
     def test_clustered_groups_count_copy_units(self):
         store = varied_store(8)
         index = FixIndex.build(
             store, FixIndexConfig(depth_limit=4, clustered=True)
         )
-        result = FixQueryProcessor(index).query("//item[name]")
+        result = FixQueryProcessor(
+            index, refiner=NavigationalEngine(store)
+        ).query("//item[name]")
         # Clustered candidates refine against their own copy unit.
         assert result.documents_fetched == result.candidate_count

@@ -223,6 +223,48 @@ class TestPrimaryXMLStore:
         assert store.size_bytes() > empty
 
 
+    def test_removed_documents_give_their_pages_back(self, tmp_path):
+        """Under add/remove churn — small documents sharing pages, and
+        ones large enough to chain overflow pages — the store reuses
+        pages holding only removed documents, every live document reads
+        back intact (also after a save and reload), and the page count
+        stays near what the live documents need."""
+        import random
+
+        rng = random.Random(5)
+        store = PrimaryXMLStore(cache_documents=1)
+        live: dict[int, str] = {}
+        pages_after_fill = None
+        for step in range(400):
+            width = rng.choice([3, 40, 400, 4000])
+            source = f"<d n=\"{step}\">" + "<e/>" * width + "</d>"
+            live[store.add_document(parse_xml(source))] = source
+            if len(live) > 12:
+                victim = rng.choice(sorted(live))
+                store.remove_document(victim)
+                del live[victim]
+                with pytest.raises(RecordError):
+                    store.get_source(victim)
+            if step == 60:
+                pages_after_fill = store.pager.page_count
+            for doc_id in rng.sample(sorted(live), min(3, len(live))):
+                assert store.get_source(doc_id) == live[doc_id]
+        assert store.pager.page_count < 2 * pages_after_fill
+        store.save(str(tmp_path))
+        reloaded = PrimaryXMLStore.load(str(tmp_path))
+        assert {d: reloaded.get_source(d) for d in reloaded.doc_ids()} == live
+        # A reattached file's pages are not known to be dead: removing
+        # there reuses nothing, and still reads back what is live.
+        victim = min(live)
+        reloaded.remove_document(victim)
+        added = reloaded.add_document(parse_xml("<late/>"))
+        assert reloaded.get_source(added) == "<late/>"
+        assert all(
+            reloaded.get_source(d) == live[d] for d in live if d != victim
+        )
+        reloaded.pager.close()
+
+
 class TestCopyLimitedDepth:
     def test_unlimited_is_full_serialization(self):
         doc = parse_xml("<a><b><c>t</c></b></a>")

@@ -1,0 +1,559 @@
+"""Refinement on the structure DAG (DESIGN.md §14) against the oracle.
+
+One differential test over random collections and random twigs —
+branches, interior ``//``, ``/``- and ``//``-leading, value literals —
+across ``depth_limit`` 0 / 3 x ``value_buckets`` None / 8 x shards 1 / 4
+x workers 1 / 2 x push-down off / on, fresh, after add / remove churn
+and after save + load: what the processor answers equals the
+``repro.query.match`` ground truth over the candidates pruning offered
+(pruning's own misses are DESIGN.md §5a's subject, not this file's) and
+equals the answer of ``refiner=NavigationalEngine(index.store)``.  The
+verdict recursion has three copies — ``TwigVerdicts``,
+``NavigationalEngine._verify``, ``FBEvaluator._matches`` — and all three
+are pinned to that one oracle here.
+
+Then what only the DAG path promises: a sidecar whose bytes do not
+depend on the worker count or on a save/load round trip, zero
+``parse_xml`` calls for a structural query, a structure that moves only
+inside the epoch window, typed errors for a damaged file, and an index
+directory without the file still answering.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.storage.primary as primary
+from repro.cli import main as cli_main
+from repro.core import (
+    FixIndex,
+    FixIndexConfig,
+    FixQueryProcessor,
+    ShardedFixIndex,
+    load_index,
+    save_index,
+    verify_index,
+)
+from repro.core.construction import GeneratorSettings
+from repro.core.structure import STRUCTURE_FILE, StructureDag, TwigVerdicts
+from repro.datasets import load_dataset
+from repro.engine import NavigationalEngine
+from repro.errors import IndexCoverageError, StorageError
+from repro.fb import FBEvaluator, FBIndex
+from repro.query import matching_elements, query_matches_document, twig_of
+from repro.query.ast import Axis
+from repro.query.match import matches_at
+from repro.spectral import EdgeLabelEncoder
+from repro.storage import NodePointer, PrimaryXMLStore
+from repro.xmltree import parse_xml
+
+# --------------------------------------------------------------------- #
+# Random documents and twigs
+# --------------------------------------------------------------------- #
+
+_LABELS = st.sampled_from("abcd")
+_TEXTS = st.sampled_from(["x", "y", "z"])
+
+#: a document tree as (label, text or None, children).
+_TREES = st.recursive(
+    st.tuples(_LABELS, st.none() | _TEXTS, st.just([])),
+    lambda children: st.tuples(
+        _LABELS, st.none() | _TEXTS, st.lists(children, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+def _xml(tree) -> str:
+    label, text, children = tree
+    return f"<{label}>{text or ''}{''.join(map(_xml, children))}</{label}>"
+
+
+_DOCUMENTS = _TREES.map(_xml)
+_AXES = st.sampled_from(["/", "//"])
+
+#: a twig node as (label, literal or None, [(axis, node), ...]).
+_TWIGS = st.recursive(
+    st.tuples(_LABELS, st.none() | _TEXTS, st.just([])),
+    lambda nodes: st.tuples(
+        _LABELS, st.none(), st.lists(st.tuples(_AXES, nodes), min_size=1, max_size=2)
+    ),
+    max_leaves=4,
+)
+
+
+def _path(node, in_predicate: bool) -> tuple[str, str | None]:
+    """The step text of ``node`` and the literal of its path's last
+    step: every edge but the last is a predicate, the last continues
+    the path, and a literal is only written after a predicate path."""
+    label, literal, edges = node
+    text = label
+    for axis, child in edges[:-1]:
+        inner, value = _path(child, True)
+        equals = f' = "{value}"' if value else ""
+        text += f"[{'.//' if axis == '//' else ''}{inner}{equals}]"
+    if not edges:
+        return text, literal if in_predicate else None
+    axis, child = edges[-1]
+    inner, value = _path(child, in_predicate)
+    return text + axis + inner, value
+
+
+_QUERIES = st.tuples(_AXES, _TWIGS).map(
+    lambda drawn: drawn[0] + _path(drawn[1], False)[0]
+)
+
+
+# --------------------------------------------------------------------- #
+# The oracle
+# --------------------------------------------------------------------- #
+
+
+def _truth(index, processor: FixQueryProcessor, query: str) -> list[NodePointer]:
+    """The candidates ``processor`` prunes for ``query`` that
+    ``repro.query.match`` accepts, in pointer order."""
+    twig = twig_of(query)
+    accepted = []
+    for pointer in sorted({entry.pointer for entry in processor.prune(query)}):
+        document = index.store.get_document(pointer.doc_id)
+        if index.config.depth_limit <= 0:
+            ok = query_matches_document(twig, document)
+        else:
+            # Algorithm 2, lines 7-8: the candidate's own element binds
+            # the twig's root (pruning already kept only document roots
+            # for a '/'-leading twig).
+            ok = matches_at(twig.root, document.element_at(pointer.node_id))
+        if ok:
+            accepted.append(pointer)
+    return accepted
+
+
+def _check(index, queries, workers: int, pushdown: bool) -> int:
+    """Every coverable query: DAG-decided answer == oracle == explicit
+    navigational refiner.  Returns how many queries were coverable."""
+    decided = FixQueryProcessor(index, workers=workers, pushdown=pushdown)
+    fetching = FixQueryProcessor(
+        index,
+        refiner=NavigationalEngine(index.store),
+        workers=workers,
+        pushdown=pushdown,
+    )
+    covered = 0
+    for query in queries:
+        try:
+            answer = decided.query(query)
+        except IndexCoverageError:
+            continue
+        covered += 1
+        truth = _truth(index, decided, query)
+        assert answer.results == truth, query
+        assert fetching.query(query).results == truth, query
+        if not twig_of(query).has_values():
+            assert answer.documents_fetched == 0, query
+    return covered
+
+
+def _build(sources, config):
+    if config.shards > 1:
+        return ShardedFixIndex.build_from_sources(sources, config)
+    store = PrimaryXMLStore()
+    for source in sources:
+        store.add_document(parse_xml(source))
+    return FixIndex.build(store, config)
+
+
+def _save_and_reload(index, directory: str):
+    if isinstance(index, ShardedFixIndex):
+        index.save(directory)
+        return ShardedFixIndex.load(directory)
+    index.store.save(os.path.join(directory, "store"))
+    save_index(index, directory)
+    store = PrimaryXMLStore.load(os.path.join(directory, "store"))
+    return load_index(directory, store)
+
+
+def _close(index) -> None:
+    for shard in getattr(index, "shards", [index]):
+        shard.btree.pager.close()
+        shard.store.pager.close()
+
+
+GRID = [
+    pytest.param(depth, buckets, shards, workers, pushdown,
+                 id=f"L{depth}-b{buckets}-s{shards}-w{workers}-{'push' if pushdown else 'gather'}")
+    for depth in (0, 3)
+    for buckets in (None, 8)
+    for shards in (1, 4)
+    for workers in (1, 2)
+    for pushdown in (False, True)
+]
+
+
+@pytest.mark.parametrize("depth,buckets,shards,workers,pushdown", GRID)
+@settings(max_examples=10, deadline=None)
+@given(
+    sources=st.lists(_DOCUMENTS, min_size=2, max_size=5),
+    added=st.lists(_DOCUMENTS, min_size=1, max_size=2),
+    removed=st.lists(st.integers(min_value=0, max_value=6), max_size=2, unique=True),
+    queries=st.lists(_QUERIES, min_size=1, max_size=4, unique=True),
+)
+def test_dag_refinement_equals_the_oracle(
+    depth, buckets, shards, workers, pushdown, sources, added, removed, queries
+):
+    config = FixIndexConfig(
+        depth_limit=depth,
+        value_buckets=buckets,
+        shards=shards,
+        workers=workers,
+        shard_workers=workers,
+    )
+    index = _build(sources, config)
+    _check(index, queries, workers, pushdown)
+
+    for source in added:
+        index.add_document(parse_xml(source))
+    live = list(index.store.doc_ids())
+    for position in removed:
+        if position < len(live) and index.store.document_count > 1:
+            index.remove_document(live[position])
+    _check(index, queries, workers, pushdown)
+
+    with tempfile.TemporaryDirectory() as directory:
+        reloaded = _save_and_reload(index, directory)
+        try:
+            assert all(
+                shard.structure is not None
+                for shard in getattr(reloaded, "shards", [reloaded])
+            )
+            _check(reloaded, queries, workers, pushdown)
+        finally:
+            _close(reloaded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=_DOCUMENTS, query=_QUERIES, buckets=st.sampled_from([None, 8]))
+def test_the_three_verdict_recursions_agree(source, query, buckets):
+    """``TwigVerdicts`` on the DAG, the navigational engine on the tree
+    and the F&B evaluator on the block tree bind a twig's root to the
+    same elements as ``repro.query.match`` — the DAG ignoring value
+    literals, so there it is the literal-free twig that must agree and
+    the full one that must be contained."""
+    document = parse_xml(source)
+    twig = twig_of(query)
+    truth = [element.node_id for element in matching_elements(twig, document)]
+
+    engine = NavigationalEngine(PrimaryXMLStore())
+    assert [e.node_id for e in engine.evaluate_document(twig, document)] == truth
+    if not twig.has_values():
+        assert FBEvaluator(FBIndex(document)).evaluate(twig) == truth
+
+    # Subpattern mode records every element, so each can be asked.
+    dag = StructureDag()
+    generator = GeneratorSettings(
+        depth_limit=1, value_buckets=buckets, max_pattern_vertices=800,
+        feature_cache=False,
+    ).generator(EdgeLabelEncoder(), structure=dag)
+    list(generator.entries_for(document, 0))
+    judge = TwigVerdicts(dag, twig.with_child_leading_axis())
+    if twig.leading_axis is Axis.CHILD:
+        asked = [document.root]
+    else:
+        asked = list(document.elements())
+    accepted = [
+        element.node_id
+        for element in asked
+        if judge.accepts(dag.vertex_of(0, element.node_id))
+    ]
+    if twig.has_values():
+        assert set(truth) <= set(accepted)
+    else:
+        assert accepted == truth
+    # A '//'-leading twig asked of a unit: anywhere at or below its root.
+    anywhere = TwigVerdicts(dag, twig).accepts(dag.vertex_of(0, 0))
+    assert anywhere == bool(accepted)
+    assert judge.computed <= dag.vertex_count * len(judge._label)
+
+
+# --------------------------------------------------------------------- #
+# (a) Sidecar bytes
+# --------------------------------------------------------------------- #
+
+
+def _xbench_sources(scale: float = 0.06, seed: int = 42) -> list[str]:
+    from repro.xmltree import serialize_fragment
+
+    bundle = load_dataset("xbench", scale=scale, seed=seed)
+    return [serialize_fragment(document.root) for document in bundle.documents]
+
+
+@pytest.mark.parametrize("depth", (0, 4))
+@pytest.mark.parametrize("shards", (1, 4))
+def test_sidecar_bytes_ignore_workers_and_round_trips(tmp_path, depth, shards):
+    sources = _xbench_sources()
+    sidecars = []
+    for workers in (1, 2):
+        index = _build(
+            sources,
+            FixIndexConfig(
+                depth_limit=depth, shards=shards, workers=workers,
+                shard_workers=workers,
+            ),
+        )
+        directory = str(tmp_path / f"w{workers}")
+        reloaded = _save_and_reload(index, directory)
+        again = str(tmp_path / f"w{workers}-again")
+        _save_and_reload(reloaded, again)
+        for first, second in ((directory, again),):
+            files = _sidecars(first, shards)
+            assert files == _sidecars(second, shards)
+        sidecars.append(files)
+        assert [s.structure.to_bytes() for s in getattr(index, "shards", [index])] == files
+    assert sidecars[0] == sidecars[1]
+
+
+def _sidecars(directory: str, shards: int) -> list[bytes]:
+    if shards > 1:
+        paths = [
+            os.path.join(directory, f"shard-{shard}", STRUCTURE_FILE)
+            for shard in range(shards)
+        ]
+    else:
+        paths = [os.path.join(directory, STRUCTURE_FILE)]
+    contents = []
+    for path in paths:
+        with open(path, "rb") as handle:
+            contents.append(handle.read())
+    return contents
+
+
+def test_saved_structure_holds_only_live_vertices(tmp_path):
+    sources = _xbench_sources()
+    index = _build(sources, FixIndexConfig(depth_limit=0))
+    grown = index.structure.vertex_count
+    extra = index.add_document(parse_xml("<odd><one><two><three/></two></one></odd>"))
+    assert index.structure.vertex_count == grown + 4
+    index.remove_document(extra)
+    # Append-only in memory; the file leaves the dead vertices out.
+    assert index.structure.vertex_count == grown + 4
+    saved = StructureDag.from_bytes(index.structure.to_bytes())
+    fresh = _build(sources, FixIndexConfig(depth_limit=0))
+    assert saved.vertex_count == grown
+    assert saved.to_bytes() == fresh.structure.to_bytes()
+    assert verify_index(index).ok
+
+
+# --------------------------------------------------------------------- #
+# (b) Fetches
+# --------------------------------------------------------------------- #
+
+
+def test_structural_queries_parse_nothing(tmp_path, monkeypatch):
+    """File-backed, reopened, caches far smaller than the collection: a
+    structural query parses no document at all; a value query parses
+    exactly the documents whose structure passed."""
+    sources = _xbench_sources(scale=0.1)
+    index = _build(sources, FixIndexConfig(depth_limit=0, value_buckets=8))
+    directory = str(tmp_path / "index")
+    index.store.save(os.path.join(directory, "store"))
+    save_index(index, directory)
+    store = PrimaryXMLStore.load(
+        os.path.join(directory, "store"), cache_documents=2, page_cache_pages=2
+    )
+    reopened = load_index(directory, store, page_cache_pages=2)
+    parses = [0]
+    real = primary.parse_xml
+
+    def counting(*args, **kwargs):
+        parses[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(primary, "parse_xml", counting)
+    processor = FixQueryProcessor(reopened)
+    for query in ("//article/prolog/title", "//prolog[dateline]//name", "/article//p"):
+        result = processor.query(query)
+        assert result.result_count > 0
+        assert result.documents_fetched == 0
+        assert result.fetches_avoided == result.candidate_count
+        assert result.dag_verdicts <= reopened.structure.vertex_count * 4
+    assert parses[0] == 0
+
+    year = next(
+        next(iter(element.text_children())).value
+        for source in sources
+        for element in parse_xml(source).elements()
+        if element.tag == "dateline"
+    )
+    valued = f'//prolog[dateline = "{year}"]'
+    result = processor.query(valued)
+    structural = processor.query("//prolog[dateline]")
+    offered = {entry.pointer for entry in processor.prune(valued)}
+    passed = offered & set(structural.results)
+    assert 0 < result.result_count < len(passed)
+    assert result.documents_fetched == parses[0] == len(passed)
+    assert result.fetches_avoided == len(offered) - len(passed)
+    _close(reopened)
+
+
+# --------------------------------------------------------------------- #
+# (c) The structure moves inside the epoch window
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("shards", (1, 4))
+def test_a_pinned_query_sees_the_pre_mutation_structure(shards, monkeypatch):
+    sources = [
+        "<a><b><c/></b></a>", "<a><b/></a>", "<a><b><c/><d/></b></a>", "<e><b><c/></b></e>",
+    ]
+    index = _build(sources, FixIndexConfig(depth_limit=0, shards=shards))
+    processor = FixQueryProcessor(index)
+    query = "//b[c]"
+    before = _truth(index, processor, query)
+    victim, newcomer = before[0].doc_id, len(sources)
+    done = threading.Event()
+
+    def mutate():
+        index.remove_document(victim)
+        index.add_document(parse_xml("<a><b><c/></b><f/></a>"))
+        done.set()
+
+    pruned = processor._pruned_candidates
+    writer = threading.Thread(target=mutate)
+
+    def prune_then_let_the_writer_queue(plan):
+        # Inside the query's pin: the writer must wait for it.
+        candidates = pruned(plan)
+        writer.start()
+        for _ in range(2000):
+            if index.epochs.writers_waiting:
+                break
+            threading.Event().wait(0.001)
+        assert index.epochs.writers_waiting == 1
+        assert index.structure_of(victim).slots_of(victim) is not None
+        return candidates
+
+    monkeypatch.setattr(processor, "_pruned_candidates", prune_then_let_the_writer_queue)
+    assert processor.query(query).results == before
+    monkeypatch.undo()
+    writer.join(timeout=30)
+    assert done.is_set()
+    after = processor.query(query).results
+    assert after == _truth(index, processor, query)
+    assert victim not in {p.doc_id for p in after}
+    assert newcomer in {p.doc_id for p in after}
+    assert all(
+        shard.structure.slots_of(victim) is None
+        for shard in getattr(index, "shards", [index])
+    )
+
+
+# --------------------------------------------------------------------- #
+# The file: typed errors, verify, and directories without one
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def saved(tmp_path):
+    sources = _xbench_sources()
+    index = _build(sources, FixIndexConfig(depth_limit=3))
+    directory = str(tmp_path / "index")
+    index.store.save(os.path.join(directory, "store"))
+    save_index(index, directory)
+    return directory
+
+
+def _reload(directory: str) -> FixIndex:
+    store = PrimaryXMLStore.load(os.path.join(directory, "store"))
+    return load_index(directory, store)
+
+
+def test_damaged_structure_files_raise_storage_errors(saved):
+    path = os.path.join(saved, STRUCTURE_FILE)
+    with open(path, "rb") as handle:
+        good = handle.read()
+    StructureDag.from_bytes(good)
+    damaged = {
+        "empty": b"",
+        "header only": good[:20],
+        "truncated": good[:-7],
+        "trailing bytes": good + b"\x00",
+        "bad magic": b"X" + good[1:],
+        "other version": good[:8] + b"\x02\x00" + good[10:],
+        "count changed": good[:16] + bytes([good[16] ^ 1]) + good[17:],
+    }
+    for position in range(0, len(good), max(1, len(good) // 40)):
+        flipped = bytearray(good)
+        flipped[position] ^= 0x10
+        damaged[f"bit flip at {position}"] = bytes(flipped)
+    for what, data in damaged.items():
+        with pytest.raises(StorageError):
+            StructureDag.from_bytes(data)
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with pytest.raises(StorageError, match="structure"):
+            _reload(saved)
+        assert cli_main(["query", saved, "//article"]) == 1, what
+
+
+def test_a_checksummed_file_that_is_not_a_dag_is_refused():
+    """A cycle or a forward edge would make a verdict loop or lie; a
+    well-checksummed file describing one is still refused."""
+    dag = StructureDag()
+    leaf = dag._intern("a", ())
+    dag._intern("b", (leaf,))
+    dag._slots[0] = __import__("array").array("I", [2])
+    dag.child_ids[0] = 1  # b -> b
+    with pytest.raises(StorageError, match="invalid child"):
+        StructureDag.from_bytes(dag.to_bytes())
+
+
+def test_verify_names_the_document_whose_structure_is_wrong(saved, capsys):
+    assert cli_main(["verify", saved]) == 0
+    index = _reload(saved)
+    # Swap the vertices recorded for two of document 3's elements.
+    slots = index.structure.slots_of(3)
+    other = next(
+        node for node in range(1, len(slots)) if slots[node] not in (0, slots[0])
+    )
+    slots[0], slots[other] = slots[other], slots[0]
+    report = verify_index(index)
+    assert not report.ok
+    assert any(problem.startswith("document 3:") for problem in report.problems)
+    _close(index)
+
+
+def test_a_directory_without_the_file_still_answers(saved, capsys):
+    with_structure = _reload(saved)
+    queries = ["//article/prolog", "//prolog[dateline]/title", "//section//p"]
+    expected = [FixQueryProcessor(with_structure).query(q).results for q in queries]
+    _close(with_structure)
+
+    os.remove(os.path.join(saved, STRUCTURE_FILE))
+    legacy = _reload(saved)
+    assert legacy.structure is None
+    processor = FixQueryProcessor(legacy)
+    for query, want in zip(queries, expected):
+        result = processor.query(query)
+        assert result.results == want
+        assert result.documents_fetched > 0 and result.dag_verdicts == 0
+    assert verify_index(legacy).ok
+    assert cli_main(["stats", saved]) == 0
+    assert "structure:      none" in capsys.readouterr().out
+    # Mutations keep working without one, and the next save writes it.
+    added = legacy.add_document(parse_xml("<article><prolog><title/></prolog></article>"))
+    legacy.store.save(os.path.join(saved, "store"))
+    save_index(legacy, saved)
+    _close(legacy)
+    assert cli_main(["stats", saved]) == 0
+    assert "vertices" in capsys.readouterr().out
+    restored = _reload(saved)
+    assert restored.structure.slots_of(added) is not None
+    assert verify_index(restored).ok
+    fresh = FixIndex.build(restored.store, restored.config)
+    assert restored.structure.to_bytes() == fresh.structure.to_bytes()
+    _close(restored)
