@@ -28,7 +28,6 @@ from repro.core import (
     FixQueryResult,
     PlanCache,
     PruningMetrics,
-    QueryMetricsLog,
     QueryPlan,
     ValueHasher,
     evaluate_pruning,
@@ -99,7 +98,6 @@ __all__ = [
     "PlanCache",
     "PrimaryXMLStore",
     "PruningMetrics",
-    "QueryMetricsLog",
     "QueryPlan",
     "ReproError",
     "StructuralJoinEngine",

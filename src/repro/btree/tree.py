@@ -41,12 +41,15 @@ from repro.btree.node import (
     LeafNode,
     deserialize_node,
 )
+from repro.obs.registry import CounterBlock
 from repro.storage.pager import Pager
 
 
 @dataclass
-class BTreeStats:
+class BTreeStats(CounterBlock):
     """Operation counters (monotonic)."""
+
+    PREFIX = "btree."
 
     node_visits: int = 0
     leaf_scans: int = 0
@@ -54,53 +57,6 @@ class BTreeStats:
     inserts: int = 0
     deletes: int = 0
     node_evictions: int = 0
-
-    def snapshot(self) -> "BTreeStats":
-        return BTreeStats(
-            self.node_visits,
-            self.leaf_scans,
-            self.splits,
-            self.inserts,
-            self.deletes,
-            self.node_evictions,
-        )
-
-    def delta(self, before: "BTreeStats") -> "BTreeStats":
-        return BTreeStats(
-            self.node_visits - before.node_visits,
-            self.leaf_scans - before.leaf_scans,
-            self.splits - before.splits,
-            self.inserts - before.inserts,
-            self.deletes - before.deletes,
-            self.node_evictions - before.node_evictions,
-        )
-
-    def add(self, other: "BTreeStats") -> None:
-        """Fold another tree's counters into this one (cross-shard sums)."""
-        self.node_visits += other.node_visits
-        self.leaf_scans += other.leaf_scans
-        self.splits += other.splits
-        self.inserts += other.inserts
-        self.deletes += other.deletes
-        self.node_evictions += other.node_evictions
-
-    @classmethod
-    def combine(cls, stats: "list[BTreeStats] | tuple[BTreeStats, ...]") -> "BTreeStats":
-        """Sum of several trees' counters."""
-        total = cls()
-        for item in stats:
-            total.add(item)
-        return total
-
-    def publish(self, registry, prefix: str = "btree.") -> None:
-        """Sync these monotonic totals into a ``repro.obs`` registry
-        (idempotent delta-sync; see ``MetricsRegistry.sync_counter``)."""
-        registry.sync_counter(prefix + "node_visits", self.node_visits)
-        registry.sync_counter(prefix + "leaf_scans", self.leaf_scans)
-        registry.sync_counter(prefix + "splits", self.splits)
-        registry.sync_counter(prefix + "inserts", self.inserts)
-        registry.sync_counter(prefix + "deletes", self.deletes)
-        registry.sync_counter(prefix + "node_evictions", self.node_evictions)
 
 
 @dataclass

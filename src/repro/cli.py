@@ -49,6 +49,7 @@ from repro.core import (
     load_index,
     save_index,
 )
+from repro.core.persistence import saved_config
 from repro.errors import ReproError
 from repro.query import twig_of
 from repro.storage import PrimaryXMLStore
@@ -388,7 +389,9 @@ def _open(
     shard_workers: int | None = None,
 ):
     """Reattach to a saved index — sharded (``sharded.json`` manifest)
-    or single — returning ``(store, index)``."""
+    or single — returning ``(store, index)``.  ``page_cache_pages``
+    (else the saved bound) caps every pager opened: the B-tree's and
+    the store's."""
     if ShardedFixIndex.is_sharded(index_dir):
         index = ShardedFixIndex.load(
             index_dir,
@@ -396,21 +399,26 @@ def _open(
             shard_workers=shard_workers,
         )
         return index.store, index
-    store = PrimaryXMLStore.load(os.path.join(index_dir, "store"))
+    store = PrimaryXMLStore.load(
+        os.path.join(index_dir, "store"),
+        page_cache_pages=(
+            page_cache_pages
+            if page_cache_pages is not None
+            else saved_config(index_dir).page_cache_pages
+        ),
+    )
     return store, load_index(
         index_dir, store, page_cache_pages=page_cache_pages
     )
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.core import QueryMetricsLog
     from repro.obs import Obs
 
     store, index = _open(
         args.index_dir, args.page_cache_pages, args.shard_workers
     )
     obs = Obs(trace=bool(args.trace))
-    log = QueryMetricsLog(registry=obs.registry)
     slow_log = None
     if args.slow_log or args.slow_threshold_ms is not None:
         from repro.obs import SlowQueryLog
@@ -428,7 +436,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         workers=args.workers,
         plan_cache=not args.no_plan_cache,
         pushdown=args.pushdown,
-        metrics_log=log,
         slow_log=slow_log,
         obs=obs,
     )
@@ -446,13 +453,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"{' pushdown' if result.pushdown else ''}]"
     )
     if args.repeat > 1:
-        summary = log.summary()
+        counters = obs.registry.snapshot()["counters"]
+        runs = counters["query.count"]
         print(
-            f"  over {summary['queries']} runs: "
-            f"plan={summary['plan_seconds'] * 1000:.2f}ms "
-            f"prune={summary['prune_seconds'] * 1000:.2f}ms "
-            f"refine={summary['refine_seconds'] * 1000:.2f}ms "
-            f"plan_cache_hit_rate={summary['plan_cache_hit_rate']:.0%}"
+            f"  over {runs:.0f} runs: "
+            f"plan={counters['query.phase_seconds.plan'] * 1000:.2f}ms "
+            f"prune={counters['query.phase_seconds.prune'] * 1000:.2f}ms "
+            f"refine={counters['query.phase_seconds.refine'] * 1000:.2f}ms "
+            f"plan_cache_hit_rate="
+            f"{counters.get('query.plan_cache.hits', 0.0) / runs:.0%}"
         )
     for pointer in result.results[: args.limit]:
         element = store.resolve(pointer)
@@ -558,17 +567,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     structures = [
         shard.structure for shard in (index.shards if sharded else [index])
     ]
-    if None in structures:
-        print("  structure:      none (directory saved without one: queries "
-              "fetch documents to refine; the next save writes it)")
-    else:
-        print(
-            f"  structure:      "
-            f"{sum(s.vertex_count for s in structures)} vertices, "
-            f"{sum(s.edge_count for s in structures)} edges, "
-            f"{sum(s.size_bytes() for s in structures)} bytes "
-            f"({sum(s.document_count for s in structures)} documents)"
-        )
+    print(
+        f"  structure:      "
+        f"{sum(s.vertex_count for s in structures)} vertices, "
+        f"{sum(s.edge_count for s in structures)} edges, "
+        f"{sum(s.size_bytes() for s in structures)} bytes "
+        f"({sum(s.document_count for s in structures)} documents)"
+    )
     print(f"  depth limit:    {config.depth_limit}")
     print(f"  value buckets:  {config.value_buckets}")
     print(f"  edge labels:    {len(index.encoder)}")

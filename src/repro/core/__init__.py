@@ -16,13 +16,7 @@
 
 from repro.core.epoch import EpochManager, EpochSnapshot
 from repro.core.index import FixIndex, FixIndexConfig, IndexEntry, StagedMutation
-from repro.core.metrics import (
-    PruningMetrics,
-    QueryMetricsLog,
-    QueryRecord,
-    evaluate_pruning,
-    publish_query_metrics,
-)
+from repro.core.metrics import PruningMetrics, evaluate_pruning
 from repro.core.optimizer import AccessPath, CostModel, ExplainedPlan, QueryOptimizer
 from repro.core.persistence import load_index, save_index
 from repro.core.plan import PlanCache, QueryPlan, build_plan
@@ -50,14 +44,11 @@ __all__ = [
     "save_index",
     "PlanCache",
     "PruningMetrics",
-    "QueryMetricsLog",
     "QueryPlan",
-    "QueryRecord",
     "ShardedFixIndex",
     "ValueHasher",
     "build_plan",
     "evaluate_pruning",
-    "publish_query_metrics",
     "VerificationReport",
     "verify_index",
 ]

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -58,9 +58,9 @@ from repro.bisim import (
 )
 from repro.bisim.graph import BisimGraph, BisimVertex
 from repro.btree import encode_feature_key
-from repro.core.structure import StagedStructure, StructureDag
+from repro.core.structure import StructureDag
 from repro.core.values import ValueHasher
-from repro.obs import MetricsRegistry, Obs
+from repro.obs import CounterBlock, MetricsRegistry, Obs
 from repro.spectral import (
     ALL_COVERING_RANGE,
     EdgeLabelEncoder,
@@ -74,8 +74,26 @@ from repro.xmltree import Document, Element
 
 
 @dataclass
-class ConstructionStats:
-    """Per-build statistics, aggregated across documents."""
+class ConstructionStats(CounterBlock):
+    """Per-build statistics, aggregated across documents.
+
+    Published under ``build.*`` by the batch build (end of build,
+    ``rebuild_from_staged``, ``load_index``) and, from the mutation
+    path's own accumulator, under ``build.incremental.*`` after every
+    ``add_document`` / ``remove_document`` — so Table-1 totals never
+    drift after mutations.
+    """
+
+    PREFIX = "build."
+    EXPLICIT = ("largest_pattern", "eigen_batch_sizes", "per_document_vertices")
+    PUBLISHED = {
+        "unit_documents": None,
+        "subpattern_documents": None,
+        "eigen_computations": "eigen.computations",
+        "cache_hits": "cache.hits",
+        "cache_misses": "cache.misses",
+        "eigen_batches": "eigen.batches",
+    }
 
     entries: int = 0
     documents: int = 0
@@ -102,62 +120,26 @@ class ConstructionStats:
         merging worker stats in chunk order reproduces the serial
         document order.
         """
-        self.entries += other.entries
-        self.documents += other.documents
-        self.unit_documents += other.unit_documents
-        self.subpattern_documents += other.subpattern_documents
-        self.bisim_vertices += other.bisim_vertices
-        self.eigen_computations += other.eigen_computations
-        self.oversized_patterns += other.oversized_patterns
+        super().merge(other)
         self.largest_pattern = max(self.largest_pattern, other.largest_pattern)
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.eigen_batches += other.eigen_batches
         for size, count in other.eigen_batch_sizes.items():
             self.eigen_batch_sizes[size] = (
                 self.eigen_batch_sizes.get(size, 0) + count
             )
         self.per_document_vertices.extend(other.per_document_vertices)
 
-    def publish(
-        self, registry: MetricsRegistry, prefix: str = "build."
-    ) -> None:
-        """Sync these running totals into ``registry`` counters.
-
-        Idempotent (the registry syncs by delta), so callers publish at
-        every phase boundary — end of build, after ``add_document`` /
-        ``remove_document`` — and the registry stays a faithful view of
-        the stats without per-vertex counter traffic on the hot path.
-
-        ``prefix`` selects the counter namespace: the batch build
-        publishes under ``build.*``, while the incremental mutation path
-        publishes its own accumulator under ``build.incremental.*`` so
-        Table-1 phase totals never drift after mutations.
-        """
-        registry.sync_counter(prefix + "entries", self.entries)
-        registry.sync_counter(prefix + "documents", self.documents)
-        registry.sync_counter(prefix + "bisim_vertices", self.bisim_vertices)
-        registry.sync_counter(prefix + "cache.hits", self.cache_hits)
-        registry.sync_counter(prefix + "cache.misses", self.cache_misses)
-        registry.sync_counter(
-            prefix + "eigen.computations", self.eigen_computations
-        )
-        registry.sync_counter(prefix + "eigen.batches", self.eigen_batches)
-        registry.sync_counter(
-            prefix + "oversized_patterns", self.oversized_patterns
-        )
+    def publish(self, registry: MetricsRegistry, prefix: str = PREFIX) -> None:
+        """The totals, plus one ``eigen.batch_size.<n>`` counter per
+        stacked-solve size."""
+        super().publish(registry, prefix)
         for size, count in self.eigen_batch_sizes.items():
             registry.sync_counter(f"{prefix}eigen.batch_size.{size}", count)
 
 
-#: the Table-1 phases, in presentation order.
-BUILD_PHASES = ("parse", "encode", "bisim", "unfold", "matrix", "eigen", "insert")
-#: registry counter prefix the phase accumulators live under.
-PHASE_COUNTER_PREFIX = "build.phase_seconds."
-
-
-class PhaseTimings:
-    """Wall-clock breakdown of one build (seconds per phase).
+@dataclass
+class PhaseTimings(CounterBlock):
+    """Wall-clock breakdown of one build (seconds per phase), the
+    Table-1 phases in presentation order.
 
     Phases:
         parse:  fetching/parsing documents out of primary storage.
@@ -173,80 +155,30 @@ class PhaseTimings:
             (cache misses only).
         insert: B-tree loading (and clustered copy-out, when applicable).
 
-    Since the ``repro.obs`` layer (DESIGN.md §10) this is a *view over a
-    metrics registry* rather than a parallel set of floats: each phase
-    attribute reads/writes the ``build.phase_seconds.<phase>`` counter
-    of the backing :class:`~repro.obs.registry.MetricsRegistry` (a
-    private one when none is given, the index's when constructed by an
-    :class:`EntryGenerator` under an :class:`~repro.obs.Obs` context).
-    The dataclass-era API — keyword construction, attribute ``+=``,
-    ``merge``, ``as_dict`` — is unchanged.
+    Merged worker times overlap in wall-clock terms; the merged figure
+    is aggregate CPU-seconds per phase, which is the comparable quantity
+    across serial and parallel builds.  Published as the
+    ``build.phase_seconds.<phase>`` counters at the boundaries
+    :class:`ConstructionStats` is.
     """
 
-    def __init__(
-        self,
-        parse: float = 0.0,
-        encode: float = 0.0,
-        bisim: float = 0.0,
-        unfold: float = 0.0,
-        matrix: float = 0.0,
-        eigen: float = 0.0,
-        insert: float = 0.0,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        object.__setattr__(self, "registry", registry)
-        object.__setattr__(
-            self,
-            "_counters",
-            {
-                phase: registry.counter(PHASE_COUNTER_PREFIX + phase)
-                for phase in BUILD_PHASES
-            },
-        )
-        values = (parse, encode, bisim, unfold, matrix, eigen, insert)
-        for phase, value in zip(BUILD_PHASES, values):
-            if value:
-                self._counters[phase].inc(value)
+    PREFIX = "build.phase_seconds."
 
-    def __getattr__(self, name: str) -> float:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return counters[name].value
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            counter = counters[name]
-            counter.inc(value - counter.value)
-        else:
-            object.__setattr__(self, name, value)
-
-    def merge(self, other: "PhaseTimings") -> None:
-        """Accumulate another build's (or worker's) phase times.
-
-        Worker times overlap in wall-clock terms; the merged figure is
-        aggregate CPU-seconds per phase, which is the comparable
-        quantity across serial and parallel builds.
-        """
-        for phase in BUILD_PHASES:
-            self._counters[phase].inc(getattr(other, phase))
+    parse: float = 0.0
+    encode: float = 0.0
+    bisim: float = 0.0
+    unfold: float = 0.0
+    matrix: float = 0.0
+    eigen: float = 0.0
+    insert: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
         """Phase → seconds mapping (for reports and persistence)."""
-        return {phase: self._counters[phase].value for phase in BUILD_PHASES}
+        return asdict(self)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhaseTimings):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        phases = ", ".join(
-            f"{phase}={seconds:.4f}" for phase, seconds in self.as_dict().items()
-        )
-        return f"PhaseTimings({phases})"
+#: the Table-1 phases, in presentation order.
+BUILD_PHASES = tuple(f.name for f in fields(PhaseTimings))
 
 
 def seed_encoder(
@@ -349,7 +281,7 @@ class GeneratorSettings:
         encoder: EdgeLabelEncoder,
         cache: FeatureCache | None = None,
         obs: Obs | None = None,
-        structure: StructureDag | StagedStructure | None = None,
+        structure: StructureDag | None = None,
     ) -> "EntryGenerator":
         """An :class:`EntryGenerator` for these settings over
         ``encoder``, consulting ``cache``, reporting into ``obs`` and
@@ -376,7 +308,7 @@ class EntryGenerator:
         max_pattern_vertices: int = 800,
         cache: FeatureCache | None = None,
         obs: Obs | None = None,
-        structure: StructureDag | StagedStructure | None = None,
+        structure: StructureDag | None = None,
     ) -> None:
         self.encoder = encoder
         self.depth_limit = depth_limit
@@ -387,11 +319,11 @@ class EntryGenerator:
         #: are recorded (DESIGN.md §14); ``None`` records nothing.
         self.structure = structure
         #: observability context: span capture plus the registry the
-        #: phase timings are a view over (a private, non-tracing one
+        #: per-document sketches go to (a private, non-tracing one
         #: unless the owning index passes its own).
         self.obs = obs if obs is not None else Obs()
         self.stats = ConstructionStats()
-        self.timings = PhaseTimings(registry=self.obs.registry)
+        self.timings = PhaseTimings()
 
     # ------------------------------------------------------------------ #
     # Entry streams

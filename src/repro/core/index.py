@@ -28,13 +28,14 @@ from collections.abc import Iterator
 from repro.btree import BPlusTree, encode_float, label_upper_bound
 from repro.btree.keys import decode_feature_key, encode_label, label_terminator
 from repro.core.construction import (
+    BUILD_PHASES,
     ConstructionStats,
     GeneratorSettings,
     PhaseTimings,
     seed_encoder,
 )
 from repro.core.epoch import EpochManager
-from repro.core.structure import StagedStructure, StructureDag
+from repro.core.structure import StructureDag
 from repro.errors import (
     IndexCoverageError,
     PatternTooLargeError,
@@ -240,20 +241,18 @@ class StagedMutation:
     stats: ConstructionStats
     #: wall-clock seconds spent staging.
     seconds: float
-    #: an added document's structure, held until the apply records it
-    #: (``None`` for removals and on an index that keeps none).
-    structure: StagedStructure | None = None
+    #: an added document's structure, recorded in a DAG private to the
+    #: staging thread until the apply absorbs it (``None`` for removals).
+    structure: StructureDag | None = None
 
 
 @dataclass
 class BuildReport:
-    """What a build did: Algorithm 1's observable costs.
-
-    Under the ``repro.obs`` layer this is a view over the index's
-    metrics registry: ``timings`` reads the ``build.phase_seconds.*``
-    counters, and :meth:`cache_summary` / :meth:`as_dict` assemble the
-    cache and batch statistics the registry (and therefore any JSONL
-    trace of the build) carries.
+    """What a build did: Algorithm 1's observable costs — the record of
+    one build, as :class:`~repro.core.processor.FixQueryResult` is of
+    one query.  ``stats`` and ``timings`` are the generator's own
+    counter blocks, published into the index's registry at the end of a
+    build, of ``rebuild_from_staged`` and of ``load_index``.
     """
 
     seconds: float = 0.0
@@ -279,7 +278,8 @@ class BuildReport:
         }
 
     def as_dict(self) -> dict:
-        """JSON-friendly dump (persistence, ``repro stats``, traces)."""
+        """JSON-friendly dump — the ``"report"`` section of
+        ``meta.json``; :meth:`restore` is its inverse."""
         return {
             "seconds": self.seconds,
             "entries": self.stats.entries,
@@ -296,6 +296,33 @@ class BuildReport:
             "btree_bytes": self.btree_bytes,
             "clustered_bytes": self.clustered_bytes,
         }
+
+    def restore(self, persisted: dict) -> None:
+        """Set this report from a saved :meth:`as_dict`.  ``seconds``,
+        ``entries`` and ``oversized_patterns`` are required; the rest
+        was added over time and defaults to zero, phases this version
+        does not time are dropped, and the two sizes are left to the
+        caller, which has the files.
+
+        Raises:
+            KeyError, TypeError: a required key is missing, or
+                ``persisted`` is not a mapping.
+        """
+        stats, timings = self.stats, self.timings
+        self.seconds = persisted["seconds"]
+        stats.entries = persisted["entries"]
+        stats.oversized_patterns = persisted["oversized_patterns"]
+        stats.cache_hits = persisted.get("cache_hits", 0)
+        stats.cache_misses = persisted.get("cache_misses", 0)
+        self.feature_cache_patterns = persisted.get("feature_cache_patterns", 0)
+        stats.eigen_batches = persisted.get("eigen_batches", 0)
+        stats.eigen_batch_sizes = {
+            int(size): count
+            for size, count in persisted.get("eigen_batch_sizes", {}).items()
+        }
+        phases = persisted.get("phases", {})
+        for phase in BUILD_PHASES:
+            setattr(timings, phase, phases.get(phase, 0.0))
 
 
 class FixIndex:
@@ -335,10 +362,8 @@ class FixIndex:
         self.obs = obs if obs is not None else Obs.from_config(self.config.obs)
         #: the collection-wide bisimulation DAG refinement decides
         #: structural twigs on (DESIGN.md §14), filled by the entry
-        #: generator and mutated only inside the epoch window.  ``None``
-        #: on an index loaded from a directory saved without one: such
-        #: an index refines by fetching until it is saved or rebuilt.
-        self.structure: StructureDag | None = StructureDag()
+        #: generator and mutated only inside the epoch window.
+        self.structure = StructureDag()
         self._generator = self._settings.generator(
             self.encoder,
             cache=self.feature_cache,
@@ -379,7 +404,7 @@ class FixIndex:
         if feature_cache is not None:
             self.feature_cache = self._generator.cache = feature_cache
 
-    def set_structure(self, structure: StructureDag | None) -> None:
+    def set_structure(self, structure: StructureDag) -> None:
         """Replace the structure DAG this index refines on and its
         generator records into."""
         self.structure = self._generator.structure = structure
@@ -387,7 +412,7 @@ class FixIndex:
     def restore_structure(self) -> None:
         """Recompute the structure DAG by regenerating every stored
         document's entries (and discarding them) — what a directory
-        saved without one pays, once, at its next save."""
+        saved without one pays, once, when it is loaded."""
         structure = StructureDag()
         shadow = self._settings.generator(
             self.encoder, cache=self.feature_cache, structure=structure
@@ -397,7 +422,7 @@ class FixIndex:
                 pass
         self.set_structure(structure)
 
-    def structure_of(self, doc_id: int) -> StructureDag | None:
+    def structure_of(self, doc_id: int) -> StructureDag:
         """The DAG holding ``doc_id``'s entries (a sharded index
         answers with the owning shard's)."""
         return self.structure
@@ -500,12 +525,14 @@ class FixIndex:
         return Pager(path, cache_pages=self.config.page_cache_pages)
 
     def _publish_build_metrics(self) -> None:
-        """Sync construction stats and sizes into the obs registry (the
-        idempotent delta-sync of ``ConstructionStats.publish``), so a
-        registry snapshot — or a flushed trace — carries the full
-        Table-1 accounting without hot-path counter traffic."""
+        """Sync construction stats, phase seconds and sizes into the
+        obs registry (the idempotent delta-sync of
+        ``CounterBlock.publish``), so a registry snapshot — or a flushed
+        trace — carries the full Table-1 accounting without hot-path
+        counter traffic."""
         registry = self.obs.registry
         self._generator.stats.publish(registry)
+        self._generator.timings.publish(registry)
         self._publish_gauges()
         if self.clustered_store is not None:
             registry.gauge("index.clustered_bytes").set(
@@ -656,17 +683,16 @@ class FixIndex:
         shared structure a reader scans — safe to run concurrently with
         pinned queries; only :meth:`apply_staged_add` needs the
         exclusive epoch window."""
-        recorded = StagedStructure() if self.structure is not None else None
-        return self._mutation_delta(doc_id, document, recorded)
+        return self._mutation_delta(doc_id, document, StructureDag())
 
     def _mutation_delta(
-        self, doc_id: int, document=None, structure: StagedStructure | None = None
+        self, doc_id: int, document=None, structure: StructureDag | None = None
     ) -> StagedMutation:
         """One document's ``(encoded key, packed pointer)`` entries,
         touched root labels and generation stats, timed — what an add
         inserts and a removal deletes.  ``document=None`` fetches the
         stored one (inside the timed region); ``structure`` receives
-        the document's structure (an add's, for the apply to record).
+        the document's structure (an add's, for the apply to absorb).
 
         Generated by a throwaway shadow generator: it shares the encoder
         (so keys come out identical) and routes explicitly through the
@@ -707,9 +733,7 @@ class FixIndex:
             with self.epochs.mutation(staged.labels):
                 for key, value in staged.entries:
                     self.btree.insert(key, value)
-                if self.structure is not None:
-                    for recorded in staged.structure or ():
-                        self.structure.add_document(*recorded)
+                self.structure.absorb(staged.structure)
             apply_seconds = time.perf_counter() - apply_started
             span.set(
                 entries=len(staged.entries),
@@ -760,8 +784,7 @@ class FixIndex:
                     if self.btree.delete(key, value):
                         removed += 1
                 self.store.remove_document(staged.doc_id)
-                if self.structure is not None:
-                    self.structure.drop_document(staged.doc_id)
+                self.structure.drop_document(staged.doc_id)
             apply_seconds = time.perf_counter() - apply_started
             span.set(
                 removed=removed,
@@ -989,10 +1012,7 @@ class FixIndex:
         """Index footprint (the ``|UIdx|`` column of Table 1): the
         B-tree's pages plus the structure sidecar as a save would write
         it now."""
-        total = self.btree.size_bytes()
-        if self.structure is not None:
-            total += self.structure.size_bytes()
-        return total
+        return self.btree.size_bytes() + self.structure.size_bytes()
 
     def total_size_bytes(self) -> int:
         """:meth:`size_bytes` plus clustered copies (``|CIdx|``)."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from repro.core.index import FixIndex
 from repro.core.processor import FixQueryProcessor
-from repro.obs import MetricsRegistry
 from repro.query.ast import Axis
 from repro.query.decompose import decompose
 from repro.query.match import matches_at, query_matches_document
@@ -153,153 +152,6 @@ class MetricAverages:
     @property
     def avg_fpr(self) -> float:
         return self.fpr_sum / self.queries if self.queries else 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class QueryRecord:
-    """One query's observable cost, as reported by the processor."""
-
-    source: str
-    candidate_count: int
-    result_count: int
-    plan_seconds: float
-    prune_seconds: float
-    refine_seconds: float
-    plan_cached: bool
-    documents_fetched: int
-    workers: int
-
-    @property
-    def false_positive_rate(self) -> float:
-        """``fpr`` of this single query (0 for an empty candidate set)."""
-        if not self.candidate_count:
-            return 0.0
-        return 1.0 - self.result_count / self.candidate_count
-
-    @property
-    def seconds(self) -> float:
-        return self.plan_seconds + self.prune_seconds + self.refine_seconds
-
-
-def publish_query_metrics(registry: MetricsRegistry, result) -> None:
-    """Record one query's observable cost into ``registry``.
-
-    The single write path for per-query metrics (DESIGN.md §10): the
-    processor calls it on its obs registry, and
-    :class:`QueryMetricsLog` calls it on its backing registry, so both
-    views agree on metric names — ``query.count``,
-    ``query.plan_cache.hits/misses``, the candidate counter,
-    phase-second counters, and the latency histograms.
-    """
-    registry.counter("query.count").inc()
-    registry.counter(
-        "query.plan_cache.hits" if result.plan_cached else "query.plan_cache.misses"
-    ).inc()
-    registry.counter("query.candidates").inc(result.candidate_count)
-    registry.counter("query.results").inc(result.result_count)
-    registry.counter("query.documents_fetched").inc(result.documents_fetched)
-    registry.counter("query.refine.fetches_avoided").inc(result.fetches_avoided)
-    registry.counter("query.refine.dag_verdicts").inc(result.dag_verdicts)
-    registry.counter("query.refine.dag_reused").inc(result.dag_reused)
-    registry.counter("query.phase_seconds.plan").inc(result.plan_seconds)
-    registry.counter("query.phase_seconds.prune").inc(result.prune_seconds)
-    registry.counter("query.phase_seconds.refine").inc(result.refine_seconds)
-    registry.histogram("query.seconds").observe(result.seconds)
-    registry.histogram("query.refine_seconds").observe(result.refine_seconds)
-    # The quantile sketches behind p50/p95/p99 reporting (DESIGN.md
-    # §13): total latency plus the per-phase split, one observation per
-    # query.
-    registry.sketch("query.seconds").observe(result.seconds)
-    registry.sketch("query.plan_seconds").observe(result.plan_seconds)
-    registry.sketch("query.prune_seconds").observe(result.prune_seconds)
-    registry.sketch("query.refine_seconds").observe(result.refine_seconds)
-    registry.gauge("query.workers").set(result.workers)
-
-
-class QueryMetricsLog:
-    """Rolling per-query metrics sink for :class:`FixQueryProcessor`.
-
-    Pass one as ``metrics_log=`` and every ``query()`` call appends a
-    :class:`QueryRecord`; :meth:`summary` aggregates candidates, FP
-    rates, phase timings, and plan-cache hit rate.
-
-    Under ``repro.obs`` the log is a *view over a metrics registry*:
-    totals come from the registry's ``query.*`` instruments (so they
-    survive window eviction), while the bounded ``records`` window
-    keeps the per-query detail for windowed statistics.  The backing
-    registry is private by default; pass the processor's
-    ``obs.registry`` to share one set of counters (the processor then
-    skips its own publishing — no double counting).
-    """
-
-    def __init__(
-        self, capacity: int = 4096, registry: MetricsRegistry | None = None
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"need a positive capacity, got {capacity}")
-        self._capacity = capacity
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.records: list[QueryRecord] = []
-
-    @property
-    def total_queries(self) -> int:
-        """Total queries ever recorded (survives window eviction)."""
-        return int(self.registry.counter("query.count").value)
-
-    def record(self, source: str, result) -> None:
-        """Append one processor result (duck-typed ``FixQueryResult``)."""
-        self.records.append(
-            QueryRecord(
-                source=source,
-                candidate_count=result.candidate_count,
-                result_count=result.result_count,
-                plan_seconds=result.plan_seconds,
-                prune_seconds=result.prune_seconds,
-                refine_seconds=result.refine_seconds,
-                plan_cached=result.plan_cached,
-                documents_fetched=result.documents_fetched,
-                workers=result.workers,
-            )
-        )
-        publish_query_metrics(self.registry, result)
-        if len(self.records) > self._capacity:
-            del self.records[: len(self.records) - self._capacity]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def summary(self) -> dict:
-        """Aggregates over the log (JSON-friendly).
-
-        Totals read the backing registry (all recorded queries);
-        ``queries`` and ``avg_false_positive_rate`` describe the
-        bounded window, which is all a rolling view can say about
-        per-query distributions.
-        """
-        n = len(self.records)
-        if not n and not self.total_queries:
-            return {"queries": 0}
-        counters = self.registry.snapshot()["counters"]
-        hits = counters.get("query.plan_cache.hits", 0.0)
-        misses = counters.get("query.plan_cache.misses", 0.0)
-        return {
-            "queries": n,
-            "total_queries": self.total_queries,
-            "candidates": int(counters.get("query.candidates", 0)),
-            "results": int(counters.get("query.results", 0)),
-            "avg_false_positive_rate": (
-                sum(r.false_positive_rate for r in self.records) / n
-                if n
-                else 0.0
-            ),
-            "plan_cache_hit_rate": (
-                hits / (hits + misses) if hits + misses else 0.0
-            ),
-            "documents_fetched": int(counters.get("query.documents_fetched", 0)),
-            "plan_seconds": counters.get("query.phase_seconds.plan", 0.0),
-            "prune_seconds": counters.get("query.phase_seconds.prune", 0.0),
-            "refine_seconds": counters.get("query.phase_seconds.refine", 0.0),
-        }
 
 
 def classify_selectivity(sel: float) -> str:

@@ -45,8 +45,6 @@ def save_index(index: FixIndex, directory: str) -> None:
             os.path.join(directory, _CLUSTERED_FILE)
         )
         clustered_units = index.clustered_store.unit_count
-    if index.structure is None:
-        index.restore_structure()
     with open(os.path.join(directory, STRUCTURE_FILE), "wb") as handle:
         handle.write(index.structure.to_bytes())
     meta = {
@@ -59,25 +57,44 @@ def save_index(index: FixIndex, directory: str) -> None:
             "page_size": index.btree.pager.page_size,
         },
         "clustered_units": clustered_units,
-        "report": {
-            "seconds": index.report.seconds,
-            "entries": index.report.stats.entries,
-            "oversized_patterns": index.report.stats.oversized_patterns,
-            "cache_hits": index.report.stats.cache_hits,
-            "cache_misses": index.report.stats.cache_misses,
-            "feature_cache_patterns": index.report.feature_cache_patterns,
-            "eigen_batches": index.report.stats.eigen_batches,
-            "eigen_batch_sizes": {
-                str(size): count
-                for size, count in sorted(
-                    index.report.stats.eigen_batch_sizes.items()
-                )
-            },
-            "phases": index.report.timings.as_dict(),
-        },
+        "report": index.report.as_dict(),
     }
     with open(os.path.join(directory, _META_FILE), "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=2)
+
+
+def _read_meta(directory: str) -> tuple[str, dict]:
+    """``meta.json`` of a saved index: its path and decoded content.
+
+    Raises:
+        StorageError: missing or undecodable file, or another format
+            version.
+    """
+    meta_path = os.path.join(directory, _META_FILE)
+    try:
+        with open(meta_path, encoding="utf-8") as handle:
+            meta = json.load(handle)
+    except FileNotFoundError as exc:
+        raise StorageError(f"no saved index at {directory!r}") from exc
+    except json.JSONDecodeError as exc:
+        raise StorageError(f"corrupt index metadata at {meta_path!r}") from exc
+    if meta.get("format_version") != _FORMAT_VERSION:
+        raise StorageError(
+            f"index format version {meta.get('format_version')} is not "
+            f"supported (expected {_FORMAT_VERSION})"
+        )
+    return meta_path, meta
+
+
+def saved_config(directory: str) -> FixIndexConfig:
+    """The configuration a saved index was built with — what a caller
+    needs before :func:`load_index` to open the primary store under the
+    same ``page_cache_pages`` bound.
+
+    Raises:
+        StorageError: as :func:`load_index`.
+    """
+    return FixIndexConfig.from_dict(_read_meta(directory)[1].get("config"))
 
 
 def load_index(
@@ -96,27 +113,21 @@ def load_index(
         page_cache_pages: override the saved buffer-pool bound for this
             session (the on-disk config is not modified).
 
-    A directory saved before the structure sidecar existed loads with
-    ``index.structure`` set to ``None``: queries refine by fetching
-    documents, and the next :func:`save_index` writes the file.
+    A directory saved before the structure sidecar existed pays for
+    one here (:meth:`FixIndex.restore_structure`, a pass over ``store``);
+    the next :func:`save_index` writes the file.
 
     Raises:
         StorageError: missing/unreadable directory, format mismatch, a
             missing or ill-typed metadata section, or a damaged
             structure file.
     """
-    meta_path = os.path.join(directory, _META_FILE)
-    try:
-        with open(meta_path, encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except FileNotFoundError as exc:
-        raise StorageError(f"no saved index at {directory!r}") from exc
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"corrupt index metadata at {meta_path!r}") from exc
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise StorageError(
-            f"index format version {meta.get('format_version')} is not "
-            f"supported (expected {_FORMAT_VERSION})"
+    meta_path, meta = _read_meta(directory)
+
+    def ill_typed(exc: Exception) -> StorageError:
+        return StorageError(
+            f"index metadata at {meta_path!r} has a missing or ill-typed "
+            f"section ({type(exc).__name__}: {exc})"
         )
 
     try:
@@ -126,26 +137,22 @@ def load_index(
             int(meta["btree"][field])
             for field in ("root_page", "entry_count", "page_size")
         )
-        report = meta["report"]
-        report_seconds, report_entries, report_oversized = (
-            report[field]
-            for field in ("seconds", "entries", "oversized_patterns")
-        )
         clustered_units = int(meta["clustered_units"]) if config.clustered else 0
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise StorageError(
-            f"index metadata at {meta_path!r} has a missing or ill-typed "
-            f"section ({type(exc).__name__}: {exc})"
-        ) from exc
+        raise ill_typed(exc) from exc
     if page_cache_pages is not None:
         config = dataclasses.replace(config, page_cache_pages=page_cache_pages)
     index = FixIndex(store, config, encoder=encoder)
+    try:
+        index.report.restore(meta["report"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ill_typed(exc) from exc
     structure_path = os.path.join(directory, STRUCTURE_FILE)
     try:
         with open(structure_path, "rb") as handle:
             index.set_structure(StructureDag.from_bytes(handle.read()))
     except FileNotFoundError:
-        index.set_structure(None)
+        index.restore_structure()
     except StorageError as exc:
         raise StorageError(f"{structure_path!r}: {exc}") from exc
 
@@ -166,24 +173,11 @@ def load_index(
         index.clustered_store = ClusteredStore(
             Pager(clustered_path), preloaded_units=clustered_units
         )
-    index.report.seconds = report_seconds
-    index.report.stats.entries = report_entries
-    index.report.stats.oversized_patterns = report_oversized
-    # Additive report fields (absent in indexes saved by older builds).
-    index.report.stats.cache_hits = report.get("cache_hits", 0)
-    index.report.stats.cache_misses = report.get("cache_misses", 0)
-    index.report.feature_cache_patterns = report.get("feature_cache_patterns", 0)
-    index.report.stats.eigen_batches = report.get("eigen_batches", 0)
-    index.report.stats.eigen_batch_sizes = {
-        int(size): count
-        for size, count in report.get("eigen_batch_sizes", {}).items()
-    }
-    for phase, seconds in report.get("phases", {}).items():
-        setattr(index.report.timings, phase, seconds)
     index.report.btree_bytes = index.btree.size_bytes()
-    # Republish the restored stats so the metrics registry agrees with
-    # the report views (phase counters were restored just above).
+    # Republish the restored blocks so the metrics registry agrees with
+    # the report.
     index.report.stats.publish(index.obs.registry)
+    index.report.timings.publish(index.obs.registry)
     index.obs.registry.gauge("index.entries").set(index.report.stats.entries)
     index.obs.registry.gauge("index.btree_bytes").set(index.report.btree_bytes)
     return index

@@ -180,7 +180,7 @@ class PlanCache:
         The ``plan_cache.*`` namespace is cache-level: it counts every
         lookup, including standalone ``prune()``/``plan_for()`` calls.
         The per-*query* hit counters (``query.plan_cache.hits``/
-        ``.misses``) are published by ``publish_query_metrics``.
+        ``.misses``) are published by the processor, once per query.
         """
         registry.sync_counter(prefix + "hits", self.hits)
         registry.sync_counter(prefix + "misses", self.misses)

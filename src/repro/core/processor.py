@@ -19,12 +19,11 @@ the index's bisimulation DAG (DESIGN.md §14) — one memoised verdict per
 (query node, vertex), shared by every candidate of the query — and no
 tree is fetched for a twig without value literals.  What still needs a
 tree (structural survivors of a twig with literals, every candidate
-when a ``refiner`` was passed explicitly or the index has no DAG) is
-grouped by the document (or clustered copy) it refines against, each
-group's tree is fetched exactly once, and all of the group's candidates
-are validated against it — optionally fanned out across ``workers``
-processes.  The result list is pointer-ordered and identical for any
-worker count.  The leading ``//`` is rewritten to ``/`` for
+when a ``refiner`` was passed explicitly) is grouped by the document
+(or clustered copy) it refines against, each group's tree is fetched
+exactly once, and all of the group's candidates are validated against
+it — optionally fanned out across ``workers`` processes.  The result
+list is pointer-ordered and identical for any worker count.  The leading ``//`` is rewritten to ``/`` for
 depth-limited indexes (every descendant of an indexed pattern instance
 is itself indexed, so each candidate only answers for its own root —
 Algorithm 2, lines 7-8).  Clustered candidates refine against their
@@ -126,8 +125,8 @@ class FixQueryProcessor:
         refiner: refinement engine.  Passing one makes it judge every
             candidate on its fetched tree; the default decides
             structure on the DAG and runs a navigational engine over
-            the index's primary store only where a value literal (or a
-            missing DAG) calls for the tree.
+            the index's primary store only where a value literal calls
+            for the tree.
         workers: refinement worker processes.  ``1`` refines in
             process; ``k > 1`` fans document groups out across ``k``
             processes with results identical to serial.
@@ -142,9 +141,6 @@ class FixQueryProcessor:
             merged in pointer order — answers identical to the scatter-
             gather path.  Ignored (normal two-phase flow) for plain
             indexes and for custom refinement engines.
-        metrics_log: optional sink with a ``record(source, result)``
-            method (see :class:`~repro.core.metrics.QueryMetricsLog`);
-            every :meth:`query` call is reported to it.
         slow_log: optional :class:`~repro.obs.slowlog.SlowQueryLog`.
             Queries whose total latency crosses its threshold (fixed,
             or derived from this processor's ``query.seconds`` sketch)
@@ -158,9 +154,7 @@ class FixQueryProcessor:
             Defaults to the index's own, so build and query metrics
             land in one registry and query spans join the index's
             trace.  Every :meth:`query` publishes ``query.*`` metrics
-            to ``obs.registry`` — unless ``metrics_log`` already
-            writes to the *same* registry, in which case the processor
-            defers to it (no double counting).
+            to ``obs.registry``.
     """
 
     def __init__(
@@ -171,7 +165,6 @@ class FixQueryProcessor:
         workers: int = 1,
         plan_cache: bool | PlanCache = True,
         pushdown: bool = False,
-        metrics_log=None,
         slow_log=None,
         obs: Obs | None = None,
     ) -> None:
@@ -185,7 +178,6 @@ class FixQueryProcessor:
             self.plan_cache: PlanCache | None = plan_cache
         else:
             self.plan_cache = PlanCache() if plan_cache else None
-        self.metrics_log = metrics_log
         self.obs = obs if obs is not None else index.obs
         self.slow_log = slow_log
         if slow_log is not None and slow_log.registry is None:
@@ -474,8 +466,6 @@ class FixQueryProcessor:
                 )
         finally:
             self._pin_local.snapshot = None
-        if self.metrics_log is not None:
-            self.metrics_log.record(plan.source, result)
         self._publish_query_metrics(result)
         if self.slow_log is not None and self.slow_log.is_slow(result.seconds):
             spans = list(tracer.events[events_start:]) if tracer.enabled else []
@@ -489,20 +479,37 @@ class FixQueryProcessor:
         return result
 
     def _publish_query_metrics(self, result: FixQueryResult) -> None:
-        """Publish ``query.*`` metrics plus the B-tree scan counters."""
+        """The one write of a query's cost (DESIGN.md §10): the B-tree
+        scan, pager, plan-cache and epoch blocks, then ``query.*`` —
+        ``query.count``, ``query.plan_cache.hits/misses``, candidates
+        and results, the refinement counters, phase-second counters and
+        the latency sketches."""
         registry = self.obs.registry
         self.index.publish_scan_stats(registry)
         if self.plan_cache is not None:
             self.plan_cache.publish(registry)
         self.index.epochs.publish(registry)
-        if (
-            self.metrics_log is not None
-            and getattr(self.metrics_log, "registry", None) is registry
-        ):
-            return  # the shared log already published this query
-        from repro.core.metrics import publish_query_metrics
-
-        publish_query_metrics(registry, result)
+        registry.counter("query.count").inc()
+        registry.counter(
+            "query.plan_cache.hits" if result.plan_cached else "query.plan_cache.misses"
+        ).inc()
+        registry.counter("query.candidates").inc(result.candidate_count)
+        registry.counter("query.results").inc(result.result_count)
+        registry.counter("query.documents_fetched").inc(result.documents_fetched)
+        registry.counter("query.refine.fetches_avoided").inc(result.fetches_avoided)
+        registry.counter("query.refine.dag_verdicts").inc(result.dag_verdicts)
+        registry.counter("query.refine.dag_reused").inc(result.dag_reused)
+        registry.counter("query.phase_seconds.plan").inc(result.plan_seconds)
+        registry.counter("query.phase_seconds.prune").inc(result.prune_seconds)
+        registry.counter("query.phase_seconds.refine").inc(result.refine_seconds)
+        # The quantile sketches behind p50/p95/p99 reporting (DESIGN.md
+        # §13): total latency plus the per-phase split, one observation
+        # per query.
+        registry.sketch("query.seconds").observe(result.seconds)
+        registry.sketch("query.plan_seconds").observe(result.plan_seconds)
+        registry.sketch("query.prune_seconds").observe(result.prune_seconds)
+        registry.sketch("query.refine_seconds").observe(result.refine_seconds)
+        registry.gauge("query.workers").set(result.workers)
 
     # ------------------------------------------------------------------ #
     # Refinement phase
@@ -581,13 +588,14 @@ class FixQueryProcessor:
         recorded in, and return what still needs a tree: nothing the
         DAG rejected; what it accepted only when the twig carries a
         value literal (otherwise that is a survivor already, added to
-        ``result``); and every candidate without a recorded vertex."""
+        ``result``); and every candidate without a recorded vertex (an
+        entry a damaged directory holds and its DAG does not)."""
         keep_accepted = twig.has_values()
         judges: dict[int, TwigVerdicts] = {}
 
         def undecided(doc_id: int, entries: list[IndexEntry]) -> list[IndexEntry]:
             dag = index.structure_of(doc_id)
-            slots = dag.slots_of(doc_id) if dag is not None else None
+            slots = dag.slots_of(doc_id)
             if slots is None:
                 return entries
             judge = judges.get(id(dag))

@@ -211,32 +211,42 @@ class StructureDag:
         slots = array("I", bytes(4 * (1 + max(node_id for _, node_id in emitted))))
         for vertex, node_id in emitted:
             slots[node_id] = mapped[vertex.vid] + 1
+        if doc_id in self._slots:
+            self._garbage = True  # what only the old recording reached
         self._slots[doc_id] = slots
 
     def absorb(self, other: "StructureDag") -> None:
-        """Take over every document of ``other`` (a staging worker's
-        private DAG) and the vertices they reach.
+        """Take over every document of ``other`` (the private DAG a
+        build worker, a shard worker or a staged mutation recorded
+        into) and the vertices they reach.
         Vertices new to this DAG are appended in ``other``'s order,
         which is first-appearance order, so absorbing chunks in
         document order numbers vertices exactly as recording the
         documents one by one would."""
-        reachable = bytearray(other.vertex_count)
-        for slots in other._slots.values():
-            for slot in set(slots):
-                if slot:
-                    reachable[slot - 1] = 1
-        # Parents carry the larger ids: one descending pass closes the
-        # set under the child relation.
-        for vertex in range(other.vertex_count - 1, -1, -1):
-            if reachable[vertex]:
-                for child in other.children_of(vertex):
-                    reachable[child] = 1
-        mapped = array("I", bytes(4 * other.vertex_count))
-        for vertex in range(other.vertex_count):
-            if reachable[vertex]:
-                mapped[vertex] = self._intern(
-                    other.label_of(vertex),
-                    tuple(sorted(mapped[child] for child in other.children_of(vertex))),
+        count = other.vertex_count
+        offsets, child_ids = other.child_offsets, other.child_ids
+        # Until a document is dropped every vertex belongs to one.
+        reachable = None
+        if other._garbage:
+            reachable = bytearray(count)
+            for slots in other._slots.values():
+                for slot in set(slots):
+                    if slot:
+                        reachable[slot - 1] = 1
+            # Parents carry the larger ids: one descending pass closes
+            # the set under the child relation.
+            for vertex in range(count - 1, -1, -1):
+                if reachable[vertex]:
+                    for child in child_ids[offsets[vertex] : offsets[vertex + 1]]:
+                        reachable[child] = 1
+        labels, intern = other.labels, self._intern
+        mapped = [0] * count
+        for vertex, label_id in enumerate(other.vertex_labels):
+            if reachable is None or reachable[vertex]:
+                children = child_ids[offsets[vertex] : offsets[vertex + 1]]
+                mapped[vertex] = intern(
+                    labels[label_id],
+                    tuple(sorted([mapped[child] for child in children])),
                 )
         for doc_id, slots in other._slots.items():
             self._slots[doc_id] = array(
@@ -418,25 +428,6 @@ def _unpacked(data: bytes, width: int) -> array:
     if sys.byteorder == "big":
         values.byteswap()
     return values if width == 4 else array("I", values)
-
-
-class StagedStructure(list):
-    """The structure of a document staged outside the epoch window.
-
-    Staging may touch nothing a reader scans, so a staged mutation's
-    generator records here: :meth:`add_document` only keeps its
-    arguments (the graph is private to the staging thread), and the
-    apply window passes each to :meth:`StructureDag.add_document` — one
-    interning pass, inside the latch.
-    """
-
-    def add_document(
-        self,
-        doc_id: int,
-        vertices: Sequence[BisimVertex],
-        emitted: Sequence[tuple[BisimVertex, int]],
-    ) -> None:
-        self.append((doc_id, vertices, emitted))
 
 
 # --------------------------------------------------------------------- #

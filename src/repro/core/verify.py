@@ -18,8 +18,7 @@ Checks performed:
 6. **Structure DAG** — every entry has a recorded vertex carrying the
    key's root label, and every stored document's bisimulation graph,
    rebuilt, is vertex for vertex (by canonical signature) the recorded
-   one; a mismatch names the document.  Skipped, with nothing
-   reported, for an index loaded without a structure file.
+   one; a mismatch names the document.
 
 Returns a :class:`VerificationReport`; ``ok`` is True when no problems
 were found.  Exposed on the CLI as ``python -m repro verify DIR``.
@@ -90,8 +89,7 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
             for entry in shadow.entries_for(document, doc_id):
                 pointer = NodePointer(doc_id, entry.node_id)
                 expected[pointer] = entry.encoded_key()
-        if structure is not None:
-            _compare_structures(report, structure, rebuilt)
+        _compare_structures(report, structure, rebuilt)
 
     # 2, 3, 4, 5. Walk every stored entry.
     seen: set[NodePointer] = set()
@@ -118,20 +116,17 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
                 f"label mismatch at {entry.pointer}: key says {label!r}, "
                 f"element is <{element.tag}>"
             )
-        if structure is not None:
-            vertex = structure.vertex_of(
-                entry.pointer.doc_id, entry.pointer.node_id
+        vertex = structure.vertex_of(entry.pointer.doc_id, entry.pointer.node_id)
+        if vertex is None:
+            report.add(
+                f"document {entry.pointer.doc_id}: no structure vertex "
+                f"recorded for {entry.pointer}"
             )
-            if vertex is None:
-                report.add(
-                    f"document {entry.pointer.doc_id}: no structure vertex "
-                    f"recorded for {entry.pointer}"
-                )
-            elif structure.label_of(vertex) != label:
-                report.add(
-                    f"document {entry.pointer.doc_id}: structure vertex of "
-                    f"{entry.pointer} is not a {label!r}"
-                )
+        elif structure.label_of(vertex) != label:
+            report.add(
+                f"document {entry.pointer.doc_id}: structure vertex of "
+                f"{entry.pointer} is not a {label!r}"
+            )
         if recompute_keys:
             want = expected.get(entry.pointer)
             if want is None:

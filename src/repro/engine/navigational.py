@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.obs.registry import CounterBlock
 from repro.query.ast import Axis
 from repro.query.twig import QueryNode, TwigQuery
 from repro.storage.primary import NodePointer, PrimaryXMLStore
@@ -29,24 +30,14 @@ from repro.xmltree.model import Document, Element
 
 
 @dataclass
-class EngineStats:
+class EngineStats(CounterBlock):
     """Work counters (monotonic)."""
+
+    PREFIX = "engine."
 
     elements_scanned: int = 0
     verifications: int = 0
     documents_opened: int = 0
-
-    def snapshot(self) -> "EngineStats":
-        return EngineStats(
-            self.elements_scanned, self.verifications, self.documents_opened
-        )
-
-    def delta(self, before: "EngineStats") -> "EngineStats":
-        return EngineStats(
-            self.elements_scanned - before.elements_scanned,
-            self.verifications - before.verifications,
-            self.documents_opened - before.documents_opened,
-        )
 
 
 class NavigationalEngine:

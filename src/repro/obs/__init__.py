@@ -6,10 +6,11 @@ One :class:`Obs` context bundles the two observability substrates:
 * a :class:`~repro.obs.tracer.Tracer` producing hierarchical spans that
   serialize to a JSONL trace file and merge deterministically across
   the parallel worker pools, and
-* a :class:`~repro.obs.registry.MetricsRegistry` of counters, gauges,
-  and fixed-bucket histograms that the legacy instrumentation views
-  (``PhaseTimings``, ``BuildReport``, ``QueryMetricsLog``) are now
-  backed by.
+* a :class:`~repro.obs.registry.MetricsRegistry` of counters, gauges
+  and quantile sketches — the one sink every measurement is written to,
+  per query or, for the pipelines' counter blocks (``PhaseTimings``,
+  ``ConstructionStats``, ``BTreeStats``, ``PagerStats``), at named
+  boundaries.
 
 Every :class:`~repro.core.index.FixIndex` owns an ``Obs`` (configured
 via ``FixIndexConfig.obs``); processors default to their index's.  The
@@ -24,13 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import Counter, CounterBlock, Gauge, MetricsRegistry
 from repro.obs.resources import ResourceSampler
 from repro.obs.sketch import DEFAULT_SKETCH_K, QuantileSketch
 from repro.obs.slowlog import SlowQueryLog
@@ -45,11 +40,10 @@ from repro.obs.tracer import (
 from repro.obs.window import RollingWindow
 
 __all__ = [
-    "DEFAULT_LATENCY_BOUNDS",
     "DEFAULT_SKETCH_K",
     "Counter",
+    "CounterBlock",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NOOP_SPAN",
     "Obs",
@@ -150,37 +144,20 @@ class Obs:
 def _snapshot_delta(prev: dict, cur: dict) -> dict:
     """What changed between two registry snapshots of one process.
 
-    Counters and histograms diff (so ``merge_snapshot`` over a sequence
-    of flushed deltas reconstructs the final totals exactly); gauges are
+    Counters diff (so ``merge_snapshot`` over a sequence of flushed
+    deltas reconstructs the final totals exactly); gauges are
     point-in-time values and pass through unchanged — merge is
     last-write-wins for them anyway.  Sketches cannot be diffed (the
     state is lossy), so each flush carries the *full* sketch state and
     trace summarization keeps only the last state per (run, name)
     before merging across runs — same net effect as the counter deltas.
     """
-    prev_counters = prev.get("counters", {})
-    prev_histograms = prev.get("histograms", {})
-    counters = {
-        name: value - prev_counters.get(name, 0.0)
-        for name, value in cur["counters"].items()
-    }
-    histograms: dict[str, dict] = {}
-    for name, dump in cur["histograms"].items():
-        before = prev_histograms.get(name)
-        if before is None or before["bounds"] != dump["bounds"]:
-            histograms[name] = dump
-            continue
-        histograms[name] = {
-            "bounds": dump["bounds"],
-            "counts": [
-                now - then for now, then in zip(dump["counts"], before["counts"])
-            ],
-            "count": dump["count"] - before["count"],
-            "sum": dump["sum"] - before["sum"],
-        }
+    prev_counters = prev["counters"]
     return {
-        "counters": counters,
+        "counters": {
+            name: value - prev_counters.get(name, 0.0)
+            for name, value in cur["counters"].items()
+        },
         "gauges": dict(cur["gauges"]),
-        "histograms": histograms,
-        "sketches": dict(cur.get("sketches", {})),
+        "sketches": dict(cur["sketches"]),
     }

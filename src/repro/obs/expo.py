@@ -13,11 +13,12 @@ Prometheus mapping:
 * counters  -> ``# TYPE <name> counter`` samples (dots become
   underscores; Prometheus names cannot carry ``.``),
 * gauges    -> ``gauge`` samples,
-* histograms-> the conventional cumulative ``_bucket{le="..."}`` /
-  ``_sum`` / ``_count`` triplet,
 * sketches  -> ``summary``-style ``{quantile="..."}`` samples derived
   from the sketch (p50/p90/p95/p99 by default) plus ``_sum`` /
   ``_count`` — the exposition every scrape-side dashboard understands.
+
+One distribution instrument means one ``# TYPE`` family per name, which
+the text format requires.
 """
 
 from __future__ import annotations
@@ -80,19 +81,6 @@ def render_prometheus(
         metric = _prom_name(name, namespace)
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_fmt(value)}")
-    for name, dump in sorted(snapshot.get("histograms", {}).items()):
-        metric = _prom_name(name, namespace)
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound, count in zip(dump["bounds"], dump["counts"]):
-            cumulative += count
-            lines.append(
-                f'{metric}_bucket{{le="{_fmt(bound)}"}} {cumulative}'
-            )
-        cumulative += dump["counts"][len(dump["bounds"])]
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{metric}_sum {_fmt(dump['sum'])}")
-        lines.append(f"{metric}_count {dump['count']}")
     for name, dump in sorted(snapshot.get("sketches", {}).items()):
         metric = _prom_name(name, namespace)
         lines.append(f"# TYPE {metric} summary")
@@ -112,9 +100,9 @@ def render_json(
     indent: int | None = 2,
 ) -> str:
     """Structured JSON exposition: counters/gauges pass through,
-    histograms keep their buckets, sketches are *derived* — quantiles,
-    mean, extremes, and the rank-error bound — rather than raw levels,
-    because consumers of this format want numbers, not sketch state."""
+    sketches are *derived* — quantiles, mean, extremes, and the
+    rank-error bound — rather than raw levels, because consumers of
+    this format want numbers, not sketch state."""
     from repro.obs.sketch import QuantileSketch
 
     sketches: dict[str, dict] = {}
@@ -139,7 +127,6 @@ def render_json(
     payload = {
         "counters": dict(sorted(snapshot.get("counters", {}).items())),
         "gauges": dict(sorted(snapshot.get("gauges", {}).items())),
-        "histograms": dict(sorted(snapshot.get("histograms", {}).items())),
         "sketches": sketches,
     }
     return json.dumps(payload, indent=indent, sort_keys=True)

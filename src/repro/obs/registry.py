@@ -1,14 +1,15 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: counters, gauges, quantile sketches.
 
-The registry is the single source of truth for the repo's operational
-numbers (DESIGN.md §10).  The older instrumentation islands —
+The registry is the one place an operational number is written
+(DESIGN.md §10): ``query.*`` instruments once per query, and the counter
+blocks the pipelines accumulate in plain fields —
 :class:`~repro.core.construction.PhaseTimings`,
-:class:`~repro.core.index.BuildReport`,
-:class:`~repro.core.metrics.QueryMetricsLog` — are *views* over a
-registry: they read and write named instruments here instead of keeping
-parallel sums, so one snapshot answers "where did the build spend its
-time", "what is the spectral-cache hit rate", and "how many candidates
-did pruning produce" at once.
+:class:`~repro.core.construction.ConstructionStats`,
+:class:`~repro.btree.tree.BTreeStats`,
+:class:`~repro.storage.pager.PagerStats` — synced in at named
+boundaries (:class:`CounterBlock`), so one snapshot answers "where did
+the build spend its time", "what is the spectral-cache hit rate", and
+"how many candidates did pruning produce" at once.
 
 Design constraints:
 
@@ -20,8 +21,8 @@ Design constraints:
   GIL-atomic enough for the single-writer-per-process usage here, and
   cross-process aggregation goes through :meth:`merge_snapshot`).
 * **Mergeable** — worker processes ship :meth:`snapshot` dicts back to
-  the coordinator, which folds them in deterministically (counters and
-  histogram buckets add; gauges take the last write).
+  the coordinator, which folds them in deterministically (counters add;
+  gauges take the last write; sketches merge).
 
 Metric names are dotted paths (``build.phase_seconds.eigen``,
 ``query.plan_cache.hits``); the conventional names used across the
@@ -30,26 +31,17 @@ pipelines are collected in DESIGN.md §10.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import dataclasses
 
 from repro.obs.sketch import DEFAULT_SKETCH_K, QuantileSketch
 
 __all__ = [
     "Counter",
+    "CounterBlock",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "QuantileSketch",
-    "DEFAULT_LATENCY_BOUNDS",
 ]
-
-#: Fixed bucket upper bounds (seconds) for latency histograms — a
-#: log-ish ladder from 0.1 ms to 10 s; everything above the last bound
-#: lands in the implicit +inf bucket.
-DEFAULT_LATENCY_BOUNDS: tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 
 class Counter:
@@ -84,40 +76,69 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
-class Histogram:
-    """Fixed-bucket histogram (cumulative-style buckets are derivable
-    from the per-bucket counts in the snapshot)."""
+class CounterBlock:
+    """Base of the dataclasses a pipeline counts in: every field is a
+    running total, summed by :meth:`merge` and synced into a registry
+    by :meth:`publish` under ``PREFIX`` plus the field's name.
 
-    __slots__ = ("name", "bounds", "counts", "count", "sum")
+    A subclass is a ``@dataclass`` of numeric fields with defaults.  It
+    lists in ``EXPLICIT`` the fields that are not sums (a maximum, a
+    mapping) and folds those itself, and in ``PUBLISHED`` the fields
+    whose counter is named otherwise, or — ``None`` — not published.
+    """
 
-    def __init__(
-        self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS
-    ) -> None:
-        if list(bounds) != sorted(bounds):
-            raise ValueError(f"histogram bounds must be sorted, got {bounds}")
-        self.name = name
-        self.bounds = tuple(bounds)
-        #: one count per bound, plus the trailing +inf bucket.
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
+    PREFIX = ""
+    EXPLICIT: tuple[str, ...] = ()
+    PUBLISHED: dict[str, str | None] = {}
 
-    def observe(self, value: float, n: int = 1) -> None:
-        """Record ``value`` (``n`` times, for bulk sync)."""
-        self.counts[bisect_right(self.bounds, value)] += n
-        self.count += n
-        self.sum += value * n
+    @classmethod
+    def _totals(cls) -> tuple[tuple[str, str | None], ...]:
+        """``(field, counter name)`` per summed field, worked out from
+        the dataclass on first use and kept on the class."""
+        totals = cls.__dict__.get("_totals_of_class")
+        if totals is None:
+            totals = cls._totals_of_class = tuple(
+                (f.name, cls.PUBLISHED.get(f.name, f.name))
+                for f in dataclasses.fields(cls)
+                if f.name not in cls.EXPLICIT
+            )
+        return totals
 
-    def as_dict(self) -> dict:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.sum,
-        }
+    def snapshot(self):
+        """A copy frozen at the current counts (for before/after deltas)."""
+        return dataclasses.replace(self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({self.name}, n={self.count}, sum={self.sum:.6f})"
+    def delta(self, before):
+        """Counter difference ``self - before``."""
+        now, then = vars(self), vars(before)
+        return dataclasses.replace(
+            self, **{name: now[name] - then[name] for name, _ in self._totals()}
+        )
+
+    def merge(self, other) -> None:
+        """Fold another block's totals into this one."""
+        mine, theirs = vars(self), vars(other)
+        for name, _ in self._totals():
+            mine[name] += theirs[name]
+
+    @classmethod
+    def combine(cls, blocks):
+        """Sum of several blocks."""
+        total = cls()
+        for block in blocks:
+            total.merge(block)
+        return total
+
+    def publish(self, registry: "MetricsRegistry", prefix: str | None = None) -> None:
+        """Sync these running totals into ``registry`` counters
+        (:meth:`MetricsRegistry.sync_counter`: by delta, so publishing a
+        growing total again — at every boundary — is idempotent)."""
+        if prefix is None:
+            prefix = self.PREFIX
+        values = vars(self)
+        for name, counter in self._totals():
+            if counter is not None:
+                registry.sync_counter(prefix + counter, values[name])
 
 
 class MetricsRegistry:
@@ -131,7 +152,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._sketches: dict[str, QuantileSketch] = {}
 
     # ------------------------------------------------------------------ #
@@ -150,26 +170,12 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(
-        self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS
-    ) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(name, bounds)
-        elif instrument.bounds != tuple(bounds):
-            raise ValueError(
-                f"histogram {name!r} already registered with bounds "
-                f"{instrument.bounds}, requested {tuple(bounds)}"
-            )
-        return instrument
-
     def sketch(self, name: str, k: int = DEFAULT_SKETCH_K) -> QuantileSketch:
         """Get-or-create a mergeable quantile sketch (DESIGN.md §13).
 
-        Unlike :meth:`histogram`, a sketch derives *any* quantile with a
-        bounded rank error — the instrument the serving layer's p50/p99
-        reporting reads.  Capacity conflicts raise, like histogram
-        bound conflicts, because two capacities cannot merge.
+        A sketch derives *any* quantile with a bounded rank error —
+        the instrument the serving layer's p50/p99 reporting reads.
+        Capacity conflicts raise, because two capacities cannot merge.
         """
         instrument = self._sketches.get(name)
         if instrument is None:
@@ -188,14 +194,14 @@ class MetricsRegistry:
     def sync_counter(self, name: str, value: float) -> None:
         """Catch counter ``name`` up to an externally accumulated total.
 
-        Used by views that keep their own running sums (e.g.
-        :class:`~repro.core.construction.ConstructionStats`) and publish
-        them at phase boundaries: the counter is bumped by the delta, so
-        repeated publishes of a growing total are idempotent.  The delta
-        is clamped at zero — counters are monotonic, so a source total
-        that was externally reset (``reset_stats()``) can never drive
-        the registry backwards; publishes then no-op until the total
-        re-passes the value already recorded.
+        Used by the blocks that keep their own running sums
+        (:class:`CounterBlock`) and publish them at named boundaries:
+        the counter is bumped by the delta, so repeated publishes of a
+        growing total are idempotent.  The delta is clamped at zero —
+        counters are monotonic, so a source total that was externally
+        reset (``reset_stats()``) can never drive the registry
+        backwards; publishes then no-op until the total re-passes the
+        value already recorded.
         """
         instrument = self.counter(name)
         if value > instrument.value:
@@ -214,9 +220,6 @@ class MetricsRegistry:
             "gauges": {
                 name: g.value for name, g in sorted(self._gauges.items())
             },
-            "histograms": {
-                name: h.as_dict() for name, h in sorted(self._histograms.items())
-            },
             "sketches": {
                 name: s.as_dict() for name, s in sorted(self._sketches.items())
             },
@@ -225,26 +228,21 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold another registry's snapshot into this one.
 
-        Counters and histogram buckets add; gauges take the incoming
-        value (last write wins, the conventional gauge merge); sketches
-        merge (replay-exact for uncompacted inputs — see
+        Counters add; gauges take the incoming value (last write
+        wins, the conventional gauge merge); sketches merge
+        (replay-exact for uncompacted inputs — see
         :class:`~repro.obs.sketch.QuantileSketch`).  Merge the incoming
         snapshots in a deterministic order (chunk order for worker
         absorbs, shard order for sharded aggregation) and the merged
-        sketch state is deterministic too.
+        sketch state is deterministic too.  Any other section — the
+        ``"histograms"`` of a trace written before sketches replaced
+        them — is skipped.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(value)
-        for name, dump in snapshot.get("histograms", {}).items():
-            instrument = self.histogram(name, tuple(dump["bounds"]))
-            for i, count in enumerate(dump["counts"]):
-                instrument.counts[i] += count
-            instrument.count += dump["count"]
-            instrument.sum += dump["sum"]
-        for name, dump in snapshot.get("sketches", {}).items():
-            self.sketch(name, k=int(dump["k"])).merge(dump)
+        self.merge_sketch_states(snapshot.get("sketches", {}))
 
     def merge_sketch_states(self, sketches: dict) -> None:
         """Fold a bare ``{name: sketch state}`` mapping (the worker
@@ -253,14 +251,10 @@ class MetricsRegistry:
             self.sketch(name, k=int(dump["k"])).merge(dump)
 
     def __len__(self) -> int:
-        return (
-            len(self._counters) + len(self._gauges)
-            + len(self._histograms) + len(self._sketches)
-        )
+        return len(self._counters) + len(self._gauges) + len(self._sketches)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MetricsRegistry({len(self._counters)} counters, "
-            f"{len(self._gauges)} gauges, {len(self._histograms)} histograms, "
-            f"{len(self._sketches)} sketches)"
+            f"{len(self._gauges)} gauges, {len(self._sketches)} sketches)"
         )

@@ -192,7 +192,7 @@ def summarize_trace(events: list[dict]) -> TraceSummary:
         elif event["name"] == "query.refine":
             query["refine_s"] += event["dur"]
     summary.queries = list(query_spans.values())
-    # Metrics merging: counters/gauges/histograms are flushed as deltas,
+    # Metrics merging: counters and gauges are flushed as deltas,
     # so every snapshot folds in.  Sketches cannot be delta-encoded (the
     # state is lossy), so each flush carries the *full* state and only
     # the LAST state per (run, name) counts — then runs merge, in

@@ -1,9 +1,9 @@
 """Mergeable streaming quantile sketch (DESIGN.md §13).
 
-The fixed-bucket :class:`~repro.obs.registry.Histogram` answers "how
-many observations fell under each static bound", which is useless for
-tail latency: p99 of a workload whose latencies straddle one bucket is
-unrecoverable.  This module provides the serving-grade instrument — a
+Fixed buckets answer "how many observations fell under each static
+bound", which is useless for tail latency: p99 of a workload whose
+latencies straddle one bucket is unrecoverable.  This module provides
+the registry's one distribution instrument — a
 **compacting quantile sketch** in the Munro–Paterson / KLL family that
 estimates any quantile of the observed stream with bounded rank error
 in fixed memory, and **merges** across worker registries and trace

@@ -37,6 +37,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import PageError
+from repro.obs.registry import CounterBlock
 
 #: Default page size in bytes.  4 KiB matches the paper-era commodity
 #: filesystem block size the original Berkeley DB deployment would use.
@@ -48,7 +49,7 @@ DEFAULT_CACHE_PAGES = 256
 
 
 @dataclass
-class PagerStats:
+class PagerStats(CounterBlock):
     """Access counters, all monotonically increasing.
 
     Attributes:
@@ -60,6 +61,8 @@ class PagerStats:
         evictions: frames pushed out of the bounded pool (clean or
             dirty; dirty evictions also count a physical write).
     """
+
+    PREFIX = "pager."
 
     logical_reads: int = 0
     physical_reads: int = 0
@@ -78,60 +81,15 @@ class PagerStats:
         """Pool hit rate over all logical reads (0.0 when idle)."""
         return self.cache_hits / self.logical_reads if self.logical_reads else 0.0
 
-    def snapshot(self) -> "PagerStats":
-        """A copy frozen at the current counts (for before/after deltas)."""
-        return PagerStats(
-            self.logical_reads,
-            self.physical_reads,
-            self.logical_writes,
-            self.physical_writes,
-            self.allocations,
-            self.evictions,
-        )
-
-    def delta(self, before: "PagerStats") -> "PagerStats":
-        """Counter difference ``self - before``."""
-        return PagerStats(
-            self.logical_reads - before.logical_reads,
-            self.physical_reads - before.physical_reads,
-            self.logical_writes - before.logical_writes,
-            self.physical_writes - before.physical_writes,
-            self.allocations - before.allocations,
-            self.evictions - before.evictions,
-        )
-
-    def add(self, other: "PagerStats") -> None:
-        """Fold another pager's counters into this one (aggregation
-        across the pagers of one index, or of every shard)."""
-        self.logical_reads += other.logical_reads
-        self.physical_reads += other.physical_reads
-        self.logical_writes += other.logical_writes
-        self.physical_writes += other.physical_writes
-        self.allocations += other.allocations
-        self.evictions += other.evictions
-
-    @classmethod
-    def combine(cls, stats: "list[PagerStats] | tuple[PagerStats, ...]") -> "PagerStats":
-        """Sum of several pagers' counters."""
-        total = cls()
-        for item in stats:
-            total.add(item)
-        return total
-
-    def publish(self, registry, prefix: str = "pager.") -> None:
-        """Sync these monotonic totals into a ``repro.obs`` registry
-        (idempotent delta-sync; see ``MetricsRegistry.sync_counter``).
+    def publish(self, registry, prefix: str = PREFIX) -> None:
+        """The counters, plus the derived ``cache_hits`` counter and
+        ``hit_rate`` gauge.
 
         Aggregated totals (``combine``) stay monotone as long as the
         same pager set is summed each time, which is how the index-level
         publishers use this."""
-        registry.sync_counter(prefix + "logical_reads", self.logical_reads)
-        registry.sync_counter(prefix + "physical_reads", self.physical_reads)
+        super().publish(registry, prefix)
         registry.sync_counter(prefix + "cache_hits", self.cache_hits)
-        registry.sync_counter(prefix + "logical_writes", self.logical_writes)
-        registry.sync_counter(prefix + "physical_writes", self.physical_writes)
-        registry.sync_counter(prefix + "allocations", self.allocations)
-        registry.sync_counter(prefix + "evictions", self.evictions)
         registry.gauge(prefix + "hit_rate").set(self.hit_rate)
 
 

@@ -296,7 +296,10 @@ class PrimaryXMLStore:
         (default: the pager's own default capacity).
 
         Raises:
-            RecordError: when the directory does not hold a saved store.
+            RecordError: when the directory does not hold a saved store,
+                or its manifest is undecodable, lacks a well-typed
+                ``page_size`` / ``documents``, or has an entry that is
+                neither ``null`` nor two non-negative integers.
         """
         import json
         import os
@@ -307,19 +310,48 @@ class PrimaryXMLStore:
                 manifest = json.load(handle)
         except FileNotFoundError as exc:
             raise RecordError(f"no saved store at {directory!r}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise RecordError(
+                f"corrupt store manifest at {manifest_path!r}: {exc}"
+            ) from exc
+
+        def whole(value) -> bool:
+            return type(value) is int and value >= 0
+
+        if not isinstance(manifest, dict):
+            manifest = {}
+        page_size, documents = manifest.get("page_size"), manifest.get("documents")
+        if not whole(page_size) or not isinstance(documents, list):
+            raise RecordError(
+                f"store manifest at {manifest_path!r} has a missing or "
+                "ill-typed page_size or documents section"
+            )
+        directory_entries: list[RecordPointer | None] = []
+        for doc_id, entry in enumerate(documents):
+            if entry is None:
+                directory_entries.append(None)
+            elif (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and whole(entry[0])
+                and whole(entry[1])
+            ):
+                directory_entries.append(RecordPointer(entry[0], entry[1]))
+            else:
+                raise RecordError(
+                    f"store manifest at {manifest_path!r}: document {doc_id} "
+                    f"has an invalid record pointer {entry!r}"
+                )
         pager_options = (
             {} if page_cache_pages is None else {"cache_pages": page_cache_pages}
         )
         pager = Pager(
             os.path.join(directory, "primary.pages"),
-            page_size=manifest["page_size"],
+            page_size=page_size,
             **pager_options,
         )
         store = cls(pager, cache_documents=cache_documents)
-        store._directory = [
-            RecordPointer(entry[0], entry[1]) if entry is not None else None
-            for entry in manifest["documents"]
-        ]
+        store._directory = directory_entries
         return store
 
     # ------------------------------------------------------------------ #

@@ -64,6 +64,14 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "candidates=" in output
         assert "results=" in output
+        assert "over" not in output
+        # --repeat sums its runs out of the query's own registry.
+        for flags, rate in (([], "67%"), (["--no-plan-cache"], "0%")):
+            argv = ["query", built_index_dir, "//item[name]/mailbox"]
+            assert main(argv + ["--repeat", "3"] + flags) == 0
+            summary = capsys.readouterr().out.splitlines()[1]
+            assert summary.startswith("  over 3 runs: plan=")
+            assert summary.endswith(f"plan_cache_hit_rate={rate}")
 
     def test_query_with_metrics(self, built_index_dir, capsys):
         code = main(["query", built_index_dir, "//item[name]", "--metrics"])
@@ -96,6 +104,25 @@ class TestCLI:
             main(argv)
         assert excinfo.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
+
+    def test_page_cache_bound_reaches_the_store_pager(self, tmp_path):
+        # One bound for every file-backed pager of a plain index: the
+        # override, else the one the index was saved with.
+        from repro.cli import _open
+
+        xml_path = tmp_path / "doc.xml"
+        xml_path.write_text("<a><b><c/></b></a>")
+        out = os.fspath(tmp_path / "idx")
+        assert main(
+            ["build", "--xml", os.fspath(xml_path), "--out", out,
+             "--page-cache-pages", "16"]
+        ) == 0
+        for override, bound in ((8, 8), (None, 16)):
+            store, index = _open(out, override)
+            assert index.btree.pager.cache_pages == bound
+            assert store.pager.cache_pages == bound
+            index.btree.pager.close()
+            store.pager.close()
 
     def test_stats(self, built_index_dir, capsys):
         code = main(["stats", built_index_dir])

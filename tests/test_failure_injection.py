@@ -193,6 +193,59 @@ class TestIndexDirectoryDamage:
             with pytest.raises(StorageError):
                 load_index(directory, store)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+            pytest.param(
+                lambda text: json.dumps(
+                    {k: v for k, v in json.loads(text).items() if k != "page_size"}
+                ),
+                id="no-page-size",
+            ),
+            pytest.param(
+                lambda text: json.dumps({**json.loads(text), "documents": [[0]]}),
+                id="short-pointer",
+            ),
+        ],
+    )
+    def test_damaged_store_manifest_is_a_typed_error(self, tmp_path, capsys, damage):
+        store, directory = self.build(tmp_path)
+        store.save(os.path.join(directory, "store"))
+        manifest_path = os.path.join(directory, "store", "primary.json")
+        with open(manifest_path) as handle:
+            good = handle.read()
+        with open(manifest_path, "w") as handle:
+            handle.write(damage(good))
+        with pytest.raises(RecordError, match="primary.json"):
+            PrimaryXMLStore.load(os.path.join(directory, "store"))
+        new_xml = tmp_path / "new.xml"
+        new_xml.write_text("<a><b/></a>")
+        for argv in (
+            ["query", directory, "//b/c"],
+            ["stats", directory],
+            ["verify", directory],
+            ["add", directory, "--xml", os.fspath(new_xml)],
+            ["remove", directory, "0"],
+        ):
+            assert cli_main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+        # Inside a shard it is the shard that is named.
+        sharded_dir = os.fspath(tmp_path / "sharded")
+        ShardedFixIndex.build(
+            store, FixIndexConfig(depth_limit=3, shards=2)
+        ).save(sharded_dir)
+        with open(
+            os.path.join(sharded_dir, "shard-1", "store", "primary.json"), "w"
+        ) as handle:
+            handle.write(damage(good))
+        with pytest.raises(ShardError) as caught:
+            ShardedFixIndex.load(sharded_dir)
+        assert caught.value.shard == 1
+
     def test_shard_metadata_damage_names_the_shard(self, tmp_path):
         store, _ = self.build(tmp_path)
         directory = os.fspath(tmp_path / "sharded")

@@ -8,15 +8,18 @@ The contracts under test (DESIGN.md §10):
   pointer-ordered results;
 * disabled mode emits nothing (the no-op span is a cached singleton)
   while returning identical answers;
-* the legacy views (``PhaseTimings``, ``QueryMetricsLog``) agree with
-  the registry they are now backed by;
+* the counter blocks (``PhaseTimings``, ``PagerStats``, ...) share one
+  snapshot / delta / merge / publish, and a build's and a query's
+  registry carries a fixed set of names;
 * a flushed JSONL trace round-trips through the ``repro trace``
   aggregation, reproducing the build report's phase totals.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -25,10 +28,10 @@ from repro.core import (
     FixIndexConfig,
     FixQueryProcessor,
     PruningMetrics,
-    QueryMetricsLog,
 )
+from repro.btree.tree import BTreeStats
 from repro.core.construction import BUILD_PHASES, PhaseTimings
-from repro.engine import NavigationalEngine
+from repro.engine import EngineStats, NavigationalEngine
 from repro.obs import (
     NOOP_SPAN,
     MetricsRegistry,
@@ -40,6 +43,7 @@ from repro.obs import (
 )
 from repro.obs.report import format_trace_report, summarize_trace_file
 from repro.storage import PrimaryXMLStore
+from repro.storage.pager import PagerStats
 from repro.xmltree import parse_xml
 
 DOCS = [
@@ -80,15 +84,14 @@ class TestRegistry:
         registry.counter("c").inc()
         registry.counter("c").inc(2.5)
         registry.gauge("g").set(7)
-        hist = registry.histogram("h", bounds=(1.0, 10.0))
-        hist.observe(0.5)
-        hist.observe(5.0)
-        hist.observe(50.0)  # beyond the last bound -> +inf bucket
+        registry.sketch("s").observe(0.5)
         snap = registry.snapshot()
         assert snap["counters"]["c"] == 3.5
         assert snap["gauges"]["g"] == 7
-        assert snap["histograms"]["h"]["counts"] == [1, 1, 1]
-        assert snap["histograms"]["h"]["count"] == 3
+        assert snap["sketches"]["s"]["count"] == 1
+        # The sketch is the only distribution instrument.
+        assert sorted(snap) == ["counters", "gauges", "sketches"]
+        assert not hasattr(registry, "histogram")
 
     def test_counter_is_get_or_create(self):
         registry = MetricsRegistry()
@@ -100,12 +103,6 @@ class TestRegistry:
         registry.sync_counter("total", 10)
         registry.sync_counter("total", 13)
         assert registry.counter("total").value == 13
-
-    def test_histogram_bounds_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", bounds=(1.0,))
-        with pytest.raises(ValueError):
-            registry.histogram("h", bounds=(2.0,))
 
     def test_sync_counter_clamps_backwards_totals(self):
         registry = MetricsRegistry()
@@ -119,15 +116,23 @@ class TestRegistry:
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("n").inc(2)
         a.gauge("size").set(1)
-        a.histogram("h", bounds=(1.0,)).observe(0.5)
+        a.sketch("s").observe(0.5)
         b.counter("n").inc(3)
         b.gauge("size").set(9)
-        b.histogram("h", bounds=(1.0,)).observe(2.0)
-        a.merge_snapshot(b.snapshot())
+        b.sketch("s").observe(2.0)
+        incoming = b.snapshot()
+        # A section this version has no instrument for (a trace written
+        # when there were fixed-bucket histograms) is skipped.
+        incoming["histograms"] = {
+            "h": {"bounds": [1.0], "counts": [1, 1], "count": 2, "sum": 2.5}
+        }
+        a.merge_snapshot(incoming)
         snap = a.snapshot()
         assert snap["counters"]["n"] == 5
         assert snap["gauges"]["size"] == 9  # last write wins
-        assert snap["histograms"]["h"]["counts"] == [1, 1]
+        assert snap["sketches"]["s"]["count"] == 2
+        assert snap["sketches"]["s"]["sum"] == pytest.approx(2.5)
+        assert "histograms" not in snap
 
 
 # --------------------------------------------------------------------- #
@@ -234,21 +239,11 @@ class TestSpans:
 
 
 # --------------------------------------------------------------------- #
-# Registry-backed views
+# Counter blocks
 # --------------------------------------------------------------------- #
 
 
 class TestPhaseTimingsView:
-    def test_attributes_are_registry_counters(self):
-        registry = MetricsRegistry()
-        timings = PhaseTimings(registry=registry)
-        timings.parse = 1.5
-        timings.eigen += 0.25
-        counters = registry.snapshot()["counters"]
-        assert counters["build.phase_seconds.parse"] == 1.5
-        assert counters["build.phase_seconds.eigen"] == 0.25
-        assert timings.parse == 1.5
-
     def test_merge_accumulates(self):
         a = PhaseTimings(parse=1.0)
         b = PhaseTimings(parse=0.5, insert=2.0)
@@ -258,43 +253,124 @@ class TestPhaseTimingsView:
         assert set(a.as_dict()) == set(BUILD_PHASES)
 
 
-class TestQueryMetricsLogView:
-    def test_empty_summary_is_exact(self):
-        assert QueryMetricsLog().summary() == {"queries": 0}
+@pytest.mark.parametrize(
+    "block_type", [PagerStats, BTreeStats, EngineStats, PhaseTimings]
+)
+def test_counter_block_carries_every_field(block_type):
+    """snapshot -> mutate -> delta, combine and publish reach every
+    field of the dataclass: one added to a block and not carried by the
+    shared base fails here."""
+    names = [f.name for f in dataclasses.fields(block_type)]
+    block = block_type(**{name: i + 1 for i, name in enumerate(names)})
 
-    def test_totals_survive_window_eviction(self):
-        log = QueryMetricsLog(capacity=2)
-        index = FixIndex.build(corpus(), FixIndexConfig(depth_limit=4))
-        processor = FixQueryProcessor(index, metrics_log=log)
+    before = block.snapshot()
+    assert before == block and before is not block
+    for i, name in enumerate(names):
+        setattr(block, name, getattr(block, name) + 10 * (i + 1))
+    assert block.delta(before) == block_type(
+        **{name: 10 * (i + 1) for i, name in enumerate(names)}
+    )
+    assert before == block_type(**{name: i + 1 for i, name in enumerate(names)})
+
+    total = block_type.combine([block, before, before])
+    for name in names:
+        assert getattr(total, name) == getattr(block, name) + 2 * getattr(before, name)
+    assert block_type.combine([]) == block_type()
+
+    registry = MetricsRegistry()
+    block.publish(registry)
+    once = registry.snapshot()
+    block.publish(registry)  # idempotent: a total, synced by delta
+    assert registry.snapshot() == once
+    for name in names:
+        assert once["counters"][block_type.PREFIX + name] == getattr(block, name)
+    block.publish(registry, prefix="other.")
+    assert registry.snapshot()["counters"]["other." + names[0]] == getattr(
+        block, names[0]
+    )
+
+
+#: the instruments of one build + a few queries, as the commit before
+#: the registry became the only sink published them (its two
+#: fixed-bucket histograms were a separate section).
+BUILD_AND_QUERY_COUNTERS = [
+    "btree.deletes", "btree.inserts", "btree.leaf_scans",
+    "btree.node_evictions", "btree.node_visits", "btree.splits",
+    "build.bisim_vertices", "build.cache.hits", "build.cache.misses",
+    "build.documents", "build.eigen.batch_size.1", "build.eigen.batch_size.2",
+    "build.eigen.batches", "build.eigen.computations", "build.entries",
+    "build.oversized_patterns", "build.phase_seconds.bisim",
+    "build.phase_seconds.eigen", "build.phase_seconds.encode",
+    "build.phase_seconds.insert", "build.phase_seconds.matrix",
+    "build.phase_seconds.parse", "build.phase_seconds.unfold",
+    "epoch.invalidations.full", "epoch.invalidations.scoped",
+    "epoch.mutations", "epoch.pins", "epoch.plans_retained",
+    "pager.allocations", "pager.cache_hits", "pager.evictions",
+    "pager.logical_reads", "pager.logical_writes", "pager.physical_reads",
+    "pager.physical_writes", "plan_cache.hits", "plan_cache.misses",
+    "plan_cache.scoped_retained", "query.candidates", "query.count",
+    "query.documents_fetched", "query.phase_seconds.plan",
+    "query.phase_seconds.prune", "query.phase_seconds.refine",
+    "query.plan_cache.misses", "query.refine.dag_reused",
+    "query.refine.dag_verdicts", "query.refine.fetches_avoided",
+    "query.results",
+]
+BUILD_AND_QUERY_GAUGES = [
+    "build.cache.patterns", "epoch.current", "index.btree_bytes",
+    "index.entries", "index.generation", "pager.hit_rate",
+    "plan_cache.plans", "query.workers",
+]
+BUILD_AND_QUERY_SKETCHES = [
+    "build.doc_entries", "build.doc_seconds", "query.plan_seconds",
+    "query.prune_seconds", "query.refine_seconds", "query.seconds",
+]
+
+
+class TestRegistryIsTheOnlySink:
+    def run(self, workers: int):
+        index = FixIndex.build(
+            corpus(), FixIndexConfig(depth_limit=4, workers=workers)
+        )
+        processor = FixQueryProcessor(index)
         for query in QUERIES:
             processor.query(query)
-        assert len(log) == 2  # window clamped
-        assert log.total_queries == len(QUERIES)
-        summary = log.summary()
-        assert summary["queries"] == 2
-        assert summary["total_queries"] == len(QUERIES)
+        return index, index.obs.registry.snapshot()
 
-    def test_shared_registry_has_no_double_counting(self):
-        index = FixIndex.build(corpus(), FixIndexConfig(depth_limit=4))
-        log = QueryMetricsLog(registry=index.obs.registry)
-        processor = FixQueryProcessor(index, metrics_log=log)
-        processor.query("//author")
-        processor.query("//author")
-        counters = index.obs.registry.snapshot()["counters"]
-        assert counters["query.count"] == 2
-        assert (
-            counters["query.plan_cache.hits"]
-            + counters["query.plan_cache.misses"]
-            == 2
-        )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_names_and_report_agreement(self, workers):
+        index, snapshot = self.run(workers)
+        assert sorted(snapshot["counters"]) == BUILD_AND_QUERY_COUNTERS
+        assert sorted(snapshot["gauges"]) == BUILD_AND_QUERY_GAUGES
+        assert sorted(snapshot["sketches"]) == BUILD_AND_QUERY_SKETCHES
+        counters, stats = snapshot["counters"], index.report.stats
+        assert counters["build.entries"] == stats.entries
+        assert counters["build.eigen.computations"] == stats.eigen_computations
+        assert counters["build.cache.hits"] == stats.cache_hits
+        assert counters["query.count"] == len(QUERIES)
+        # Phase seconds are plain floats, published once the build ends.
+        assert {
+            phase: counters["build.phase_seconds." + phase]
+            for phase in BUILD_PHASES
+        } == index.report.timings.as_dict()
 
-    def test_private_log_and_processor_registry_both_count(self):
-        index = FixIndex.build(corpus(), FixIndexConfig(depth_limit=4))
-        log = QueryMetricsLog()  # private registry
-        processor = FixQueryProcessor(index, metrics_log=log)
-        processor.query("//author")
-        assert log.registry.counter("query.count").value == 1
-        assert index.obs.registry.counter("query.count").value == 1
+    def test_worker_count_does_not_change_the_counts(self):
+        # Eigensolves and cache hits depend on how documents fall into
+        # worker-local caches; what is indexed and answered does not.
+        (_, serial), (_, fanned) = self.run(1), self.run(2)
+        for name in (
+            "build.entries", "build.documents", "build.bisim_vertices",
+            "query.candidates", "query.results", "query.refine.dag_verdicts",
+        ):
+            assert serial["counters"][name] == fanned["counters"][name], name
+
+    def test_timings_cross_a_process_boundary_as_seven_floats(self):
+        # A worker's StagedBuild pickles its phase seconds, not the
+        # registry (sketches and all) they are published into.
+        index, _ = self.run(1)
+        timings = index.report.timings
+        shipped = pickle.loads(pickle.dumps(timings))
+        assert shipped == timings
+        assert vars(shipped) == timings.as_dict()
 
 
 # --------------------------------------------------------------------- #
@@ -430,8 +506,7 @@ class TestTraceRoundTrip:
         )
         assert index.obs.flush() > 0
         obs = Obs(trace=True)
-        log = QueryMetricsLog(registry=obs.registry)
-        processor = FixQueryProcessor(index, metrics_log=log, obs=obs)
+        processor = FixQueryProcessor(index, obs=obs)
         for query in QUERIES:
             processor.query(query)
         assert obs.flush(path, append=True) > 0
@@ -456,20 +531,19 @@ class TestTraceRoundTrip:
         path = str(tmp_path / "trace.jsonl")
         obs = Obs(trace=True)
         obs.registry.counter("c").inc(5)
-        obs.registry.histogram("h", bounds=(1.0,)).observe(0.5)
+        obs.registry.sketch("s").observe(0.5)
         obs.registry.gauge("g").set(3)
         assert obs.flush(path) > 0
         obs.registry.counter("c").inc(2)
-        obs.registry.histogram("h", bounds=(1.0,)).observe(2.0)
+        obs.registry.sketch("s").observe(2.0)
         obs.registry.gauge("g").set(4)
         assert obs.flush(path, append=True) > 0
 
         merged = summarize_trace_file(path).registry.snapshot()
         assert merged["counters"]["c"] == 7
         assert merged["gauges"]["g"] == 4
-        assert merged["histograms"]["h"]["counts"] == [1, 1]
-        assert merged["histograms"]["h"]["count"] == 2
-        assert merged["histograms"]["h"]["sum"] == pytest.approx(2.5)
+        assert merged["sketches"]["s"]["count"] == 2
+        assert merged["sketches"]["s"]["sum"] == pytest.approx(2.5)
 
     def test_reader_skips_malformed_lines(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

@@ -400,7 +400,6 @@ class TestExposition:
         registry = MetricsRegistry()
         registry.counter("query.count").inc(3)
         registry.gauge("process.rss_bytes").set(1024.0)
-        registry.histogram("lat", bounds=(0.1, 1.0)).observe(0.05)
         sketch = registry.sketch("query.seconds")
         for v in (0.1, 0.2, 0.3, 0.4):
             sketch.observe(v)
@@ -411,8 +410,6 @@ class TestExposition:
         assert "# TYPE repro_query_count_total counter" in text
         assert "repro_query_count_total 3" in text
         assert "# TYPE repro_process_rss_bytes gauge" in text
-        assert 'repro_lat_bucket{le="0.1"} 1' in text
-        assert 'repro_lat_bucket{le="+Inf"} 1' in text
         assert "# TYPE repro_query_seconds summary" in text
         assert 'repro_query_seconds{quantile="0.5"} 0.2' in text
         assert "repro_query_seconds_count 4" in text
@@ -441,9 +438,64 @@ class TestExposition:
         assert json.loads(render_json({})) == {
             "counters": {},
             "gauges": {},
-            "histograms": {},
             "sketches": {},
         }
+
+    def test_one_type_family_per_name(self, tmp_path, capsys):
+        """A traced build + 3 queries declares each metric family once
+        (the text format allows one ``# TYPE`` per name), and a trace
+        line still carrying the retired ``"histograms"`` section is
+        read past by ``repro metrics`` and ``repro trace``."""
+        from repro.cli import main
+        from repro.core import FixQueryProcessor
+        from repro.obs import ObsConfig
+
+        path = str(tmp_path / "trace.jsonl")
+        index = FixIndex.build(
+            _store(),
+            FixIndexConfig(depth_limit=4, obs=ObsConfig(trace=True, trace_path=path)),
+        )
+        processor = FixQueryProcessor(index)
+        for query in ("//article[author]", "//author", "//item/name"):
+            processor.query(query)
+        families = [
+            line.split()[2]
+            for line in render_prometheus(index.obs.registry.snapshot()).splitlines()
+            if line.startswith("# TYPE")
+        ]
+        assert "repro_query_seconds" in families
+        assert len(families) == len(set(families))
+
+        assert index.obs.flush() > 0
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(
+                json.dumps(
+                    {
+                        "type": "metrics", "run": "old", "proc": "main",
+                        "snapshot": {
+                            "counters": {"query.count": 2.0},
+                            "gauges": {},
+                            "histograms": {
+                                "query.seconds": {
+                                    "bounds": [0.001, 1.0], "counts": [1, 1, 0],
+                                    "count": 2, "sum": 0.5,
+                                }
+                            },
+                            "sketches": {},
+                        },
+                    }
+                )
+                + "\n"
+            )
+        assert main(["metrics", path]) == 0
+        text = capsys.readouterr().out
+        assert "repro_query_count_total 5" in text
+        assert "# TYPE repro_query_seconds summary" in text
+        assert "histogram" not in text and "_bucket" not in text
+        assert main(["metrics", path, "--format", "json"]) == 0
+        assert "histograms" not in json.loads(capsys.readouterr().out)
+        assert main(["trace", path]) == 0
+        assert "build phases" in capsys.readouterr().out
 
 
 class _FakeResult:

@@ -99,6 +99,27 @@ class TestUnclusteredRoundtrip:
         reloaded = load_index(directory, store)
         assert reloaded.report.seconds == original.report.seconds
         assert reloaded.report.stats.entries == original.report.stats.entries
+        # The saved section is the report's own dict, restored whole,
+        # and the registry is told at load.
+        assert reloaded.report.as_dict() == original.report.as_dict()
+        counters = reloaded.obs.registry.snapshot()["counters"]
+        assert counters["build.phase_seconds.eigen"] == original.report.timings.eigen
+        assert counters["build.cache.hits"] == original.report.stats.cache_hits
+
+        # A report section as the first format wrote it, with a phase no
+        # version times any more: the additive fields read as zero.
+        meta_path = os.path.join(directory, "meta.json")
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        meta["report"] = {
+            "seconds": 1.5, "entries": 3, "oversized_patterns": 0,
+            "phases": {"eigen": 0.25, "copy": 9.0},
+        }
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+        old = load_index(directory, store)
+        assert old.report.seconds == 1.5 and old.report.stats.cache_hits == 0
+        assert old.report.timings == type(old.report.timings)(eigen=0.25)
 
 
 class TestClusteredRoundtrip:

@@ -1,5 +1,5 @@
-"""Tests for query plans, the plan cache, pruning-phase accounting, and
-the per-query metrics log (DESIGN.md §8)."""
+"""Tests for query plans, the plan cache and pruning-phase accounting
+(DESIGN.md §8)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.core import (
     FixIndexConfig,
     FixQueryProcessor,
     PlanCache,
-    QueryMetricsLog,
     build_plan,
 )
 from repro.query import twig_of
@@ -133,35 +132,3 @@ class TestPruningPhaseAccounting:
             }
             naive = pointers if naive is None else naive & pointers
         assert {e.pointer for e in processor.prune(twig)} == naive
-
-
-class TestMetricsLog:
-    def test_records_every_query(self):
-        index = FixIndex.build(site_store(), FixIndexConfig(depth_limit=4))
-        log = QueryMetricsLog()
-        processor = FixQueryProcessor(index, metrics_log=log)
-        processor.query("//item[name]")
-        processor.query("//item[name]")
-        processor.query("//person[phone]")
-        assert len(log) == 3
-        assert log.total_queries == 3
-        assert log.records[0].source == "//item[name]"
-        assert not log.records[0].plan_cached
-        assert log.records[1].plan_cached
-        summary = log.summary()
-        assert summary["queries"] == 3
-        assert summary["plan_cache_hit_rate"] == pytest.approx(1 / 3)
-        assert summary["candidates"] >= summary["results"]
-        assert 0.0 <= summary["avg_false_positive_rate"] <= 1.0
-
-    def test_window_eviction_keeps_total(self):
-        index = FixIndex.build(site_store(1), FixIndexConfig(depth_limit=4))
-        log = QueryMetricsLog(capacity=2)
-        processor = FixQueryProcessor(index, metrics_log=log)
-        for _ in range(5):
-            processor.query("//item")
-        assert len(log) == 2
-        assert log.total_queries == 5
-
-    def test_empty_summary(self):
-        assert QueryMetricsLog().summary() == {"queries": 0}

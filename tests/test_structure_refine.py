@@ -15,8 +15,9 @@ are pinned to that one oracle here.
 Then what only the DAG path promises: a sidecar whose bytes do not
 depend on the worker count or on a save/load round trip, zero
 ``parse_xml`` calls for a structural query, a structure that moves only
-inside the epoch window, typed errors for a damaged file, and an index
-directory without the file still answering.
+inside the epoch window (staged outside it, absorbed inside), typed
+errors for a damaged file, and an index directory without the file
+getting its structure back at load.
 """
 
 from __future__ import annotations
@@ -527,33 +528,93 @@ def test_verify_names_the_document_whose_structure_is_wrong(saved, capsys):
     _close(index)
 
 
-def test_a_directory_without_the_file_still_answers(saved, capsys):
+def test_a_directory_without_the_file_still_answers(saved, capsys, monkeypatch):
+    """A directory saved before the sidecar existed gets its structure
+    back at load — the one a fresh build records — and from then on
+    answers like any other: off the DAG, parsing nothing."""
     with_structure = _reload(saved)
     queries = ["//article/prolog", "//prolog[dateline]/title", "//section//p"]
     expected = [FixQueryProcessor(with_structure).query(q).results for q in queries]
+    recorded = with_structure.structure.to_bytes()
     _close(with_structure)
 
     os.remove(os.path.join(saved, STRUCTURE_FILE))
     legacy = _reload(saved)
-    assert legacy.structure is None
+    assert legacy.structure.to_bytes() == recorded
+    fresh = FixIndex.build(legacy.store, legacy.config)
+    assert legacy.structure.to_bytes() == fresh.structure.to_bytes()
+    parses = [0]
+    real = primary.parse_xml
+
+    def counting(*args, **kwargs):
+        parses[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(primary, "parse_xml", counting)
     processor = FixQueryProcessor(legacy)
     for query, want in zip(queries, expected):
         result = processor.query(query)
         assert result.results == want
-        assert result.documents_fetched > 0 and result.dag_verdicts == 0
+        assert result.documents_fetched == 0 and result.dag_verdicts > 0
+    assert parses[0] == 0
+    monkeypatch.undo()
+    for query in queries:
+        assert processor.query(query).results == _truth(legacy, processor, query)
     assert verify_index(legacy).ok
     assert cli_main(["stats", saved]) == 0
-    assert "structure:      none" in capsys.readouterr().out
-    # Mutations keep working without one, and the next save writes it.
+    assert "vertices" in capsys.readouterr().out
+    assert cli_main(["verify", saved]) == 0
+    # Mutations land in the restored structure; the next save writes it.
     added = legacy.add_document(parse_xml("<article><prolog><title/></prolog></article>"))
     legacy.store.save(os.path.join(saved, "store"))
     save_index(legacy, saved)
     _close(legacy)
-    assert cli_main(["stats", saved]) == 0
-    assert "vertices" in capsys.readouterr().out
+    assert os.path.exists(os.path.join(saved, STRUCTURE_FILE))
     restored = _reload(saved)
     assert restored.structure.slots_of(added) is not None
     assert verify_index(restored).ok
     fresh = FixIndex.build(restored.store, restored.config)
     assert restored.structure.to_bytes() == fresh.structure.to_bytes()
     _close(restored)
+
+
+@pytest.mark.parametrize("dataset,depth", [("xbench", 0), ("treebank", 4)])
+def test_staged_structures_are_absorbed_as_recording_in_place_would(dataset, depth):
+    """A mutation stages its document's structure in a private DAG and
+    the apply absorbs it; after add / remove / add churn the index's
+    DAG is byte for byte the one that recording every document straight
+    into it gives, and every answer is the oracle's."""
+    from repro.xmltree import serialize_fragment
+
+    def sources_of(scale, seed):
+        bundle = load_dataset(dataset, scale=scale, seed=seed)
+        return [serialize_fragment(document.root) for document in bundle.documents]
+
+    sources = sources_of(0.04, 42)
+    pool = [source for seed in (44, 45, 46) for source in sources_of(0.02, seed)][:6]
+    config = FixIndexConfig(depth_limit=depth)
+    index = _build(sources, config)
+    reference = StructureDag()
+    recorder = GeneratorSettings.from_config(config).generator(
+        EdgeLabelEncoder(), structure=reference
+    )
+    for doc_id, source in enumerate(sources):
+        list(recorder.entries_for(parse_xml(source), doc_id))
+    assert index.structure.to_bytes() == reference.to_bytes()
+
+    live = []
+    for step, source in enumerate(pool):
+        doc_id = index.add_document(parse_xml(source))
+        list(recorder.entries_for(parse_xml(source), doc_id))
+        live.append(doc_id)
+        if step % 2:
+            victim = live.pop(0)
+            index.remove_document(victim)
+            reference.drop_document(victim)
+        assert index.structure.to_bytes() == reference.to_bytes(), step
+    assert index.structure.vertex_count == reference.vertex_count
+    assert verify_index(index).ok
+    processor = FixQueryProcessor(index)
+    for label in sorted(index.structure.labels)[:12]:
+        query = f"//{label}"
+        assert processor.query(query).results == _truth(index, processor, query)
