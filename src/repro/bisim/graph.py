@@ -26,13 +26,9 @@ class BisimVertex:
         extent_size: how many XML nodes map to this class.
         extent: preorder ids of those nodes, if the builder was asked to
             record them (``record_extents=True``); otherwise ``None``.
-        eigs: memoized spectral feature range for this vertex under the
-            owning index's depth limit (Algorithm 1 sets this once per
-            vertex so eigen-decomposition happens once per equivalence
-            class, not once per element).
     """
 
-    __slots__ = ("vid", "label", "children", "height", "extent_size", "extent", "eigs")
+    __slots__ = ("vid", "label", "children", "height", "extent_size", "extent")
 
     def __init__(self, vid: int, label: str, children: tuple["BisimVertex", ...]) -> None:
         self.vid = vid
@@ -41,7 +37,6 @@ class BisimVertex:
         self.height = 1 + max((c.height for c in children), default=0)
         self.extent_size = 0
         self.extent: list[int] | None = None
-        self.eigs = None  # set lazily by the FIX index construction
 
     def out_degree(self) -> int:
         """Number of distinct child classes."""

@@ -104,10 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "processes; results are byte-identical to the serial build)",
     )
     build.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the cross-document spectral feature cache",
-    )
-    build.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record a JSONL span trace of the build to PATH "
         "(overwrites; inspect with 'repro trace PATH')",
@@ -322,7 +318,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         clustered=args.clustered,
         value_buckets=args.beta,
         workers=args.workers,
-        feature_cache=not args.no_cache,
         shards=args.shards,
         shard_affinity=args.shard_affinity,
         shard_workers=args.shard_workers,
@@ -584,21 +579,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"({pager.cache_hits}/{pager.logical_reads} reads), "
         f"{pager.evictions} evictions this process"
     )
-    if sharded:
-        hits = sum(s.report.stats.cache_hits for s in index.shards)
-        misses = sum(s.report.stats.cache_misses for s in index.shards)
-        lookups = hits + misses
-        print(
-            f"  spectral cache: {hits}/{lookups} hits "
-            f"({hits / lookups if lookups else 0.0:.1%})"
-        )
-    else:
-        cache = index.report.cache_summary()
-        lookups = cache["hits"] + cache["misses"]
-        print(
-            f"  spectral cache: {cache['patterns']} patterns, "
-            f"{cache['hits']}/{lookups} hits ({cache['hit_rate']:.1%})"
-        )
+    built = [shard.report.stats for shard in (index.shards if sharded else [index])]
+    hits = sum(stats.cache_hits for stats in built)
+    lookups = hits + sum(stats.cache_misses for stats in built)
+    print(
+        f"  spectral cache: {hits}/{lookups} classes already keyed "
+        f"({hits / lookups if lookups else 0.0:.1%})"
+    )
     index.epochs.publish(index.obs.registry)
     snapshot = index.obs.registry.snapshot()
     counters = snapshot["counters"]

@@ -1,7 +1,7 @@
 """Index-entry generation for one document (Algorithm 1's core).
 
-This module turns a document into a stream of ``(FeatureKey, element
-node id)`` entries.  CONSTRUCT-INDEX's two regimes share one feature
+This module turns a document into a stream of ``(encoded feature key,
+element node id)`` entries.  CONSTRUCT-INDEX's two regimes share one feature
 routine and differ only in which closes of the bisimulation walk emit
 an entry:
 
@@ -14,31 +14,32 @@ an entry:
   document's :class:`~repro.bisim.PatternTable`.
 
 Either way a vertex becomes a feature one way — pattern → canonical
-signature → anti-symmetric matrix → ``(λ_min, λ_max)`` — memoized on the
-vertex (Algorithm 1's ``u.eigs``), so the eigen-decomposition runs once
-per equivalence class.
+dimension order → anti-symmetric matrix → ``(λ_min, λ_max)`` → encoded
+B-tree key — and the key is memoized on the class (Algorithm 1's
+``u.eigs``), so the eigen-decomposition runs once per equivalence class.
+The memo is the per-vertex key of the collection-wide
+:class:`~repro.core.structure.StructureDag` (DESIGN.md §7): once a
+document's graph is finished the generator asks the DAG which of its
+classes are keyed already and unfolds, orders and solves only the rest,
+so a class recurring *across* documents pays the O(n³) decomposition
+once for the collection.
 
-A generator may additionally carry a cross-document
-:class:`~repro.spectral.cache.FeatureCache`: before solving the
-eigenproblem for a pattern, its canonical signature is looked up, so
-isomorphic patterns recurring *across* documents pay the O(n³)
-decomposition once per distinct pattern rather than once per document.
-
-The cache misses of a document are not solved one by one (DESIGN.md
-§9): each miss contributes its anti-symmetric matrix to the document's
-batch queue, and when the walk ends the queue is flushed through
+The misses of a document are not solved one by one (DESIGN.md §9): each
+contributes its anti-symmetric matrix to the document's batch queue, and
+when every class has been visited the queue is flushed through
 :func:`repro.spectral.kernel.solve_batch` — matrices grouped by
 dimension, one stacked-LAPACK call (or vectorized closed form) per
-bucket — before the entries are yielded.  Batching changes *when*
-ranges are computed, never their bytes (the kernel's determinism
-contract), so the staged entry stream is identical to per-pattern
-solving.  The queue and every vid-keyed memo are locals of one
-document's walk (builder vids restart per document): a generator holds
-nothing a failed document could leave behind for the next one.
+bucket — before the document is recorded and the entries are yielded.
+Batching changes *when* ranges are computed, never their bytes (the
+kernel's determinism contract), so the staged entry stream is identical
+to per-pattern solving.  The queue and every vid-keyed memo are locals
+of one document's walk (builder vids restart per document), and the DAG
+is written once, at the end: a generator holds nothing a failed document
+could leave behind for the next one.
 
 Patterns whose matrix exceeds the configured cap fall back
 to the all-covering feature range (Section 6.1's artificial ``[0, ∞]``),
-counted in the returned statistics and never cached.
+counted in the returned statistics.
 """
 
 from __future__ import annotations
@@ -50,21 +51,16 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from repro.errors import PatternTooLargeError
-from repro.bisim import (
-    BisimGraphBuilder,
-    PatternTable,
-    bisim_graph_of_document,
-    vertex_signature,
-)
+from repro.bisim import BisimGraphBuilder, PatternTable
 from repro.bisim.graph import BisimGraph, BisimVertex
 from repro.btree import encode_feature_key
+from repro.btree.keys import decode_feature_key
 from repro.core.structure import StructureDag
 from repro.core.values import ValueHasher
 from repro.obs import CounterBlock, MetricsRegistry, Obs
 from repro.spectral import (
     ALL_COVERING_RANGE,
     EdgeLabelEncoder,
-    FeatureCache,
     FeatureKey,
     FeatureRange,
     pattern_matrix,
@@ -104,7 +100,8 @@ class ConstructionStats(CounterBlock):
     oversized_patterns: int = 0
     #: vertex count of the largest pattern actually decomposed.
     largest_pattern: int = 0
-    #: feature-cache hits/misses (0/0 when no cache is attached).
+    #: classes met already keyed (by the structure DAG, or joining a
+    #: class queued earlier in the same document) / classes computed.
     cache_hits: int = 0
     cache_misses: int = 0
     #: stacked-kernel dispatches: total bucket solves, and a histogram
@@ -149,10 +146,10 @@ class PhaseTimings(CounterBlock):
                 interning), measured as the entry-generation residual.
         unfold: BISIM-TRAVELER depth-limited truncation of the DAG.
         matrix: canonical-order anti-symmetric matrix assembly
-            (:func:`~repro.spectral.matrix.pattern_matrix`; cache
-            misses only).
+            (:func:`~repro.spectral.matrix.pattern_matrix`; classes
+            not keyed yet only).
         eigen:  the eigensolve proper — stacked kernel dispatches
-            (cache misses only).
+            (the same classes).
         insert: B-tree loading (and clustered copy-out, when applicable).
 
     Merged worker times overlap in wall-clock terms; the merged figure
@@ -219,27 +216,27 @@ def seed_encoder(
 
 @dataclass(frozen=True, slots=True)
 class Entry:
-    """One index entry before key encoding."""
+    """One index entry: the encoded B-tree key of its class
+    (``encode_feature_key(label, λ_max, λ_min)``) and the element's
+    node id."""
 
-    key: FeatureKey
+    raw_key: bytes
     node_id: int
 
-    def encoded_key(self) -> bytes:
-        """The B-tree key this entry is stored under."""
-        key = self.key
-        return encode_feature_key(key.root_label, key.range.lmax, key.range.lmin)
+    @property
+    def key(self) -> FeatureKey:
+        """The decoded ``(root label, [λ_min, λ_max])`` feature key."""
+        label, lmax, lmin = decode_feature_key(self.raw_key)
+        return FeatureKey(label, FeatureRange(lmin, lmax))
 
 
 @dataclass(slots=True)
 class _PendingFeature:
-    """A cache miss awaiting the batched eigensolve: the matrix to
-    solve, every vertex whose ``eigs`` the flush sets to the result, and
-    the signature to cache it under (``None`` when no cache is
-    attached)."""
+    """A miss awaiting the batched eigensolve: the matrix to solve and
+    every vertex of the document the flush keys with the result."""
 
     vertices: list[BisimVertex]
     matrix: np.ndarray
-    signature: bytes | None
 
 
 #: One staged index entry: (encoded B-tree key, doc_id, node_id).
@@ -257,7 +254,6 @@ class GeneratorSettings:
     depth_limit: int
     value_buckets: int | None
     max_pattern_vertices: int
-    feature_cache: bool
 
     @classmethod
     def from_config(cls, config) -> "GeneratorSettings":
@@ -271,29 +267,25 @@ class GeneratorSettings:
             return None
         return ValueHasher(self.value_buckets)
 
-    def fresh_cache(self) -> FeatureCache | None:
-        """A new, empty spectral feature cache — or ``None`` when the
-        settings disable caching."""
-        return FeatureCache() if self.feature_cache else None
-
     def generator(
         self,
         encoder: EdgeLabelEncoder,
-        cache: FeatureCache | None = None,
         obs: Obs | None = None,
         structure: StructureDag | None = None,
+        known: StructureDag | None = None,
     ) -> "EntryGenerator":
         """An :class:`EntryGenerator` for these settings over
-        ``encoder``, consulting ``cache``, reporting into ``obs`` and
-        recording document structure into ``structure``."""
+        ``encoder``, reporting into ``obs``, recording documents into
+        ``structure`` and reading already-keyed classes off ``known``
+        (default: ``structure``)."""
         return EntryGenerator(
             encoder,
             self.depth_limit,
             text_label=self.value_hasher(),
             max_pattern_vertices=self.max_pattern_vertices,
-            cache=cache,
             obs=obs,
             structure=structure,
+            known=known,
         )
 
 
@@ -306,18 +298,23 @@ class EntryGenerator:
         depth_limit: int,
         text_label: Callable[[str], str] | None = None,
         max_pattern_vertices: int = 800,
-        cache: FeatureCache | None = None,
         obs: Obs | None = None,
         structure: StructureDag | None = None,
+        known: StructureDag | None = None,
     ) -> None:
         self.encoder = encoder
         self.depth_limit = depth_limit
         self.text_label = text_label
         self.max_pattern_vertices = max_pattern_vertices
-        self.cache = cache
-        #: where each document's bisimulation graph and entry vertices
-        #: are recorded (DESIGN.md §14); ``None`` records nothing.
+        #: where each document's bisimulation graph, entry vertices and
+        #: class keys are recorded (DESIGN.md §14); ``None`` records
+        #: nothing.
         self.structure = structure
+        #: the DAG asked which classes are keyed already — the one this
+        #: generator records into unless given another (a mutation's
+        #: shadow generator records into a private DAG and reads the
+        #: index's); only ever read.
+        self.known = known
         #: observability context: span capture plus the registry the
         #: per-document sketches go to (a private, non-tracing one
         #: unless the owning index passes its own).
@@ -369,7 +366,7 @@ class EntryGenerator:
             with self.obs.span("build.doc", doc=doc_id) as span:
                 entries_before = len(staged)
                 for entry in self.entries_for(document, doc_id):
-                    staged.append((entry.encoded_key(), doc_id, entry.node_id))
+                    staged.append((entry.raw_key, doc_id, entry.node_id))
                 span.set(entries=len(staged) - entries_before)
             doc_elapsed = time.perf_counter() - started
             generate_seconds += doc_elapsed
@@ -391,17 +388,18 @@ class EntryGenerator:
 
         Emission rule per CONSTRUCT-INDEX: the document root alone when
         the limit is 0 (unit mode), every element otherwise.  Given a
-        ``doc_id``, the finished graph and the vertex of each entry are
-        recorded under it in :attr:`structure` once the walk is over —
-        a document whose walk raises records nothing.
+        ``doc_id``, the finished graph, the vertex of each entry and
+        the key of each class are recorded under it in
+        :attr:`structure` once every key is known — a document whose
+        walk or feature step raises records nothing.
         """
         stats = self.stats
         stats.documents += 1
-        # Misses awaiting the stacked eigensolve, and the same by
-        # signature so a repeat joins the in-flight feature instead of
-        # re-queueing its matrix.
-        queue: list[_PendingFeature] = []
-        in_flight: dict[bytes, _PendingFeature] = {}
+        builder = BisimGraphBuilder(text_label=self.text_label)
+        # GEN-SUBPATTERN runs per close: Theorem 4's one entry per
+        # element (in unit mode only the root's, below).
+        emitted = list(builder.walk(document.root))
+        graph = builder.finish()
         # Algorithm 1 as published also indexes documents shallower than
         # the depth limit as single units, but a unit entry is keyed by
         # the *document root's* label and therefore invisible to covered
@@ -410,118 +408,110 @@ class EntryGenerator:
         # (Theorem 4's one-entry-per-element accounting then holds for
         # every document); unit mode is the collection scenario,
         # depth_limit == 0.  See DESIGN.md §5a.
-        if self.depth_limit <= 0:
+        unit = self.depth_limit <= 0
+        if unit:
             stats.unit_documents += 1
-            # The unit's pattern is the finished graph itself, digested
-            # in its own vid space.
-            graph = bisim_graph_of_document(document, text_label=self.text_label)
-            self._vertex_features(graph.root, graph, {}, queue, in_flight)
             emitted = [(graph.root, document.root.node_id)]
         else:
             stats.subpattern_documents += 1
-            # One pattern table per document (builder vids restart), with
-            # the pattern vid → signature memo over it; both are dropped
-            # when the walk ends, before the queued matrices are solved.
-            patterns = PatternTable()
-            signatures: dict[int, bytes] = {}
-            emitted = []
-            builder = BisimGraphBuilder(text_label=self.text_label)
-            for vertex, start_ptr in builder.walk(document.root):
-                # GEN-SUBPATTERN runs per close; by close time the
-                # vertex's children are final, so its depth-L view is
-                # computable immediately (Algorithm 1's ``u.eigs`` check:
-                # once per vertex).
-                if vertex.eigs is None:
-                    started = time.perf_counter()
-                    pattern = patterns.pattern(vertex, self.depth_limit)
-                    self.timings.unfold += time.perf_counter() - started
-                    self._vertex_features(
-                        vertex, pattern, signatures, queue, in_flight
-                    )
-                emitted.append((vertex, start_ptr))
-            del patterns, signatures
-            graph = builder.finish()
         stats.entries += len(emitted)
         stats.bisim_vertices += graph.vertex_count()
         stats.per_document_vertices.append(graph.vertex_count())
+
+        known = self.known if self.known is not None else self.structure
+        # Per class of this document, by vid: its encoded key, once it
+        # has one.
+        keys: list[bytes | None] = (
+            known.keys_of(graph.vertices)
+            if known is not None
+            else [None] * graph.vertex_count()
+        )
+        # Misses awaiting the stacked eigensolve, and the same by the
+        # vid of their pattern's root in the document's pattern table —
+        # two classes whose depth-limited views coincide intern to one
+        # root, and the later joins the queued feature instead of
+        # re-queueing its matrix.
+        queue: list[_PendingFeature] = []
+        in_flight: dict[int, _PendingFeature] = {}
+        # One pattern table per document (builder vids restart), with
+        # the pattern vid → digest memo the matrix builder orders
+        # dimensions by over it; the unit's pattern is the finished
+        # graph itself, digested in its own vid space.
+        patterns = PatternTable()
+        signatures: dict[int, bytes] = {}
+        # Algorithm 1's ``u.eigs`` check: once per class, in first-close
+        # order.
+        for vertex in dict.fromkeys(vertex for vertex, _ in emitted):
+            if keys[vertex.vid] is not None:
+                stats.cache_hits += 1
+                continue
+            if unit:
+                pattern = graph
+            else:
+                started = time.perf_counter()
+                pattern = patterns.pattern(vertex, self.depth_limit)
+                self.timings.unfold += time.perf_counter() - started
+            pending = in_flight.get(pattern.root.vid)
+            if pending is not None:
+                # Per-pattern solving would have keyed the class by
+                # now, so it counts as a hit.
+                stats.cache_hits += 1
+                pending.vertices.append(vertex)
+                continue
+            stats.cache_misses += 1
+            matrix = self._class_matrix(pattern, signatures)
+            if matrix is None:
+                # A cap artifact, but there is one cap per index: the
+                # class's key like any other.
+                keys[vertex.vid] = encode_feature_key(
+                    vertex.label, ALL_COVERING_RANGE.lmax, ALL_COVERING_RANGE.lmin
+                )
+                continue
+            pending = in_flight[pattern.root.vid] = _PendingFeature([vertex], matrix)
+            queue.append(pending)
+        del patterns, signatures, in_flight
+        self._flush_eigen_batch(queue, keys)
+        del queue  # the solved matrices go before entries stream out
         if self.structure is not None and doc_id is not None:
-            self.structure.add_document(doc_id, graph.vertices, emitted)
-        self._flush_eigen_batch(queue)
-        del queue, in_flight  # the solved matrices go before entries stream out
+            self.structure.add_document(doc_id, graph.vertices, emitted, keys)
         for vertex, start_ptr in emitted:
-            yield Entry(vertex.eigs, start_ptr)
+            yield Entry(keys[vertex.vid], start_ptr)
 
     # ------------------------------------------------------------------ #
-    # Feature extraction with memoization, caching, and fallback
+    # Feature extraction with batching and fallback
     # ------------------------------------------------------------------ #
 
-    def _vertex_features(
-        self,
-        vertex: BisimVertex,
-        pattern: BisimGraph,
-        signatures: dict[int, bytes],
-        queue: list[_PendingFeature],
-        in_flight: dict[bytes, _PendingFeature],
-    ) -> None:
-        """BTREE-INSERT's feature half for a vertex seen for the first
-        time: set ``vertex.eigs`` from ``pattern``.
-
-        A resolved feature (cached, or the oversized fallback) is stored
-        as its :class:`FeatureKey` at once; a genuine miss contributes
-        its matrix to ``queue`` and leaves the :class:`_PendingFeature`
-        in ``vertex.eigs`` until the end-of-document
-        :meth:`_flush_eigen_batch` overwrites it with the key.  A
-        distinct vertex whose pattern is already queued joins that
-        pending feature, preserving the solve-once-per-class accounting
-        of Algorithm 1.
+    def _class_matrix(
+        self, pattern: BisimGraph, signatures: dict[int, bytes]
+    ) -> np.ndarray | None:
+        """BTREE-INSERT's feature half for a class met unkeyed: the
+        anti-symmetric matrix of ``pattern`` for the end-of-document
+        :meth:`_flush_eigen_batch` — ``None`` (and counted) when the
+        pattern is over the size cap.
 
         ``signatures`` is the vid → digest memo of ``pattern``'s vertex
-        space: the cache is addressed by the digest of the pattern's
-        root, and the matrix builder orders dimensions by the same memo,
+        space, which the matrix builder fills as it orders dimensions,
         so each pattern vertex is digested once per document.
         """
-        signature = None
-        if self.cache is not None:
-            signature = vertex_signature(pattern.root, signatures)
-            pending = in_flight.get(signature)
-            if pending is not None:
-                # An in-flight hit (per-pattern solving would have
-                # stored and re-read it by now, so it counts as a cache
-                # hit).
-                self.stats.cache_hits += 1
-                pending.vertices.append(vertex)
-                vertex.eigs = pending
-                return
-            cached = self.cache.lookup(signature)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                vertex.eigs = cached
-                return
-            self.stats.cache_misses += 1
         started = time.perf_counter()
         try:
-            matrix = pattern_matrix(
+            return pattern_matrix(
                 pattern,
                 self.encoder,
                 max_vertices=self.max_pattern_vertices,
                 signatures=signatures,
             )
         except PatternTooLargeError:
-            self.timings.matrix += time.perf_counter() - started
             self.stats.oversized_patterns += 1
-            # Cap artifact, not a pattern feature: never cached.
-            vertex.eigs = FeatureKey(vertex.label, ALL_COVERING_RANGE)
-            return
-        self.timings.matrix += time.perf_counter() - started
-        pending = _PendingFeature([vertex], matrix, signature)
-        vertex.eigs = pending
-        queue.append(pending)
-        if signature is not None:
-            in_flight[signature] = pending
+            return None
+        finally:
+            self.timings.matrix += time.perf_counter() - started
 
-    def _flush_eigen_batch(self, queue: list[_PendingFeature]) -> None:
+    def _flush_eigen_batch(
+        self, queue: list[_PendingFeature], keys: list[bytes | None]
+    ) -> None:
         """Solve every queued miss with one stacked call per dimension
-        bucket and memoize/cache the resulting keys."""
+        bucket and put each class's encoded key in ``keys`` (by vid)."""
         if not queue:
             return
         stats = self.stats
@@ -537,9 +527,7 @@ class EntryGenerator:
                 stats.eigen_batch_sizes.get(batch_size, 0) + 1
             )
         for item, (lmin, lmax) in zip(queue, ranges):
-            key = FeatureKey(item.vertices[0].label, FeatureRange(lmin, lmax))
+            key = encode_feature_key(item.vertices[0].label, lmax, lmin)
             for vertex in item.vertices:
-                vertex.eigs = key
+                keys[vertex.vid] = key
             stats.largest_pattern = max(stats.largest_pattern, len(item.matrix))
-            if item.signature is not None:
-                self.cache.store(item.signature, key)

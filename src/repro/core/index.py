@@ -39,6 +39,7 @@ from repro.core.structure import StructureDag
 from repro.errors import (
     IndexCoverageError,
     PatternTooLargeError,
+    RecordError,
     StorageError,
     UnsupportedQueryError,
 )
@@ -48,7 +49,6 @@ from repro.query.twig import TwigQuery
 from repro.spectral import (
     DEFAULT_GUARD_BAND,
     EdgeLabelEncoder,
-    FeatureCache,
     FeatureKey,
     FeatureRange,
     pattern_features,
@@ -81,9 +81,6 @@ class FixIndexConfig:
             builds in-process; ``k > 1`` stages documents across ``k``
             workers with a byte-identical-to-serial guarantee
             (DESIGN.md §7).
-        feature_cache: consult the cross-document spectral feature
-            cache during construction (on by default; disable to
-            measure the uncached baseline).
         obs: observability settings (:class:`~repro.obs.ObsConfig`,
             DESIGN.md §10).  ``None`` means the metrics registry is
             live but span tracing is off; with ``ObsConfig(trace=True)``
@@ -128,7 +125,6 @@ class FixIndexConfig:
     max_pattern_vertices: int = 800
     guard_band: float = DEFAULT_GUARD_BAND
     workers: int = 1
-    feature_cache: bool = True
     obs: ObsConfig | None = None
     shards: int = 1
     shard_affinity: str = "hash"
@@ -225,8 +221,9 @@ class IndexEntry:
 class StagedMutation:
     """One document's mutation delta, computed *outside* the write latch.
 
-    Entry generation (parse, bisimulation, eigensolve) touches nothing a
-    reader scans, so it runs concurrently with queries; only the B-tree
+    Staging (an add's parse, bisimulation and eigensolve; a removal's
+    read of the document's slots) writes nothing a reader scans, so it
+    runs concurrently with queries; only the B-tree
     delta in ``entries`` needs the exclusive apply window of
     :meth:`EpochManager.mutation`.  ``labels`` is the touched root-label
     set — the invalidation scope the epoch layer publishes.
@@ -237,7 +234,9 @@ class StagedMutation:
     entries: tuple[tuple[bytes, bytes], ...]
     #: root labels of the document's entries (the invalidation scope).
     labels: frozenset[str]
-    #: the shadow generator's statistics (cache hits, eigensolves, ...).
+    #: an add's shadow-generator statistics (classes met keyed,
+    #: eigensolves, ...); all zero for a removal, which generates
+    #: nothing.
     stats: ConstructionStats
     #: wall-clock seconds spent staging.
     seconds: float
@@ -262,20 +261,6 @@ class BuildReport:
     timings: PhaseTimings = field(default_factory=PhaseTimings)
     btree_bytes: int = 0
     clustered_bytes: int = 0
-    #: distinct patterns held by the cross-document spectral feature
-    #: cache at the end of the build (0 when the cache is disabled).
-    feature_cache_patterns: int = 0
-
-    def cache_summary(self) -> dict:
-        """Spectral-feature-cache state: size, hits, misses, hit rate
-        (the PR 1 cache the ``repro stats`` command surfaces)."""
-        lookups = self.stats.cache_hits + self.stats.cache_misses
-        return {
-            "patterns": self.feature_cache_patterns,
-            "hits": self.stats.cache_hits,
-            "misses": self.stats.cache_misses,
-            "hit_rate": self.stats.cache_hits / lookups if lookups else 0.0,
-        }
 
     def as_dict(self) -> dict:
         """JSON-friendly dump — the ``"report"`` section of
@@ -286,7 +271,6 @@ class BuildReport:
             "oversized_patterns": self.stats.oversized_patterns,
             "cache_hits": self.stats.cache_hits,
             "cache_misses": self.stats.cache_misses,
-            "feature_cache_patterns": self.feature_cache_patterns,
             "eigen_batches": self.stats.eigen_batches,
             "eigen_batch_sizes": {
                 str(size): count
@@ -314,7 +298,6 @@ class BuildReport:
         stats.oversized_patterns = persisted["oversized_patterns"]
         stats.cache_hits = persisted.get("cache_hits", 0)
         stats.cache_misses = persisted.get("cache_misses", 0)
-        self.feature_cache_patterns = persisted.get("feature_cache_patterns", 0)
         stats.eigen_batches = persisted.get("eigen_batches", 0)
         stats.eigen_batch_sizes = {
             int(size): count
@@ -334,14 +317,13 @@ class FixIndex:
         config: FixIndexConfig | None = None,
         *,
         encoder: EdgeLabelEncoder | None = None,
-        feature_cache: FeatureCache | None = None,
         obs: Obs | None = None,
     ) -> None:
-        """``encoder``/``feature_cache``/``obs`` are injection points
-        for a :class:`~repro.core.sharding.ShardedFixIndex` coordinator,
-        which shares one encoder (and optionally one spectral cache)
-        across every shard so feature keys agree index-wide.  Left as
-        ``None`` (the default) each index owns private instances."""
+        """``encoder``/``obs`` are injection points for a
+        :class:`~repro.core.sharding.ShardedFixIndex` coordinator,
+        which shares one encoder across every shard so feature keys
+        agree index-wide.  Left as ``None`` (the default) each index
+        owns private instances."""
         self.store = store
         self.config = config or FixIndexConfig()
         self.encoder = encoder if encoder is not None else EdgeLabelEncoder()
@@ -350,25 +332,18 @@ class FixIndex:
         )
         self.clustered_store = ClusteredStore() if self.config.clustered else None
         self._settings = GeneratorSettings.from_config(self.config)
-        self.feature_cache: FeatureCache | None = (
-            feature_cache
-            if feature_cache is not None
-            else self._settings.fresh_cache()
-        )
         #: the observability context (DESIGN.md §10): the metrics
         #: registry every view over this index reads, plus the span
         #: tracer (enabled via ``config.obs``).  Shared by the entry
         #: generator and, by default, every processor over this index.
         self.obs = obs if obs is not None else Obs.from_config(self.config.obs)
         #: the collection-wide bisimulation DAG refinement decides
-        #: structural twigs on (DESIGN.md §14), filled by the entry
-        #: generator and mutated only inside the epoch window.
+        #: structural twigs on (DESIGN.md §14) and the one memo of each
+        #: class's key (§7), filled by the entry generator and mutated
+        #: only inside the epoch window.
         self.structure = StructureDag()
         self._generator = self._settings.generator(
-            self.encoder,
-            cache=self.feature_cache,
-            obs=self.obs,
-            structure=self.structure,
+            self.encoder, obs=self.obs, structure=self.structure
         )
         self.value_hasher = self._generator.text_label
         self.report = BuildReport(
@@ -393,16 +368,12 @@ class FixIndex:
         every mutation; per-label validity lives on :attr:`epochs`."""
         return self.epochs.epoch
 
-    def adopt_shared(
-        self, encoder: EdgeLabelEncoder, feature_cache: FeatureCache | None
-    ) -> None:
+    def adopt_shared(self, encoder: EdgeLabelEncoder) -> None:
         """Re-point this index and its generator at a sharded
-        coordinator's encoder and spectral cache (a reloaded shard comes
-        back with private copies), so future incremental adds keep every
-        shard's keys in agreement.  A ``None`` cache keeps the own one."""
+        coordinator's encoder (a reloaded shard comes back with a
+        private copy), so future incremental adds keep every shard's
+        keys in agreement."""
         self.encoder = self._generator.encoder = encoder
-        if feature_cache is not None:
-            self.feature_cache = self._generator.cache = feature_cache
 
     def set_structure(self, structure: StructureDag) -> None:
         """Replace the structure DAG this index refines on and its
@@ -414,9 +385,7 @@ class FixIndex:
         document's entries (and discarding them) — what a directory
         saved without one pays, once, when it is loaded."""
         structure = StructureDag()
-        shadow = self._settings.generator(
-            self.encoder, cache=self.feature_cache, structure=structure
-        )
+        shadow = self._settings.generator(self.encoder, structure=structure)
         for doc_id in self.store.doc_ids():
             for _ in shadow.entries_for(self.store.get_document(doc_id), doc_id):
                 pass
@@ -541,17 +510,12 @@ class FixIndex:
 
     def _publish_gauges(self) -> None:
         """The sizes every registry sync refreshes, after a build or a
-        mutation: pager counters, entry/byte/generation gauges and the
-        spectral cache's pattern count."""
+        mutation: pager counters and the entry/byte/generation gauges."""
         registry = self.obs.registry
         self.pager_stats().publish(registry)
         registry.gauge("index.entries").set(self.entry_count)
         registry.gauge("index.btree_bytes").set(self.btree.size_bytes())
         registry.gauge("index.generation").set(self.generation)
-        if self.feature_cache is not None:
-            cache = self.feature_cache.stats_dict()
-            self.report.feature_cache_patterns = cache["patterns"]
-            registry.gauge("build.cache.patterns").set(cache["patterns"])
 
     def _stage_entries(self) -> list[tuple[bytes, int, int]]:
         """Generate ``(encoded key, doc_id, node_id)`` for every entry,
@@ -682,46 +646,51 @@ class FixIndex:
         """Compute one document's insertion delta without touching any
         shared structure a reader scans — safe to run concurrently with
         pinned queries; only :meth:`apply_staged_add` needs the
-        exclusive epoch window."""
-        return self._mutation_delta(doc_id, document, StructureDag())
-
-    def _mutation_delta(
-        self, doc_id: int, document=None, structure: StructureDag | None = None
-    ) -> StagedMutation:
-        """One document's ``(encoded key, packed pointer)`` entries,
-        touched root labels and generation stats, timed — what an add
-        inserts and a removal deletes.  ``document=None`` fetches the
-        stored one (inside the timed region); ``structure`` receives
-        the document's structure (an add's, for the apply to absorb).
+        exclusive epoch window.
 
         Generated by a throwaway shadow generator: it shares the encoder
-        (so keys come out identical) and routes explicitly through the
-        content-addressed spectral feature cache (so a re-staged
-        document's eigensolves are cache hits), but keeps its own stats
-        — the batch build's Table-1 accounting is never touched by the
-        incremental path."""
+        (so keys come out identical), reads the classes this index has
+        keyed already off its structure DAG (so a document made of known
+        classes costs no eigensolve) and records into a DAG of its own,
+        which the apply absorbs — keys included — inside the window.  It
+        keeps its own stats too: the batch build's Table-1 accounting is
+        never touched by the incremental path."""
         self._require_unclustered()
         started = time.perf_counter()
-        if document is None:
-            document = self.store.get_document(doc_id)
+        structure = StructureDag()
         shadow = self._settings.generator(
-            self.encoder, cache=self.feature_cache, structure=structure
+            self.encoder, structure=structure, known=self._keyed_structure()
         )
-        entries: list[tuple[bytes, bytes]] = []
-        labels: set[str] = set()
-        for entry in shadow.entries_for(document, doc_id):
-            labels.add(entry.key.root_label)
-            entries.append(
-                (entry.encoded_key(), NodePointer(doc_id, entry.node_id).pack())
-            )
+        entries = tuple(
+            (entry.raw_key, NodePointer(doc_id, entry.node_id).pack())
+            for entry in shadow.entries_for(document, doc_id)
+        )
         return StagedMutation(
             doc_id=doc_id,
-            entries=tuple(entries),
-            labels=frozenset(labels),
+            entries=entries,
+            labels=structure.entry_labels_of(doc_id),
             stats=shadow.stats,
             seconds=time.perf_counter() - started,
             structure=structure,
         )
+
+    def _keyed_structure(self) -> StructureDag:
+        """The structure DAG with its per-vertex keys in memory.  The
+        sidecar file does not carry them (the B-tree does), so the first
+        mutation staged after a load reads every entry once, under a
+        reader pin: a B-tree pass no mutation can interleave with.
+
+        Raises:
+            StorageError: the B-tree and the DAG disagree
+                (:meth:`StructureDag.restore_keys`); nothing is changed.
+        """
+        if self.structure.keys is None:
+            with self.epochs.pin():
+                self.structure.restore_keys(
+                    (entry.raw_key, entry.pointer.doc_id, entry.pointer.node_id)
+                    for entry in self.iter_entries()
+                )
+        return self.structure
 
     def apply_staged_add(self, staged: StagedMutation) -> None:
         """Insert a staged document delta under the exclusive epoch
@@ -755,20 +724,39 @@ class FixIndex:
     def remove_document(self, doc_id: int) -> int:
         """Remove a document and all of its index entries.
 
-        The document's entries are regenerated (deterministically — same
-        encoder, and through the content-addressed feature cache, so the
-        eigensolves staging paid are cache hits here) to find their
-        keys, then deleted pairwise from the B-tree under the exclusive
-        epoch window.  Returns the number of entries removed.
+        The document's entries are read off the structure DAG — each
+        slot's vertex carries its class's key — and deleted pairwise
+        from the B-tree under the exclusive epoch window; the document
+        is neither fetched nor parsed.  Returns the number of entries
+        removed.
         """
-        self._require_unclustered()
         staged = self.stage_removal(doc_id)
         return self.apply_staged_removal(staged)
 
     def stage_removal(self, doc_id: int) -> StagedMutation:
-        """Regenerate a stored document's entry delta for deletion —
-        like :meth:`stage_document`, outside the write latch."""
-        return self._mutation_delta(doc_id)
+        """A recorded document's entry delta for deletion, in node-id
+        order — like :meth:`stage_document` outside the write latch, in
+        time proportional to the document's entries.
+
+        Raises:
+            RecordError: no document is recorded under ``doc_id``.
+        """
+        self._require_unclustered()
+        started = time.perf_counter()
+        structure = self._keyed_structure()
+        if structure.slots_of(doc_id) is None:
+            raise RecordError(f"no document with id {doc_id}")
+        entries = tuple(
+            (key, NodePointer(doc_id, node_id).pack())
+            for key, node_id in structure.entries_of(doc_id)
+        )
+        return StagedMutation(
+            doc_id=doc_id,
+            entries=entries,
+            labels=structure.entry_labels_of(doc_id),
+            stats=ConstructionStats(),
+            seconds=time.perf_counter() - started,
+        )
 
     def apply_staged_removal(self, staged: StagedMutation) -> int:
         """Delete a staged document delta (entries *and* the stored
@@ -785,12 +773,11 @@ class FixIndex:
                         removed += 1
                 self.store.remove_document(staged.doc_id)
                 self.structure.drop_document(staged.doc_id)
+                # Vertices only removed documents reached go once they
+                # outnumber the rest.
+                self.set_structure(self.structure.compacted())
             apply_seconds = time.perf_counter() - apply_started
-            span.set(
-                removed=removed,
-                labels=len(staged.labels),
-                cache_hits=staged.stats.cache_hits,
-            )
+            span.set(removed=removed, labels=len(staged.labels))
         self._observe_mutation_latency(staged.seconds, apply_seconds)
         self._incremental_stats.merge(staged.stats)
         self._documents_removed += 1

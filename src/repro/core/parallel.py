@@ -29,8 +29,9 @@ The guarantee rests on three invariants:
 2. **Deterministic generation.**  Entry generation itself is
    deterministic per document (vid-ordered traversals throughout), so a
    document's entry list does not depend on the worker that produced it.
-   Worker-local feature caches change *when* an eigenproblem is solved,
-   never its result.
+   A worker's private structure DAG — the memo of the classes it has
+   keyed — changes *whether* an eigenproblem is solved again, never its
+   result.
 3. **Order-preserving collection.**  Documents are partitioned into
    contiguous chunks in ``doc_id`` order and results are concatenated in
    chunk order, reproducing the serial staging order exactly (the
@@ -130,10 +131,7 @@ def _stage_task(task: StageTask) -> StagedBuild:
     worker process, or inline when there is nothing to fan out)."""
     obs = Obs(trace=task.trace, proc=task.proc)
     generator = task.settings.generator(
-        EdgeLabelEncoder.from_dict(task.encoder),
-        cache=task.settings.fresh_cache(),
-        obs=obs,
-        structure=StructureDag(),
+        EdgeLabelEncoder.from_dict(task.encoder), obs=obs, structure=StructureDag()
     )
     store = None
     if task.store_ref is not None:

@@ -115,7 +115,9 @@ def load_index(
 
     A directory saved before the structure sidecar existed pays for
     one here (:meth:`FixIndex.restore_structure`, a pass over ``store``);
-    the next :func:`save_index` writes the file.
+    the next :func:`save_index` writes the file.  The sidecar does not
+    carry the per-vertex keys — the B-tree has them — so the first
+    mutation staged on the loaded index reads every entry once.
 
     Raises:
         StorageError: missing/unreadable directory, format mismatch, a

@@ -67,6 +67,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 from collections.abc import Iterator
 
 from repro.core.construction import GeneratorSettings, seed_encoder
@@ -168,10 +169,6 @@ class ShardedFixIndex:
         self.encoder = encoder if encoder is not None else EdgeLabelEncoder()
         self._settings = GeneratorSettings.from_config(config)
         self.value_hasher = self._settings.value_hasher()
-        #: one spectral feature cache shared by every shard: structural
-        #: templates repeat across shard boundaries just as they repeat
-        #: across documents.
-        self.feature_cache = self._settings.fresh_cache()
         self.obs = Obs.from_config(config.obs)
         #: doc_id -> owning shard (None = removed), the routing table.
         self.routing: list[int | None] = routing if routing is not None else []
@@ -182,11 +179,14 @@ class ShardedFixIndex:
         #: Each shard nests its own manager (the coordinator's snapshot
         #: vector is the tuple of shard snapshots, :meth:`epoch_vector`).
         self.epochs = EpochManager()
+        #: held while an add reserves its document id (the next routing
+        #: slot), so concurrent adds never stage under one id.
+        self._id_lock = threading.Lock()
         if shards is None:
             shards = [self._new_shard(i) for i in range(config.shards)]
         else:
             for shard in shards:
-                shard.adopt_shared(self.encoder, self.feature_cache)
+                shard.adopt_shared(self.encoder)
         self.shards: list[FixIndex] = shards
         self.store = _ShardRouter(self)
         #: per-shard λ_max histograms, each kept fresh against its own
@@ -226,12 +226,7 @@ class ShardedFixIndex:
         # Each shard keeps a *private* Obs (its own registry): several
         # shards sync-publishing their own totals under one name would
         # max-merge instead of summing.  The coordinator aggregates.
-        return FixIndex(
-            store,
-            shard_config,
-            encoder=self.encoder,
-            feature_cache=self.feature_cache,
-        )
+        return FixIndex(store, shard_config, encoder=self.encoder)
 
     @property
     def shard_count(self) -> int:
@@ -413,15 +408,20 @@ class ShardedFixIndex:
         *outside* the coordinator latch; only the store append, routing
         update, and B-tree delta apply under ``epochs.mutation``, so
         in-flight queries are stalled for microseconds, not eigensolves.
+        The document id is reserved before staging as a tombstoned
+        routing slot, which the apply window points at the shard; a
+        staging that raises leaves the slot a gap, like a removal's.
         """
         source = serialize_fragment(document.root)
-        doc_id = len(self.routing)
+        with self._id_lock:
+            doc_id = len(self.routing)
+            self.routing.append(None)
         shard_id = self._route_source(source)
         shard = self.shards[shard_id]
         staged = shard.stage_document(doc_id, document)
         with self.epochs.mutation(staged.labels):
             shard.store.add_document_at(document, doc_id)
-            self.routing.append(shard_id)
+            self.routing[doc_id] = shard_id
             shard.apply_staged_add(staged)
         self._publish_metrics()
         return doc_id

@@ -9,7 +9,11 @@ elements anywhere in the collection share a vertex exactly when they
 are downward-bisimilar — held as flat parallel arrays (label ids,
 child-offset runs, child ids).  Per document it records the vertex of
 every index entry, by the entry's node id: the root alone in unit mode,
-every element in subpattern mode.
+every element in subpattern mode — and per vertex the encoded B-tree key
+of its class, the one memo of Algorithm 1's ``u.eigs`` (DESIGN.md §7):
+an entry's key is a function of its vertex, so a class is keyed once
+for the collection and a removal reads its keys instead of recomputing
+them.
 
 Downward bisimulation preserves the boolean refinement asks — does the
 twig, ``//`` edges included, match with its root bound to this element?
@@ -22,7 +26,9 @@ when the twig carries a literal.
 The DAG persists as one checksummed sidecar file beside the B-tree
 (:data:`STRUCTURE_FILE`); :meth:`StructureDag.from_bytes` rejects
 anything it cannot prove well-formed with a
-:class:`~repro.errors.StorageError`.
+:class:`~repro.errors.StorageError`.  The keys are not in the file —
+the B-tree holds them — and come back through
+:meth:`StructureDag.restore_keys`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import struct
 import sys
 import zlib
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from hashlib import blake2b
 
 from repro.bisim.dag import SIGNATURE_BYTES
@@ -58,7 +64,8 @@ class StructureDag:
     Vertex ids are assigned bottom-up — every child's id is below its
     parents' — and never reused or reassigned while the object lives:
     it only grows (:meth:`drop_document` forgets a document's slots and
-    leaves its vertices; :meth:`to_bytes` writes the live ones only).
+    leaves its vertices; :meth:`to_bytes` writes the live ones only, and
+    :meth:`compacted` is the copy without the rest).
 
     A document's *slots* are an array indexed by node id holding
     ``vertex + 1``, or ``0`` where the node carries no index entry
@@ -78,9 +85,14 @@ class StructureDag:
         #: ``(label id, children) -> vertex``; ``None`` after a load,
         #: until the first mutation needs it again.
         self._interned: dict[tuple[int, tuple[int, ...]], int] | None = {}
+        #: vertex -> encoded B-tree key of its class; ``None`` for a
+        #: vertex no entry has sat at.  The whole list is ``None`` after
+        #: a load, until :meth:`restore_keys`.
+        self.keys: list[bytes | None] | None = []
         self._slots: dict[int, array] = {}
-        #: a document was dropped, so some vertices may be unreachable.
-        self._garbage = False
+        #: the vertex count when a document was first dropped — every
+        #: vertex was live then; ``None`` while nothing has been.
+        self._garbage_from: int | None = None
 
     def __getstate__(self) -> dict:
         # Crossing a process boundary (a staging worker's result), the
@@ -168,18 +180,100 @@ class StructureDag:
         return memo[vertex]
 
     # ------------------------------------------------------------------ #
+    # The per-vertex keys
+    # ------------------------------------------------------------------ #
+
+    def keys_of(self, vertices: Sequence[BisimVertex]) -> list[bytes | None]:
+        """The key of each class of a finished bisimulation graph
+        (``vertices`` in vid order, children before parents), by vid:
+        ``None`` for a class this DAG does not hold or has no key for.
+        The interning walk of :meth:`add_document`, inserting nothing —
+        so a staging thread may ask it of the index's DAG outside the
+        write latch."""
+        found: list[bytes | None] = [None] * len(vertices)
+        keys, interned = self.keys, self._interned
+        if not keys or not interned:
+            return found
+        label_ids = self._label_ids
+        mapped = [-1] * len(vertices)
+        for vertex in vertices:
+            label_id = label_ids.get(vertex.label)
+            if label_id is None:
+                continue
+            children = sorted([mapped[child.vid] for child in vertex.children])
+            if children and children[0] < 0:
+                continue
+            here = interned.get((label_id, tuple(children)))
+            if here is not None:
+                mapped[vertex.vid] = here
+                found[vertex.vid] = keys[here]
+        return found
+
+    def entries_of(self, doc_id: int) -> Iterator[tuple[bytes | None, int]]:
+        """``(key, node id)`` of each index entry of a recorded
+        document, in node-id order."""
+        keys = self.keys
+        for node_id, slot in enumerate(self._slots[doc_id]):
+            if slot:
+                yield keys[slot - 1], node_id
+
+    def entry_labels_of(self, doc_id: int) -> frozenset[str]:
+        """The root labels of a recorded document's index entries."""
+        labels, vertex_labels = self.labels, self.vertex_labels
+        return frozenset(
+            labels[vertex_labels[slot - 1]]
+            for slot in set(self._slots[doc_id])
+            if slot
+        )
+
+    def restore_keys(self, entries: Iterable[tuple[bytes, int, int]]) -> None:
+        """Read every class's key back off the index's own entries —
+        ``(encoded key, doc id, node id)`` triples, a full B-tree pass —
+        and rebuild the intern table: what a loaded DAG needs before
+        the first mutation can be staged against it.  Nothing is set
+        unless every entry agrees.
+
+        Raises:
+            StorageError: an entry sits at no recorded vertex, or two
+                entries of one class carry different keys.
+        """
+        keys: list[bytes | None] = [None] * self.vertex_count
+        for key, doc_id, node_id in entries:
+            vertex = self.vertex_of(doc_id, node_id)
+            if vertex is None:
+                raise StorageError(
+                    f"index entry ({doc_id}, {node_id}) has no structure vertex"
+                )
+            known = keys[vertex]
+            if known is None:
+                keys[vertex] = key
+            elif known != key:
+                raise StorageError(
+                    f"structure vertex {vertex} ({self.label_of(vertex)!r}) "
+                    f"is keyed {known.hex()} by one entry and {key.hex()} by "
+                    f"the entry of ({doc_id}, {node_id})"
+                )
+        self._intern_table()
+        self.keys = keys
+
+    # ------------------------------------------------------------------ #
     # Growing
     # ------------------------------------------------------------------ #
+
+    def _intern_table(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """``_interned``, rebuilt off the arrays when a load or a
+        process boundary left it behind."""
+        if self._interned is None:
+            self._interned = {
+                (self.vertex_labels[vertex], tuple(self.children_of(vertex))): vertex
+                for vertex in range(self.vertex_count)
+            }
+        return self._interned
 
     def _intern(self, label: str, children: tuple[int, ...]) -> int:
         """The vertex for ``(label, children)`` — ``children`` ascending
         and already interned — created when new."""
-        interned = self._interned
-        if interned is None:
-            interned = self._interned = {
-                (self.vertex_labels[vertex], tuple(self.children_of(vertex))): vertex
-                for vertex in range(self.vertex_count)
-            }
+        interned = self._intern_table()
         label_id = self._label_ids.get(label)
         if label_id is None:
             label_id = self._label_ids[label] = len(self.labels)
@@ -187,10 +281,15 @@ class StructureDag:
         key = (label_id, children)
         vertex = interned.get(key)
         if vertex is None:
-            vertex = interned[key] = len(self.vertex_labels)
+            vertex = len(self.vertex_labels)
             self.vertex_labels.append(label_id)
             self.child_ids.extend(children)
             self.child_offsets.append(len(self.child_ids))
+            if self.keys is not None:
+                self.keys.append(None)
+            # Last: a concurrent keys_of that finds the vertex finds
+            # its row in every array.
+            interned[key] = vertex
         return vertex
 
     def add_document(
@@ -198,27 +297,34 @@ class StructureDag:
         doc_id: int,
         vertices: Sequence[BisimVertex],
         emitted: Sequence[tuple[BisimVertex, int]],
+        keys: Sequence[bytes | None],
     ) -> None:
         """Record one document: ``vertices`` is its finished
         bisimulation graph in vid order (children before parents),
-        ``emitted`` the ``(vertex, node id)`` pair of each index entry."""
+        ``emitted`` the ``(vertex, node id)`` pair of each index entry,
+        ``keys`` the key of each class by vid (``None`` where the
+        document has no entry at it)."""
         mapped = [0] * len(vertices)
         for vertex in vertices:
             mapped[vertex.vid] = self._intern(
                 vertex.label,
                 tuple(sorted(mapped[child.vid] for child in vertex.children)),
             )
+        if self.keys is not None:
+            for vertex, key in zip(mapped, keys):
+                if key is not None:
+                    self.keys[vertex] = key
         slots = array("I", bytes(4 * (1 + max(node_id for _, node_id in emitted))))
         for vertex, node_id in emitted:
             slots[node_id] = mapped[vertex.vid] + 1
         if doc_id in self._slots:
-            self._garbage = True  # what only the old recording reached
+            self._note_garbage()  # what only the old recording reached
         self._slots[doc_id] = slots
 
     def absorb(self, other: "StructureDag") -> None:
         """Take over every document of ``other`` (the private DAG a
         build worker, a shard worker or a staged mutation recorded
-        into) and the vertices they reach.
+        into), the vertices they reach and those vertices' keys.
         Vertices new to this DAG are appended in ``other``'s order,
         which is first-appearance order, so absorbing chunks in
         document order numbers vertices exactly as recording the
@@ -227,7 +333,7 @@ class StructureDag:
         offsets, child_ids = other.child_offsets, other.child_ids
         # Until a document is dropped every vertex belongs to one.
         reachable = None
-        if other._garbage:
+        if other._garbage_from is not None:
             reachable = bytearray(count)
             for slots in other._slots.values():
                 for slot in set(slots):
@@ -240,14 +346,17 @@ class StructureDag:
                     for child in child_ids[offsets[vertex] : offsets[vertex + 1]]:
                         reachable[child] = 1
         labels, intern = other.labels, self._intern
+        carried = other.keys if self.keys is not None else None
         mapped = [0] * count
         for vertex, label_id in enumerate(other.vertex_labels):
             if reachable is None or reachable[vertex]:
                 children = child_ids[offsets[vertex] : offsets[vertex + 1]]
-                mapped[vertex] = intern(
+                here = mapped[vertex] = intern(
                     labels[label_id],
                     tuple(sorted([mapped[child] for child in children])),
                 )
+                if carried is not None and carried[vertex] is not None:
+                    self.keys[here] = carried[vertex]
         for doc_id, slots in other._slots.items():
             self._slots[doc_id] = array(
                 "I", [mapped[slot - 1] + 1 if slot else 0 for slot in slots]
@@ -255,9 +364,24 @@ class StructureDag:
 
     def drop_document(self, doc_id: int) -> None:
         """Forget a removed document's slots (its vertices stay until
-        the next :meth:`to_bytes` leaves them out)."""
+        :meth:`compacted` or the next :meth:`to_bytes` leaves them
+        out)."""
         if self._slots.pop(doc_id, None) is not None:
-            self._garbage = True
+            self._note_garbage()
+
+    def _note_garbage(self) -> None:
+        if self._garbage_from is None:
+            self._garbage_from = self.vertex_count
+
+    def compacted(self) -> "StructureDag":
+        """This DAG — or, once it has grown past twice the size it had
+        when a document was first dropped from it, a copy holding only
+        what the recorded documents reach, in its present order (keys
+        included), so a churn of novel documents cannot grow it without
+        bound.  The caller swaps the copy in inside the write latch."""
+        if self._garbage_from is None or self.vertex_count <= 2 * self._garbage_from:
+            return self
+        return self._live()
 
     # ------------------------------------------------------------------ #
     # The sidecar file
@@ -266,7 +390,7 @@ class StructureDag:
     def _live(self) -> "StructureDag":
         """This DAG, or — once a document was dropped — a copy holding
         only what the recorded documents reach, in its present order."""
-        if not self._garbage:
+        if self._garbage_from is None:
             return self
         live = StructureDag()
         live.absorb(self)
@@ -408,7 +532,7 @@ class StructureDag:
             dag._slots[doc_id] = slots
         if n_slots:
             raise StorageError("structure file document table is damaged")
-        dag._interned = None
+        dag._interned = dag.keys = None
         return dag
 
 

@@ -16,9 +16,10 @@ Checks performed:
 5. **Clustered copies** — each copy unit parses and its root tag matches
    the entry's label.
 6. **Structure DAG** — every entry has a recorded vertex carrying the
-   key's root label, and every stored document's bisimulation graph,
-   rebuilt, is vertex for vertex (by canonical signature) the recorded
-   one; a mismatch names the document.
+   key's root label, all entries of one vertex carry one key (a class
+   has one key — what a removal relies on), and every stored document's
+   bisimulation graph, rebuilt, is vertex for vertex (by canonical
+   signature) the recorded one; a mismatch names the document.
 
 Returns a :class:`VerificationReport`; ``ok`` is True when no problems
 were found.  Exposed on the CLI as ``python -m repro verify DIR``.
@@ -88,11 +89,12 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
             document = index.store.get_document(doc_id)
             for entry in shadow.entries_for(document, doc_id):
                 pointer = NodePointer(doc_id, entry.node_id)
-                expected[pointer] = entry.encoded_key()
+                expected[pointer] = entry.raw_key
         _compare_structures(report, structure, rebuilt)
 
     # 2, 3, 4, 5. Walk every stored entry.
     seen: set[NodePointer] = set()
+    class_keys: dict[int, bytes] = {}
     for raw_key, raw_value in index.btree.items():
         report.entries_checked += 1
         try:
@@ -126,6 +128,12 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
             report.add(
                 f"document {entry.pointer.doc_id}: structure vertex of "
                 f"{entry.pointer} is not a {label!r}"
+            )
+        elif class_keys.setdefault(vertex, raw_key) != raw_key:
+            report.add(
+                f"document {entry.pointer.doc_id}: structure vertex {vertex} "
+                f"({label!r}) is keyed {class_keys[vertex].hex()} by one "
+                f"entry and {raw_key.hex()} by the entry of {entry.pointer}"
             )
         if recompute_keys:
             want = expected.get(entry.pointer)

@@ -24,12 +24,8 @@ the no-false-negative pruning rule.  The feature key actually indexed is
   :class:`~repro.spectral.features.FeatureKey` — the index key, the
   containment predicate with its round-off guard band, and the
   all-covering fallback range for over-large patterns.
-* :class:`~repro.spectral.cache.FeatureCache` — content-addressed
-  cross-document cache of pattern feature keys, keyed by the canonical
-  signature of the labeled pattern DAG.
 """
 
-from repro.spectral.cache import FeatureCache, pattern_signature, vertex_signature
 from repro.spectral.encoding import EdgeLabelEncoder
 from repro.spectral.eigen import eigenvalue_range, hermitian_of, spectrum
 from repro.spectral.kernel import solve_batch
@@ -47,16 +43,13 @@ __all__ = [
     "ALL_COVERING_RANGE",
     "DEFAULT_GUARD_BAND",
     "EdgeLabelEncoder",
-    "FeatureCache",
     "FeatureKey",
     "FeatureRange",
     "eigenvalue_range",
     "hermitian_of",
     "pattern_features",
     "pattern_matrix",
-    "pattern_signature",
     "solve_batch",
     "spectrum",
     "spectrum_contains",
-    "vertex_signature",
 ]

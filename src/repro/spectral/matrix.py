@@ -4,9 +4,9 @@ Each reachable vertex of the bisimulation graph gets a matrix dimension.
 The assignment is arbitrary up to permutation — eigenvalues are
 permutation-invariant in exact arithmetic — but *floating-point*
 ``eigvalsh`` results can differ in the last ulp between permutations of
-the same matrix.  The cross-document feature cache and the parallel
-build both promise byte-identical keys for isomorphic patterns however
-and wherever they are encountered, so the dimension order must be a
+the same matrix.  The per-class key memo and the parallel build both
+promise byte-identical keys for isomorphic patterns however and
+wherever they are encountered, so the dimension order must be a
 **canonical** function of the labeled structure: vertices are sorted by
 their structural :func:`~repro.bisim.dag.vertex_signature` (vid as a
 tie-break, reachable only in non-minimal graphs such as query twigs,

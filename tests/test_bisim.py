@@ -4,6 +4,7 @@ paper's own worked example (Figure 2)."""
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from repro.errors import BisimulationError, PatternTooLargeError
 from repro.bisim import (
     BisimGraphBuilder,
     BisimVertex,
+    PatternTable,
     bisim_graph_of_document,
     canonical_key,
     depth_limited_graph,
@@ -19,8 +21,9 @@ from repro.bisim import (
     graphs_isomorphic,
     reachable_vertices,
     topological_order,
+    vertex_signature,
 )
-from repro.xmltree import parse_xml
+from repro.xmltree import Document, Element, parse_xml
 
 # The Figure 1 bibliography document.  Its bisimulation graph (Figure 2)
 # merges the book and inproceedings authors (both have only an
@@ -311,3 +314,51 @@ class TestMinimality:
             (v.label, frozenset(c.vid for c in v.children)) for v in graph.vertices
         }
         assert len(signatures) == graph.vertex_count()
+
+
+class TestDepthSignature:
+    """The digest of a depth-limited pattern — the matrix builder's
+    canonical dimension order — is its root's signature in the
+    document's pattern table: it must not depend on what else the table
+    holds, and must name the pattern's structure and nothing else."""
+
+    LABELS = "abcd"
+
+    def _random_tree(self, rng: random.Random, depth: int) -> Element:
+        element = Element(rng.choice(self.LABELS))
+        if depth > 0:
+            for _ in range(rng.randint(0, 3)):
+                element.append(self._random_tree(rng, depth - 1))
+        return element
+
+    def test_matches_unfolded_signature_on_random_trees(self):
+        rng = random.Random(5)
+        for _ in range(25):
+            document = Document(self._random_tree(rng, 5))
+            graph = bisim_graph_of_document(document)
+            table = PatternTable()
+            memo: dict[int, bytes] = {}
+            for vertex in reachable_vertices(graph.root):
+                for limit in (1, 2, 3, 6):
+                    shared = vertex_signature(table.pattern(vertex, limit).root, memo)
+                    alone = depth_limited_graph(vertex, limit)
+                    assert shared == vertex_signature(alone.root)
+
+    def test_truncation_merges_children(self):
+        # Two children that differ only below the cut must collapse to
+        # one digest — the set-dedup that re-minimization performs.
+        document = Document(
+            parse_xml("<r><a><x><y/></x></a><a><x><z/></x></a></r>").root
+        )
+        graph = bisim_graph_of_document(document)
+        # At depth 2 the two <a> subtrees look identical (both childless).
+        assert vertex_signature(
+            depth_limited_graph(graph.root, 2).root
+        ) == vertex_signature(graph_of("<r><a/></r>").root)
+
+    def test_unlimited_depth_equals_vertex_signature(self):
+        document = Document(parse_xml("<r><a><b/></a><c/></r>").root)
+        graph = bisim_graph_of_document(document)
+        assert vertex_signature(
+            depth_limited_graph(graph.root, 0).root
+        ) == vertex_signature(graph.root)

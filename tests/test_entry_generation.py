@@ -1,7 +1,9 @@
 """What the single feature path of entry generation guarantees
 (``core/construction.py``): per-document state dies with the document,
-unit mode is the root of the subpattern walk, the shared signature memo
-is only a memo, and a serial build fetches each document once.
+the structure DAG's per-vertex key is the one memo between documents
+and only a memo, unit mode is the root of the subpattern walk, the
+shared signature memo is only a memo, and a serial build fetches each
+document once.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import repro.bisim.dag as dag
 import repro.storage.primary as primary
 from repro.bisim import PatternTable, bisim_graph_of_document
 from repro.core import FixIndex, FixIndexConfig
-from repro.core.construction import GeneratorSettings, seed_encoder
+from repro.core.construction import EntryGenerator, GeneratorSettings, seed_encoder
+from repro.core.structure import StructureDag
 from repro.datasets import dataset_names, load_dataset
 from repro.datasets.base import store_of
-from repro.spectral import EdgeLabelEncoder, FeatureCache, pattern_matrix
+from repro.spectral import EdgeLabelEncoder, pattern_matrix
 from repro.storage import NodePointer, PrimaryXMLStore
 from repro.xmltree import Document, Element, parse_xml
 
@@ -63,22 +66,21 @@ class TestNoStateOutlivesADocument:
 
         def generator():
             return GeneratorSettings(
-                depth_limit=3,
-                value_buckets=None,
-                max_pattern_vertices=800,
-                feature_cache=True,
+                depth_limit=3, value_buckets=None, max_pattern_vertices=800
             ).generator(
-                EdgeLabelEncoder.from_dict(seeded.to_dict()), cache=FeatureCache()
+                EdgeLabelEncoder.from_dict(seeded.to_dict()),
+                structure=StructureDag(),
             )
 
         reused, fresh = generator(), generator()
         reused.text_label = fresh.text_label = text_label
         with pytest.raises(RuntimeError):
-            list(reused.entries_for(failing))
+            list(reused.entries_for(failing, 0))
         before = copy.deepcopy(reused.stats)
 
-        entries = list(reused.entries_for(following))
-        assert entries == list(fresh.entries_for(following))
+        entries = list(reused.entries_for(following, 1))
+        assert entries == list(fresh.entries_for(following, 1))
+        assert reused.structure.to_bytes() == fresh.structure.to_bytes()
         assert {entry.key.root_label for entry in entries} == set("npoq")
         for field in dataclasses.fields(fresh.stats):
             was = getattr(before, field.name)
@@ -93,6 +95,119 @@ class TestNoStateOutlivesADocument:
                 assert now == want
             else:
                 assert now - was == want, field.name
+
+    def test_failed_feature_step_leaves_the_dag_untouched(self, monkeypatch):
+        """The DAG is written once per document, after every class has
+        its key: a document whose eigensolve raises records nothing —
+        no slots, no vertices, no keys."""
+        import repro.core.construction as construction
+
+        dag = StructureDag()
+        generator = EntryGenerator(EdgeLabelEncoder(), 3, structure=dag)
+        list(generator.entries_for(parse_xml("<a><b><c/></b><e/></a>"), 0))
+        before = dag.to_bytes(), list(dag.keys)
+
+        def failing(matrices):
+            raise RuntimeError("solver down")
+
+        monkeypatch.setattr(construction, "solve_batch", failing)
+        with pytest.raises(RuntimeError):
+            list(generator.entries_for(parse_xml("<a><b><d/></b><f/></a>"), 1))
+        assert (dag.to_bytes(), list(dag.keys)) == before
+        assert dag.doc_ids() == [0]
+
+
+def _dblp_like_store(documents: int) -> PrimaryXMLStore:
+    """Several DBLP-like slices: the regular shape whose classes recur
+    across documents."""
+    store = PrimaryXMLStore()
+    for offset in range(documents):
+        for document in load_dataset("dblp", scale=0.01, seed=91 + offset).documents:
+            store.add_document(document)
+    return store
+
+
+class TestTheMemoIsTheSameMemo:
+    """``cache_hits`` / ``cache_misses`` / ``eigen_computations`` count
+    what they counted while a blake2b-addressed cache held the keys
+    (literals captured on the commit before the structure DAG took them
+    over): a class already keyed or joined in flight / a class computed.
+    Two workers each remember only what they staged."""
+
+    SHAPES = {
+        # unit collection: a hit is a root vertex met before.
+        "unit": (
+            lambda: load_dataset("xbench", scale=0.5, seed=42).store(),
+            dict(depth_limit=0),
+            {1: (10, 120, 120), 2: (3, 127, 127)},
+        ),
+        # one depth-6 document: a hit is a second class with the same
+        # truncation.
+        "depth6": (
+            lambda: load_dataset("xmark", scale=0.1, seed=42).store(),
+            dict(depth_limit=6),
+            {1: (6, 171, 171), 2: (6, 171, 171)},
+        ),
+        # value-extended, several depth-6 documents: both kinds.
+        "values": (
+            lambda: _dblp_like_store(2),
+            dict(depth_limit=6, value_buckets=16),
+            {1: (73, 220, 220), 2: (0, 293, 293)},
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_counts_equal_the_digest_cache(self, shape, workers):
+        make_store, config, expected = self.SHAPES[shape]
+        store = make_store()
+        index = FixIndex.build(store, FixIndexConfig(workers=workers, **config))
+        stats = index.report.stats
+        assert (
+            stats.cache_hits, stats.cache_misses, stats.eigen_computations
+        ) == expected[workers]
+        # Every miss became an eigen computation or an oversized fallback.
+        assert (
+            stats.eigen_computations + stats.oversized_patterns
+            == stats.cache_misses
+        )
+        # Warm equals cold: a generator with nothing to remember
+        # classes in stages the same keys.
+        cold = GeneratorSettings.from_config(index.config).generator(
+            EdgeLabelEncoder()
+        )
+        pairs = [
+            (key, NodePointer(doc_id, node_id).pack())
+            for key, doc_id, node_id in cold.stage(
+                store.doc_ids(), store.get_document
+            )
+        ]
+        pairs.sort(key=lambda pair: pair[0])
+        assert pairs == list(index.btree.items())
+        assert cold.stats.eigen_computations >= stats.eigen_computations
+
+    def test_oversized_fallback_is_the_class_key(self):
+        """One DAG, one ``max_pattern_vertices``: the all-covering key
+        of an over-cap class is remembered like any other, so the repeat
+        of the document neither unfolds nor misses again."""
+        store = PrimaryXMLStore()
+        for _ in range(2):
+            store.add_document(parse_xml(
+                "<root>" + "".join(
+                    f"<kid{i}><leaf/></kid{i}>" for i in range(12)
+                ) + "</root>"
+            ))
+        index = FixIndex.build(
+            store, FixIndexConfig(depth_limit=4, max_pattern_vertices=4)
+        )
+        stats = index.report.stats
+        assert stats.oversized_patterns == 1
+        fallback = [
+            entry for entry in index.iter_entries()
+            if entry.key.range.is_all_covering()
+        ]
+        assert [entry.pointer.node_id for entry in fallback] == [0, 0]
+        assert stats.cache_hits == stats.cache_misses
 
 
 _LABELS = ["a", "b", "c"]

@@ -18,7 +18,8 @@ from repro.errors import (
     StorageError,
     XMLSyntaxError,
 )
-from repro.btree import BPlusTree
+from repro.btree import BPlusTree, encode_feature_key
+from repro.btree.keys import decode_feature_key
 from repro.btree.node import LeafNode, deserialize_node
 from repro.cli import main as cli_main
 from repro.core import (
@@ -266,6 +267,49 @@ class TestIndexDirectoryDamage:
         with pytest.raises(StorageError):
             ShardedFixIndex.load(directory)
 
+    def test_two_keys_for_one_class_stop_the_first_mutation(
+        self, tmp_path, capsys
+    ):
+        """A class has one key — a removal deletes by it — so a B-tree
+        whose entries of one vertex disagree is refused by the first
+        mutation staged after the load, with everything left as it was,
+        and reported by the fast verifier."""
+        store = PrimaryXMLStore()
+        store.add_document(parse_xml("<a><b><c/></b><b><c/></b><d/></a>"))
+        index = FixIndex.build(store, FixIndexConfig(depth_limit=3))
+        (key, value), _ = [
+            pair for pair in index.btree.items() if pair[0].startswith(b"b\x00")
+        ]
+        label, lmax, lmin = decode_feature_key(key)
+        assert index.btree.delete(key, value)
+        index.btree.insert(encode_feature_key(label, lmax + 1.0, lmin - 1.0), value)
+        directory = os.fspath(tmp_path / "idx")
+        save_index(index, directory)
+        store.save(os.path.join(directory, "store"))
+
+        loaded = load_index(directory, store)
+
+        def state():
+            return (
+                list(loaded.btree.items()),
+                loaded.structure.to_bytes(),
+                loaded.structure.keys,
+                list(store.doc_ids()),
+            )
+
+        before = state()
+        for mutate in (
+            lambda: loaded.remove_document(0),
+            lambda: loaded.stage_document(1, parse_xml("<a><e/></a>")),
+        ):
+            with pytest.raises(StorageError, match=r"structure vertex \d+ \('b'\)"):
+                mutate()
+            assert state() == before
+        loaded.btree.pager.close()
+
+        assert cli_main(["verify", directory, "--fast"]) == 1
+        assert "structure vertex" in capsys.readouterr().out
+
     def test_loads_metadata_written_before_an_option_was_retired(
         self, tmp_path
     ):
@@ -279,6 +323,7 @@ class TestIndexDirectoryDamage:
                 {"eigen_" + "solver": None, "prune_" + "backend": "rtree"},
                 {"max_unfolding_" + "opens": 20000},
                 {"max_unfolding_" + "opens": 5},
+                {"feature_" + "cache": False},
             )
         ):
             self.check_loads_with_retired_keys(tmp_path / str(case), retired)

@@ -316,9 +316,9 @@ BUILD_AND_QUERY_COUNTERS = [
     "query.results",
 ]
 BUILD_AND_QUERY_GAUGES = [
-    "build.cache.patterns", "epoch.current", "index.btree_bytes",
-    "index.entries", "index.generation", "pager.hit_rate",
-    "plan_cache.plans", "query.workers",
+    "epoch.current", "index.btree_bytes", "index.entries",
+    "index.generation", "pager.hit_rate", "plan_cache.plans",
+    "query.workers",
 ]
 BUILD_AND_QUERY_SKETCHES = [
     "build.doc_entries", "build.doc_seconds", "query.plan_seconds",

@@ -17,7 +17,7 @@ from repro.core.parallel import parallel_stage
 from repro.core.construction import GeneratorSettings, seed_encoder
 from repro.datasets import load_dataset
 from repro.spectral import EdgeLabelEncoder
-from repro.storage import PrimaryXMLStore
+from repro.storage import NodePointer, PrimaryXMLStore
 from repro.xmltree import parse_xml
 
 #: the generator settings of ``FixIndexConfig(depth_limit=4)``.
@@ -64,15 +64,28 @@ class TestByteIdenticalToSerial:
         assert items_of(serial) == items_of(parallel)
 
     def test_identical_without_cache(self):
+        """A generator with no DAG to remember a class in computes
+        every document from scratch — and stages, entry for entry and
+        in order, what the memoised serial and fanned-out builds load."""
         store = multi_doc_store()
-        serial = FixIndex.build(
-            store, FixIndexConfig(depth_limit=4, feature_cache=False)
+        serial = FixIndex.build(store, FixIndexConfig(depth_limit=4))
+        parallel = FixIndex.build(store, FixIndexConfig(depth_limit=4, workers=3))
+        forgetful = SETTINGS.generator(EdgeLabelEncoder())
+        pairs = [
+            (key, NodePointer(doc_id, node_id).pack())
+            for key, doc_id, node_id in forgetful.stage(
+                store.doc_ids(), store.get_document
+            )
+        ]
+        pairs.sort(key=lambda pair: pair[0])  # stable, as the loader's
+        assert pairs == items_of(serial) == items_of(parallel)
+        assert forgetful.encoder.to_dict() == serial.encoder.to_dict()
+        # The memo was exercised, not merely harmless.
+        assert forgetful.stats.cache_hits < serial.report.stats.cache_hits
+        assert (
+            forgetful.stats.eigen_computations
+            > serial.report.stats.eigen_computations
         )
-        parallel = FixIndex.build(
-            store,
-            FixIndexConfig(depth_limit=4, workers=3, feature_cache=False),
-        )
-        assert items_of(serial) == items_of(parallel)
 
     def test_identical_with_values(self):
         store = multi_doc_store()
@@ -154,14 +167,16 @@ class TestByteIdenticalToSerial:
                 stats[0].per_document_vertices
                 == expected.per_document_vertices
             )
-        # One mutation-delta routine: a removal regenerates exactly what
-        # the add staged.
+        # A removal reads off the DAG exactly what the add staged — as
+        # a set: slots are in node-id order, generation is in close
+        # order, and every (key, pointer) pair is distinct.
         owner = built.shard_for_document(2) if config.shards > 1 else built
         document = owner.store.get_document(2)
-        assert (
-            owner.stage_removal(2).entries
-            == owner.stage_document(2, document).entries
-        )
+        removal = owner.stage_removal(2)
+        add = owner.stage_document(2, document)
+        assert len(removal.entries) == len(add.entries) == len(set(add.entries))
+        assert set(removal.entries) == set(add.entries)
+        assert removal.labels == add.labels
 
 
 class TestParallelStage:

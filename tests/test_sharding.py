@@ -11,6 +11,8 @@ same pointers as scatter-gather."""
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,51 @@ class TestIncrementalParity:
             sources, FixIndexConfig(depth_limit=0, shards=4)
         )
         assert _answers(incremental) == _answers(rebuilt)
+
+
+    def test_concurrent_adds_reserve_distinct_ids(self):
+        """Two threads adding at once: every add gets its own document
+        id (reserved before staging), every routed id resolves in the
+        shard the table names, and the index answers as one built from
+        the same documents in id order."""
+        config = FixIndexConfig(depth_limit=0, shards=3)
+        initial = _corpus(4)
+        index = ShardedFixIndex.build_from_sources(initial, config)
+        extra = [_source(i, i % 3 + 1, i * 11) for i in range(56)]
+        added: dict[int, str] = {}
+        errors: list[BaseException] = []
+
+        def adder(sources: list[str]) -> None:
+            try:
+                for source in sources:
+                    added[index.add_document(parse_xml(source))] = source
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=adder, args=(extra[k::2],)) for k in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(added) == list(range(4, 60))
+        assert len(index.routing) == 60
+        for doc_id in added:
+            shard = index.shard_for_document(doc_id)
+            assert shard.store.get_document(doc_id).doc_id == doc_id
+            assert shard.structure.slots_of(doc_id) is not None
+        fresh = ShardedFixIndex.build_from_sources(
+            initial + [added[doc_id] for doc_id in sorted(added)], config
+        )
+        assert _answers(index) == _answers(fresh)
 
 
 class TestPersistence:

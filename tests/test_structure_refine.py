@@ -257,8 +257,7 @@ def test_the_three_verdict_recursions_agree(source, query, buckets):
     # Subpattern mode records every element, so each can be asked.
     dag = StructureDag()
     generator = GeneratorSettings(
-        depth_limit=1, value_buckets=buckets, max_pattern_vertices=800,
-        feature_cache=False,
+        depth_limit=1, value_buckets=buckets, max_pattern_vertices=800
     ).generator(EdgeLabelEncoder(), structure=dag)
     list(generator.entries_for(document, 0))
     judge = TwigVerdicts(dag, twig.with_child_leading_axis())
@@ -618,3 +617,35 @@ def test_staged_structures_are_absorbed_as_recording_in_place_would(dataset, dep
     for label in sorted(index.structure.labels)[:12]:
         query = f"//{label}"
         assert processor.query(query).results == _truth(index, processor, query)
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_novel_document_churn_does_not_grow_the_dag(depth):
+    """Vertices only removed documents reached are given back once they
+    outnumber the rest: 500 add / remove rounds of documents unlike any
+    other leave a DAG within twice its live size, whose file and answers
+    are a fresh build's — and whose surviving classes are still keyed."""
+    store = PrimaryXMLStore()
+    for document in load_dataset("xbench", scale=0.08, seed=42).documents[:20]:
+        store.add_document(document)
+    config = FixIndexConfig(depth_limit=depth)
+    index = FixIndex.build(store, config)
+    live = index.structure.vertex_count
+    largest = 0
+    for step in range(500):
+        novel = parse_xml(
+            f"<article><n{step}><m{step}/><title/></n{step}><o{step}/></article>"
+        )
+        index.remove_document(index.add_document(novel))
+        largest = max(largest, index.structure.vertex_count)
+    assert largest <= 2 * live + 16
+    assert len(index.structure.keys) == index.structure.vertex_count
+    fresh = FixIndex.build(index.store, config)
+    assert index.structure.to_bytes() == fresh.structure.to_bytes()
+    assert list(index.btree.items()) == list(fresh.btree.items())
+    known, again = FixQueryProcessor(index), FixQueryProcessor(fresh)
+    for label in sorted(fresh.structure.labels):
+        assert known.query(f"//{label}").results == again.query(f"//{label}").results
+    # A re-added original is all classes met before: nothing to solve.
+    staged = index.stage_document(99, index.store.get_document(0))
+    assert staged.stats.cache_misses == 0 and staged.stats.cache_hits > 0
