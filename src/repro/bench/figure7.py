@@ -32,6 +32,8 @@ class Figure7Row:
     fb_seconds: float
     fix_clustered_seconds: float
     result_count: int
+    #: the path FIX took (the index scan: every query carries a value).
+    access_path: str = ""
 
 
 @dataclass
@@ -106,6 +108,7 @@ def run_figure7(
                 fb_seconds=timed(lambda: fb_query(twig)),
                 fix_clustered_seconds=timed(lambda: processor.query(twig)),
                 result_count=result.result_count,
+                access_path=result.access_path.value,
             )
         )
     return Figure7Report(

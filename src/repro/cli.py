@@ -440,6 +440,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     cached = " (plan cached)" if result.plan_cached else ""
     print(
         f"candidates={result.candidate_count} results={result.result_count} "
+        f"path={result.access_path.value} "
         f"plan={result.plan_seconds * 1000:.2f}ms{cached} "
         f"prune={result.prune_seconds * 1000:.2f}ms "
         f"refine={result.refine_seconds * 1000:.2f}ms "

@@ -17,8 +17,12 @@ implements that decision:
   with ``candidate_cost > scan_cost`` reflecting that refining a
   candidate through a pointer (random access + verification) is more
   expensive per unit than streaming past it in document order;
+* :func:`choose_access_path`, the one rule that splits the index side
+  into the structure scan and the index scan, which
+  :class:`~repro.core.processor.FixQueryProcessor` applies to every
+  query it runs (DESIGN.md §14);
 * an :class:`ExplainedPlan` that records the decision and its inputs —
-  the EXPLAIN output — and executes either path.
+  the EXPLAIN output — and executes the chosen path.
 """
 
 from __future__ import annotations
@@ -26,17 +30,24 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from repro.core.index import FixIndex
-from repro.core.processor import FixQueryProcessor, FixQueryResult
 from repro.core.stats import FeatureHistogram
 from repro.engine.navigational import NavigationalEngine
 from repro.query.twig import TwigQuery, twig_of
 
+if TYPE_CHECKING:
+    from repro.core.processor import FixQueryResult
+
 
 class AccessPath(Enum):
-    """The two available plans."""
+    """The three available plans."""
 
+    #: judge the twig root's candidate vertices on the structure DAG
+    #: and expand the accepted ones through their extents.
+    STRUCTURE_SCAN = "structure-scan"
+    #: the paper's pipeline: B-tree range scan, then refinement.
     INDEX_SCAN = "index-scan"
     FULL_SCAN = "full-scan"
 
@@ -53,6 +64,22 @@ class CostModel:
     descent_cost: float = 30.0
     candidate_cost: float = 6.0
     scan_cost: float = 1.0
+
+
+def choose_access_path(twig: TwigQuery, explicit_refiner: bool) -> AccessPath:
+    """The one rule between :attr:`AccessPath.STRUCTURE_SCAN` and
+    :attr:`AccessPath.INDEX_SCAN`.
+
+    A twig with a value literal keeps the index scan (a verdict is
+    about structure only), and so does a processor given an explicit
+    ``refiner=`` (the paper's FIX + NoK pairing: the caller asked for
+    trees).  Every other twig takes the structure scan: no measured
+    query on the harness corpora ran faster through pruning +
+    refinement (DESIGN.md §14), so there is no cost to weigh yet.
+    """
+    if explicit_refiner or twig.has_values():
+        return AccessPath.INDEX_SCAN
+    return AccessPath.STRUCTURE_SCAN
 
 
 def shard_scan_cost(
@@ -106,6 +133,9 @@ class QueryOptimizer:
         histogram: FeatureHistogram | None = None,
         cost_model: CostModel | None = None,
     ) -> None:
+        # Imported here: the processor applies this module's rule.
+        from repro.core.processor import FixQueryProcessor
+
         self.index = index
         self.histogram = histogram or FeatureHistogram(index)
         self.cost_model = cost_model or CostModel()
@@ -117,7 +147,9 @@ class QueryOptimizer:
     # ------------------------------------------------------------------ #
 
     def plan(self, query: TwigQuery | str) -> ExplainedPlan:
-        """Pick an access path without executing anything."""
+        """Pick an access path without executing anything: the full scan
+        or the index by the cost model, and then, on the index side,
+        the structure or the index scan by :func:`choose_access_path`."""
         twig = query if isinstance(query, TwigQuery) else twig_of(query)
         total_units = self.index.entry_count
         model = self.cost_model
@@ -147,11 +179,13 @@ class QueryOptimizer:
         )
         index_cost = model.descent_cost + estimate * model.candidate_cost
         if index_cost <= scan_cost:
-            path = AccessPath.INDEX_SCAN
+            path = choose_access_path(twig, explicit_refiner=False)
             reason = (
                 f"estimated {estimate:.0f} candidates; index cost "
                 f"{index_cost:.0f} <= scan cost {scan_cost:.0f}"
             )
+            if path is AccessPath.STRUCTURE_SCAN:
+                reason += "; no value literal: answered on the structure DAG"
         else:
             path = AccessPath.FULL_SCAN
             reason = (
@@ -174,9 +208,11 @@ class QueryOptimizer:
     # ------------------------------------------------------------------ #
 
     def execute(self, query: TwigQuery | str) -> tuple[ExplainedPlan, FixQueryResult]:
-        """Plan and run; both paths return the same result shape."""
+        """Plan and run; every path returns the same result shape."""
+        from repro.core.processor import FixQueryResult
+
         plan = self.plan(query)
-        if plan.path is AccessPath.INDEX_SCAN:
+        if plan.path is not AccessPath.FULL_SCAN:
             return plan, self._processor.query(plan.query)
         started = time.perf_counter()
         pointers = self._scan(plan.query)
@@ -186,6 +222,7 @@ class QueryOptimizer:
             candidate_count=plan.total_units,
             prune_seconds=0.0,
             refine_seconds=elapsed,
+            access_path=AccessPath.FULL_SCAN,
         )
         return plan, result
 

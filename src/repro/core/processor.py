@@ -1,10 +1,22 @@
-"""Two-phase query processing (Algorithm 2).
+"""Two-phase query processing (Algorithm 2), and the structure scan
+beside it.
 
 Phase 0 — *planning*: the query is parsed, decomposed (Section 5), and
 its pruning fragments' feature keys extracted — the query side's only
 eigensolve.  Plans are memoized per (query source, index generation) in
 a :class:`~repro.core.plan.PlanCache`, so repeated queries skip straight
 to the scan.
+
+Then one rule (:func:`~repro.core.optimizer.choose_access_path`) picks
+the access path.  The *structure scan* (DESIGN.md §14) answers a twig without
+value literals on the index's bisimulation DAG alone: the twig root's
+candidate vertices — the root label's vertices that carry an entry; the
+documents' root vertices for a ``/``-leading twig on a depth-limited
+index; every entry vertex for a ``//``-leading twig on a collection —
+each get one verdict, and the accepted ones' extents, merged in pointer
+order, are the answer.  It needs no B-tree and loses no answer to the
+Theorem 5 gap (DESIGN.md §5a).  Otherwise the *index scan* runs the
+paper's two phases:
 
 Phase 1 — *pruning*: each fragment's feature key is range-scanned on
 the B-tree for covering entries (Section 3.4).  With a collection
@@ -35,41 +47,57 @@ With ``pushdown=True`` over a sharded index, phases 1 and 2 both run
 *inside* each shard that survives the histogram emptiness test (applied
 per fragment), concurrently up to the scan bound; only verified matches
 cross back to the coordinator, where the pointer-order merge makes the
-answer identical to the scatter-gather flow (DESIGN.md §11).
+answer identical to the scatter-gather flow (DESIGN.md §11).  A
+structure scan runs per shard DAG either way, skipping the shards with
+no candidate vertex.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.epoch import EpochSnapshot
 from repro.core.index import FixIndex, IndexEntry
+from repro.core.optimizer import AccessPath, choose_access_path
 from repro.core.plan import PlanCache, QueryPlan, build_plan
 from repro.core.stats import histogram_view
-from repro.core.structure import TwigVerdicts
+from repro.core.structure import TwigVerdicts, unpack_pointers
 from repro.engine import (
     NavigationalEngine,
     StructuralJoinEngine,
     refine_candidates,
 )
 from repro.obs import Obs
+from repro.query.ast import Axis
 from repro.query.twig import TwigQuery
 from repro.spectral import FeatureKey
 from repro.storage import NodePointer
 
+#: one structure DAG's share of a structure scan: the twig's verdicts
+#: over that DAG, its candidate vertices, and vertex -> the packed
+#: pointers of the candidates at it.
+StructureCandidates = tuple[TwigVerdicts, Collection[int], Callable[[int], Sequence[int]]]
+
 
 @dataclass
 class FixQueryResult:
-    """Outcome of one two-phase evaluation."""
+    """Outcome of one query."""
 
     #: pointers whose refinement succeeded (the final answer), in
     #: ascending pointer order.
     results: list[NodePointer] = field(default_factory=list)
     #: how many candidates the pruning phase produced (``cdt``), after
-    #: the root filter for ``/``-rooted depth-limited queries.
+    #: the root filter for ``/``-rooted depth-limited queries; on a
+    #: structure scan, the entries at the vertices it judged.
     candidate_count: int = 0
+    #: the path the query took (:func:`~repro.core.optimizer.choose_access_path`).
+    access_path: AccessPath = AccessPath.INDEX_SCAN
+    #: the vertices a structure scan judged (summed over shards); 0 on
+    #: the index scan.
+    candidate_vertices: int = 0
     #: wall-clock split, seconds.
     plan_seconds: float = 0.0
     prune_seconds: float = 0.0
@@ -77,9 +105,12 @@ class FixQueryResult:
     #: True when the plan came out of the cache (no eigensolve paid).
     plan_cached: bool = False
     #: trees the refinement phase fetched (documents plus clustered
-    #: copy units); 0 when the structure DAG decided every candidate.
+    #: copy units); 0 when the structure DAG decided every candidate,
+    #: and always 0 on a structure scan.
     documents_fetched: int = 0
-    #: trees a fetch-everything refinement would have fetched on top.
+    #: trees a fetch-everything refinement would have fetched on top —
+    #: an index-scan figure: a structure scan has no refinement to
+    #: spare a fetch.
     fetches_avoided: int = 0
     #: (query node, vertex) verdicts evaluated on the structure DAG,
     #: and answered from the query's memo.
@@ -110,23 +141,25 @@ class FixQueryResult:
 
 
 class FixQueryProcessor:
-    """INDEX-PROCESSOR: pruning + refinement over one :class:`FixIndex`.
+    """INDEX-PROCESSOR: pruning + refinement over one :class:`FixIndex`,
+    or a structure scan where the access-path rule picks it.
 
     The refinement operator is pluggable — the paper's point that FIX
     "can be coupled with any path processing operator that can perform
     query refinement".  Both shipped engines satisfy the contract
     (``refine``, ``refine_group``, ``evaluate_document``).  Left to
-    itself the processor reads structural verdicts off the index's
-    bisimulation DAG and keeps a navigational engine (the paper's NoK
-    pairing) for the value step.
+    itself the processor answers structural twigs off the index's
+    bisimulation DAG — by a structure scan, or by reading verdicts for
+    the index scan's candidates — and keeps a navigational engine (the
+    paper's NoK pairing) for the value step.
 
     Args:
         index: the index to prune against.
-        refiner: refinement engine.  Passing one makes it judge every
-            candidate on its fetched tree; the default decides
-            structure on the DAG and runs a navigational engine over
-            the index's primary store only where a value literal calls
-            for the tree.
+        refiner: refinement engine.  Passing one makes every query take
+            the index scan and the engine judge every candidate on its
+            fetched tree; the default decides structure on the DAG and
+            runs a navigational engine over the index's primary store
+            only where a value literal calls for the tree.
         workers: refinement worker processes.  ``1`` refines in
             process; ``k > 1`` fans document groups out across ``k``
             processes with results identical to serial.
@@ -139,8 +172,10 @@ class FixQueryProcessor:
             rest prune and refine locally (one engine per shard over
             the shard's own store) and only verified matches flow back,
             merged in pointer order — answers identical to the scatter-
-            gather path.  Ignored (normal two-phase flow) for plain
-            indexes and for custom refinement engines.
+            gather path.  A structure scan runs per shard DAG either
+            way; push-down bounds its concurrency by ``workers`` too.
+            Ignored (normal two-phase flow) for plain indexes and for
+            custom refinement engines.
         slow_log: optional :class:`~repro.obs.slowlog.SlowQueryLog`.
             Queries whose total latency crosses its threshold (fixed,
             or derived from this processor's ``query.seconds`` sketch)
@@ -304,38 +339,102 @@ class FixQueryProcessor:
         return histogram.estimate_candidates(key, anchored=anchored)
 
     # ------------------------------------------------------------------ #
+    # Access path
+    # ------------------------------------------------------------------ #
+
+    def _choose_path(
+        self, plan: QueryPlan, result: FixQueryResult
+    ) -> list[StructureCandidates]:
+        """Set ``result.access_path`` by the one rule and, for a
+        structure scan, collect its candidate vertices under the pinned
+        epoch (none for the index scan)."""
+        result.access_path = choose_access_path(
+            plan.refined, explicit_refiner=not self._decide_on_structure
+        )
+        if result.access_path is not AccessPath.STRUCTURE_SCAN:
+            return []
+        scans = structure_candidates(self.index, plan)
+        result.candidate_vertices = sum(len(vertices) for _, vertices, _ in scans)
+        return scans
+
+    def _structure_scan(
+        self,
+        scans: list[StructureCandidates],
+        result: FixQueryResult,
+        concurrency: int,
+    ) -> None:
+        """Judge every candidate vertex once and answer the accepted
+        vertices' extents, merged in pointer order.  On a sharded index
+        each shard's DAG is scanned on its own, concurrently up to
+        ``concurrency``, and shards without a candidate vertex are
+        skipped."""
+        if not hasattr(self.index, "dispatch_shards"):
+            parts = [_scan_dag(*scan) for scan in scans]
+        else:
+            order = [shard_id for shard_id, scan in enumerate(scans) if scan[1]]
+            self.index.obs.registry.counter("shards.skipped").inc(
+                len(scans) - len(order)
+            )
+            parts = self.index.dispatch_shards(
+                order,
+                lambda shard_id: _scan_dag(*scans[shard_id]),
+                "structure scan",
+                concurrency,
+            )
+        accepted: list[int] = []
+        for answers, candidates in parts:
+            accepted.extend(answers)
+            result.candidate_count += candidates
+        accepted.sort()
+        result.results.extend(unpack_pointers(accepted))
+        for judge, _, _ in scans:
+            result.dag_verdicts += judge.computed
+            result.dag_reused += judge.reused
+
+    # ------------------------------------------------------------------ #
     # Shard-local push-down
     # ------------------------------------------------------------------ #
 
-    def _pushdown_order(self, plan: QueryPlan) -> list[int] | None:
-        """Participating shard ids (most selective first), or ``None``
-        when this query runs through the normal two-phase flow: push-down
-        disabled, the index isn't sharded, or the refiner is a custom
-        engine the per-shard workers can't reconstruct."""
-        if not self.pushdown:
-            return None
+    def _pushes_down(self) -> bool:
+        """Whether this query runs inside the shards: push-down enabled,
+        a sharded index, and a refiner the per-shard workers can
+        reconstruct (otherwise: the normal flow)."""
         index = self.index
-        if not hasattr(index, "pushdown_shards") or not hasattr(index, "shards"):
-            return None
-        if self._parallel_refiner_kind() is None:
-            return None
-        return index.pushdown_shards(plan.feature_keys, plan.anchored)
+        return (
+            self.pushdown
+            and hasattr(index, "pushdown_shards")
+            and hasattr(index, "shards")
+            and self._parallel_refiner_kind() is not None
+        )
 
     def _query_pushdown(
-        self, plan: QueryPlan, order: list[int], result: FixQueryResult
+        self,
+        plan: QueryPlan,
+        scans: list[StructureCandidates],
+        result: FixQueryResult,
     ) -> None:
-        """Run prune+refine inside each participating shard and merge.
+        """Run the query inside each participating shard and merge.
 
-        The fragment intersection order is fixed *globally* (from the
-        whole index's histogram) before fanning out, so every shard
-        scans fragments in the same sequence regardless of its local
-        distribution — one of the two determinism anchors; the other is
-        the pointer-order merge, which is total because pointers
-        partition by shard.  Per-phase seconds are summed across shards
-        (aggregate work, matching the parallel-refine convention).
+        A structure scan runs on every shard DAG with a candidate
+        vertex.  Otherwise each shard that survives the histogram
+        emptiness test prunes and refines.  The fragment intersection
+        order is fixed *globally* (from the whole index's histogram)
+        before fanning out, so every shard scans fragments in the same
+        sequence regardless of its local distribution — one of the two
+        determinism anchors; the other is the pointer-order merge,
+        which is total because pointers partition by shard.  Per-phase
+        seconds are summed across shards (aggregate work, matching the
+        parallel-refine convention).
         """
+        concurrency = max(self.workers, self.index.config.shard_workers)
+        if result.access_path is AccessPath.STRUCTURE_SCAN:
+            started = time.perf_counter()
+            self._structure_scan(scans, result, concurrency)
+            result.refine_seconds += time.perf_counter() - started
+            return
         kind = self._parallel_refiner_kind()
-        assert kind is not None  # _pushdown_order gated on it
+        assert kind is not None  # _pushes_down gated on it
+        order = self.index.pushdown_shards(plan.feature_keys, plan.anchored)
         frag_order = self._fragment_order(plan)
         outcomes = self.index.dispatch_shards(
             order,
@@ -343,7 +442,7 @@ class FixQueryProcessor:
                 shard_id, plan, frag_order, kind
             ),
             "push-down",
-            max(self.workers, self.index.config.shard_workers),
+            concurrency,
         )
         for part in outcomes:
             result.candidate_count += part.candidate_count
@@ -423,43 +522,56 @@ class FixQueryProcessor:
                     result.plan_seconds = time.perf_counter() - started
                 result.plan_cached = cached
 
-                order = self._pushdown_order(plan)
-                if order is not None:
+                if self._pushes_down():
                     result.pushdown = True
-                    with self.obs.span(
-                        "query.pushdown", shards=len(order)
-                    ) as push_span:
-                        self._query_pushdown(plan, order, result)
+                    with self.obs.span("query.pushdown") as push_span:
+                        started = time.perf_counter()
+                        scans = self._choose_path(plan, result)
+                        result.prune_seconds = time.perf_counter() - started
+                        self._query_pushdown(plan, scans, result)
                         push_span.set(
+                            path=result.access_path.value,
                             candidates=result.candidate_count,
                             survivors=result.result_count,
                         )
                 else:
                     with self.obs.span("query.prune") as prune_span:
                         started = time.perf_counter()
-                        candidates = self._pruned_candidates(plan)
+                        scans = self._choose_path(plan, result)
+                        scanning = result.access_path is AccessPath.STRUCTURE_SCAN
+                        if scanning:
+                            prune_span.set(vertices=result.candidate_vertices)
+                        else:
+                            candidates = self._pruned_candidates(plan)
+                            result.candidate_count = len(candidates)
+                            prune_span.set(candidates=len(candidates))
                         result.prune_seconds = time.perf_counter() - started
-                        result.candidate_count = len(candidates)
-                        prune_span.set(candidates=len(candidates))
 
                     with self.obs.span("query.refine") as refine_span:
                         started = time.perf_counter()
-                        self._refine(
-                            self.index,
-                            self.refiner,
-                            plan.refined,
-                            candidates,
-                            result,
-                            fan_out=True,
-                        )
-                        result.results.sort()
+                        if scanning:
+                            self._structure_scan(
+                                scans, result, self.index.config.shard_workers
+                            )
+                        else:
+                            self._refine(
+                                self.index,
+                                self.refiner,
+                                plan.refined,
+                                candidates,
+                                result,
+                                fan_out=True,
+                            )
+                            result.results.sort()
                         result.refine_seconds = time.perf_counter() - started
                         refine_span.set(
                             groups=result.documents_fetched,
+                            verdicts=result.dag_verdicts,
                             survivors=result.result_count,
                         )
 
                 query_span.set(
+                    path=result.access_path.value,
                     candidates=result.candidate_count,
                     results=result.result_count,
                     plan_cached=cached,
@@ -481,7 +593,8 @@ class FixQueryProcessor:
     def _publish_query_metrics(self, result: FixQueryResult) -> None:
         """The one write of a query's cost (DESIGN.md §10): the B-tree
         scan, pager, plan-cache and epoch blocks, then ``query.*`` —
-        ``query.count``, ``query.plan_cache.hits/misses``, candidates
+        ``query.count``, ``query.access_path.<path>``,
+        ``query.plan_cache.hits/misses``, candidates
         and results, the refinement counters, phase-second counters and
         the latency sketches."""
         registry = self.obs.registry
@@ -490,6 +603,9 @@ class FixQueryProcessor:
             self.plan_cache.publish(registry)
         self.index.epochs.publish(registry)
         registry.counter("query.count").inc()
+        registry.counter(
+            f"query.access_path.{result.access_path.name.lower()}"
+        ).inc()
         registry.counter(
             "query.plan_cache.hits" if result.plan_cached else "query.plan_cache.misses"
         ).inc()
@@ -686,6 +802,52 @@ class FixQueryProcessor:
         if self.index.config.depth_limit <= 0:
             return True  # whole-unit copies
         return twig.is_twig() and twig.depth() <= self.index.config.depth_limit
+
+
+def structure_candidates(index, plan: QueryPlan) -> list[StructureCandidates]:
+    """Per structure DAG of ``index`` (one per shard), what a structure
+    scan of ``plan`` judges: the refined twig's root label's vertices
+    that carry an entry; each document's root vertex when only roots
+    can bind (``plan.root_filter``); every entry vertex when a
+    ``//``-leading twig may match anywhere inside a unit.  None at all
+    when some query label is on no vertex."""
+    twig = plan.refined
+    found = []
+    for owner in getattr(index, "shards", (index,)):
+        dag = owner.structure
+        judge = TwigVerdicts(dag, twig)
+        extent_of = dag.extents().__getitem__
+        vertices: Collection[int]
+        if not judge.satisfiable:
+            vertices = ()
+        elif plan.root_filter:
+            vertices = roots = dag.document_roots()
+            extent_of = roots.__getitem__
+        elif twig.leading_axis is Axis.CHILD:
+            vertices = dag.carriers(twig.root_label)
+        else:
+            vertices = dag.carriers()
+        found.append((judge, vertices, extent_of))
+    return found
+
+
+def _scan_dag(
+    judge: TwigVerdicts,
+    vertices: Collection[int],
+    extent_of: Callable[[int], Sequence[int]],
+) -> tuple[list[int], int]:
+    """One DAG's structure scan: the packed pointers of the accepted
+    vertices' candidates (unsorted), and how many candidates there
+    were."""
+    accepts = judge.accepts
+    accepted: list[int] = []
+    candidates = 0
+    for vertex in vertices:
+        extent = extent_of(vertex)
+        candidates += len(extent)
+        if accepts(vertex):
+            accepted.extend(extent)
+    return accepted, candidates
 
 
 def _entry_sort_key(entry: IndexEntry) -> tuple[bytes, NodePointer]:

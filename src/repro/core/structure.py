@@ -13,7 +13,9 @@ every element in subpattern mode — and per vertex the encoded B-tree key
 of its class, the one memo of Algorithm 1's ``u.eigs`` (DESIGN.md §7):
 an entry's key is a function of its vertex, so a class is keyed once
 for the collection and a removal reads its keys instead of recomputing
-them.
+them.  The inverse of the slots is kept beside them: per vertex its
+*extent*, the sorted pointers of the entries at it, which is what a
+structure scan (DESIGN.md §14) expands an accepted vertex through.
 
 Downward bisimulation preserves the boolean refinement asks — does the
 twig, ``//`` edges included, match with its root bound to this element?
@@ -28,7 +30,8 @@ The DAG persists as one checksummed sidecar file beside the B-tree
 anything it cannot prove well-formed with a
 :class:`~repro.errors.StorageError`.  The keys are not in the file —
 the B-tree holds them — and come back through
-:meth:`StructureDag.restore_keys`.
+:meth:`StructureDag.restore_keys`; nor are the extents, which are
+rebuilt from the slots.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import struct
 import sys
 import zlib
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_left, insort
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from hashlib import blake2b
 
 from repro.bisim.dag import SIGNATURE_BYTES
@@ -45,6 +49,7 @@ from repro.bisim.graph import BisimVertex
 from repro.errors import StorageError
 from repro.query.ast import Axis
 from repro.query.twig import QueryNode, TwigQuery
+from repro.storage import NodePointer
 
 #: the sidecar's name inside an index directory.
 STRUCTURE_FILE = "structure.dag"
@@ -55,6 +60,17 @@ _VERSION = 1
 #: labels, vertices, edges, documents, slots — the compressed body's
 #: length, and a CRC-32 of everything else in the file.
 _HEADER = struct.Struct("<8sHBBIIIIIII")
+
+
+def pack_pointer(doc_id: int, node_id: int) -> int:
+    """``(doc id, node id)`` as one integer that orders like the pair —
+    the form an extent holds."""
+    return doc_id << 32 | node_id
+
+
+def unpack_pointers(packed: Iterable[int]) -> list[NodePointer]:
+    """Inverse of :func:`pack_pointer`, over many."""
+    return [NodePointer(pointer >> 32, pointer & 0xFFFFFFFF) for pointer in packed]
 
 
 class StructureDag:
@@ -69,7 +85,13 @@ class StructureDag:
 
     A document's *slots* are an array indexed by node id holding
     ``vertex + 1``, or ``0`` where the node carries no index entry
-    (text nodes; in unit mode everything but the root).
+    (text nodes; in unit mode everything but the root).  A vertex's
+    *extent* is the inverse: the entries at it, as packed pointers
+    ``doc id << 32 | node id`` (:func:`pack_pointer`) in ascending
+    order.  Slots are what is persisted.  The extents are built from
+    them when first read — by a query, never by a build, a staging
+    worker or a save — and from then on kept wherever slots are
+    written.
     """
 
     def __init__(self) -> None:
@@ -90,6 +112,10 @@ class StructureDag:
         #: a load, until :meth:`restore_keys`.
         self.keys: list[bytes | None] | None = []
         self._slots: dict[int, array] = {}
+        #: the inverse of the slots, ``None`` until first read: vertex ->
+        #: its extent (for the vertices an entry sits at), and label id
+        #: -> the vertices of that label an entry sits at.
+        self._inverse: tuple[dict[int, array], dict[int, set[int]]] | None = None
         #: the vertex count when a document was first dropped — every
         #: vertex was live then; ``None`` while nothing has been.
         self._garbage_from: int | None = None
@@ -152,6 +178,27 @@ class StructureDag:
         if slots is None or not 0 <= node_id < len(slots) or not slots[node_id]:
             return None
         return slots[node_id] - 1
+
+    def extents(self) -> Mapping[int, array]:
+        """Vertex -> its extent, for every vertex an entry sits at."""
+        return self._inverted()[0]
+
+    def carriers(self, label: str | None = None) -> Collection[int]:
+        """The vertices an index entry sits at: every one, or those
+        labelled ``label`` (none for a label no entry carries)."""
+        extents, carriers = self._inverted()
+        if label is None:
+            return extents.keys()
+        return carriers.get(self._label_ids.get(label), ())
+
+    def document_roots(self) -> dict[int, list[int]]:
+        """Each vertex a recorded document's root entry sits at -> the
+        packed pointers of those roots (unordered)."""
+        roots: dict[int, list[int]] = {}
+        for doc_id, slots in self._slots.items():
+            if slots and slots[0]:
+                roots.setdefault(slots[0] - 1, []).append(pack_pointer(doc_id, 0))
+        return roots
 
     def signature(self, vertex: int, memo: dict[int, bytes]) -> bytes:
         """The canonical digest of ``vertex`` — blake2b over its label
@@ -317,9 +364,7 @@ class StructureDag:
         slots = array("I", bytes(4 * (1 + max(node_id for _, node_id in emitted))))
         for vertex, node_id in emitted:
             slots[node_id] = mapped[vertex.vid] + 1
-        if doc_id in self._slots:
-            self._note_garbage()  # what only the old recording reached
-        self._slots[doc_id] = slots
+        self._set_slots(doc_id, slots)
 
     def absorb(self, other: "StructureDag") -> None:
         """Take over every document of ``other`` (the private DAG a
@@ -358,16 +403,86 @@ class StructureDag:
                 if carried is not None and carried[vertex] is not None:
                     self.keys[here] = carried[vertex]
         for doc_id, slots in other._slots.items():
-            self._slots[doc_id] = array(
-                "I", [mapped[slot - 1] + 1 if slot else 0 for slot in slots]
+            self._set_slots(
+                doc_id,
+                array("I", [mapped[slot - 1] + 1 if slot else 0 for slot in slots]),
             )
 
     def drop_document(self, doc_id: int) -> None:
-        """Forget a removed document's slots (its vertices stay until
-        :meth:`compacted` or the next :meth:`to_bytes` leaves them
-        out)."""
-        if self._slots.pop(doc_id, None) is not None:
+        """Forget a removed document's slots and its pointers in the
+        extents (its vertices stay until :meth:`compacted` or the next
+        :meth:`to_bytes` leaves them out)."""
+        slots = self._slots.pop(doc_id, None)
+        if slots is not None:
+            if self._inverse is not None:
+                self._unrecord(doc_id, slots)
             self._note_garbage()
+
+    def _set_slots(self, doc_id: int, slots: array) -> None:
+        """Record ``slots`` as ``doc_id``'s, in place of any earlier
+        recording, and its entries in the extents once they exist."""
+        old = self._slots.get(doc_id)
+        if old is not None:
+            if self._inverse is not None:
+                self._unrecord(doc_id, old)
+            self._note_garbage()  # what only the old recording reached
+        self._slots[doc_id] = slots
+        if self._inverse is not None:
+            self._record(self._inverse, doc_id, slots)
+
+    def _inverted(self) -> tuple[dict[int, array], dict[int, set[int]]]:
+        """:attr:`_inverse`, built from the slots on first use.  Readers
+        may race to build it: each builds its own and installs it whole,
+        and every build is the same."""
+        inverse = self._inverse
+        if inverse is None:
+            inverse = ({}, {})
+            for doc_id, slots in self._slots.items():
+                self._record(inverse, doc_id, slots)
+            self._inverse = inverse
+        return inverse
+
+    def _record(
+        self,
+        inverse: tuple[dict[int, array], dict[int, set[int]]],
+        doc_id: int,
+        slots: array,
+    ) -> None:
+        """Add one document's entries to the extents of their vertices —
+        an append, since documents arrive in ascending id order."""
+        extents, carriers = inverse
+        vertex_labels = self.vertex_labels
+        base = pack_pointer(doc_id, 0)
+        for node_id, slot in enumerate(slots):
+            if not slot:
+                continue
+            extent = extents.get(slot - 1)
+            if extent is None:
+                extent = extents[slot - 1] = array("Q")
+                carriers.setdefault(vertex_labels[slot - 1], set()).add(slot - 1)
+            pointer = base | node_id
+            if extent and extent[-1] > pointer:
+                insort(extent, pointer)
+            else:
+                extent.append(pointer)
+
+    def _unrecord(self, doc_id: int, slots: array) -> None:
+        """Take one document's entries out of the extents: in each, the
+        document's pointers are one run."""
+        extents, carriers = self._inverse
+        low, high = pack_pointer(doc_id, 0), pack_pointer(doc_id + 1, 0)
+        for slot in set(slots):
+            if not slot:
+                continue
+            extent = extents[slot - 1]
+            del extent[bisect_left(extent, low) : bisect_left(extent, high)]
+            if not extent:
+                del extents[slot - 1]
+                label_id = self.vertex_labels[slot - 1]
+                vertices = carriers[label_id]
+                vertices.discard(slot - 1)
+                if not vertices:
+                    del carriers[label_id]
 
     def _note_garbage(self) -> None:
         if self._garbage_from is None:
@@ -600,6 +715,12 @@ class TwigVerdicts:
         for child_axis, child in node.edges:
             self._edges[number].append(self._compile(dag, child, child_axis))
         return number
+
+    @property
+    def satisfiable(self) -> bool:
+        """False when some query node's label is on no vertex: then no
+        vertex is accepted, and none needs asking."""
+        return None not in self._label
 
     def accepts(self, vertex: int) -> bool:
         """The twig's structural verdict for a candidate whose entry

@@ -344,7 +344,8 @@ def format_slow_queries(summary: TraceSummary, top: int = 10) -> str:
             f"{entry.get('source', '<twig>')}"
         )
         lines.append(
-            f"      {epoch_bit}, {len(entry.get('spans', []))} span(s), "
+            f"      {entry.get('path', 'index-scan')}, "
+            f"{epoch_bit}, {len(entry.get('spans', []))} span(s), "
             + (
                 f"threshold {threshold * 1e3:.2f}ms"
                 if threshold is not None else "fixed capture"

@@ -128,6 +128,7 @@ class SlowQueryLog:
             "prune_s": result.prune_seconds,
             "refine_s": result.refine_seconds,
             "plan_cached": result.plan_cached,
+            "path": result.access_path.value,
             "candidates": result.candidate_count,
             "results": result.result_count,
             "documents_fetched": result.documents_fetched,

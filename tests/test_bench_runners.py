@@ -99,6 +99,8 @@ class TestFigure6Runner:
             assert row.fix_clustered_seconds > 0
             assert row.candidate_count >= row.result_count
             assert row.fix_u_pages_random == row.candidate_count
+            # FIX + NoK: the explicit refiner keeps FIX on its own path.
+            assert row.access_path == "index-scan"
 
 
 class TestFigure7Runner:
@@ -110,6 +112,8 @@ class TestFigure7Runner:
         assert report.structural_build_seconds > 0
         for row in report.rows:
             assert row.false_negatives == 0
+            # Value twigs stay on the index scan by the rule.
+            assert row.access_path == "index-scan"
 
 
 class TestAblationRunners:

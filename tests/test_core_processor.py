@@ -20,9 +20,12 @@ from repro.core import (
     evaluate_pruning,
 )
 from repro.core.metrics import classify_selectivity, MetricAverages, true_result_units
+from repro.core.optimizer import AccessPath
+from repro.engine import NavigationalEngine
 from repro.query import matching_elements, query_matches_document, twig_of
 from repro.storage import PrimaryXMLStore
 from repro.xmltree import Document, Element, parse_xml
+from tests.test_structure_refine import index_scan_forced
 
 SITE_XML = (
     "<site>"
@@ -308,6 +311,37 @@ class TestTheorem5GapInTheWild:
         assert metrics.false_negatives == 1
         assert metrics.cdt < metrics.rst + metrics.cdt  # candidates miss it
 
+    def test_the_structure_scan_returns_the_lost_answer(self):
+        """The default processor judges every ``parlist`` class on the
+        DAG instead of pruning by eigenvalue range, so the outer
+        ``parlist`` comes back; the paper's FIX + NoK pairing (an
+        explicit refiner, hence the index scan) still loses it."""
+        store = PrimaryXMLStore()
+        store.add_document(parse_xml(self.RECURSIVE_XML))
+        index = FixIndex.build(store, FixIndexConfig(depth_limit=6))
+        query = "//parlist/listitem/parlist/listitem"
+        outer = next(store.get_document(0).root.find_all("parlist"))
+        result = FixQueryProcessor(index).query(query)
+        assert result.access_path is AccessPath.STRUCTURE_SCAN
+        assert [(p.doc_id, p.node_id) for p in result.results] == [(0, outer.node_id)]
+        paired = FixQueryProcessor(index, refiner=NavigationalEngine(store)).query(query)
+        assert paired.access_path is AccessPath.INDEX_SCAN
+        assert paired.results == []
+
+    def test_a_label_no_element_carries_is_judged_nowhere(self):
+        """On a collection a ``//``-leading twig may bind anywhere in a
+        unit, so the index scan offers every document; the structure
+        scan sees that no vertex carries the label and judges none."""
+        store = collection_store()
+        index = FixIndex.build(store, FixIndexConfig(depth_limit=0))
+        processor = FixQueryProcessor(index)
+        assert len(processor.prune("//zz")) == store.document_count
+        result = processor.query("//zz")
+        assert result.access_path is AccessPath.STRUCTURE_SCAN
+        assert result.candidate_vertices == result.candidate_count == 0
+        assert result.dag_verdicts == result.dag_reused == 0
+        assert result.results == []
+
     def test_nonrecursive_variant_is_complete(self):
         # Remove the sibling that shares the deep class and the extra
         # bisimulation edge disappears; completeness holds again.
@@ -513,12 +547,17 @@ class TestCandidateOrder:
             for processor in (reference, scatter, pushdown):
                 got = [(e.raw_key, e.pointer) for e in processor.prune(twig)]
                 assert got == expected, query
-            answer = reference.query(twig)
-            assert answer.candidate_count == len(expected), query
+            scanned = reference.query(twig)
             for processor in (scatter, pushdown):
-                result = processor.query(twig)
-                assert result.results == answer.results, query
-                assert result.candidate_count == len(expected), query
+                assert processor.query(twig).results == scanned.results, query
+            # On the index scan candidate_count is what prune() returns.
+            with index_scan_forced():
+                answer = reference.query(twig)
+                assert answer.candidate_count == len(expected), query
+                for processor in (scatter, pushdown):
+                    result = processor.query(twig)
+                    assert result.results == answer.results, query
+                    assert result.candidate_count == len(expected), query
             assert pushdown.query(twig).pushdown
             compared += 1
         assert compared > 10

@@ -308,7 +308,8 @@ BUILD_AND_QUERY_COUNTERS = [
     "pager.allocations", "pager.cache_hits", "pager.evictions",
     "pager.logical_reads", "pager.logical_writes", "pager.physical_reads",
     "pager.physical_writes", "plan_cache.hits", "plan_cache.misses",
-    "plan_cache.scoped_retained", "query.candidates", "query.count",
+    "plan_cache.scoped_retained", "query.access_path.structure_scan",
+    "query.candidates", "query.count",
     "query.documents_fetched", "query.phase_seconds.plan",
     "query.phase_seconds.prune", "query.phase_seconds.refine",
     "query.plan_cache.misses", "query.refine.dag_reused",

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FixIndex, FixIndexConfig
+from repro.core import AccessPath, FixIndex, FixIndexConfig
 from repro.core.sharding import ShardedFixIndex
 from repro.obs import MetricsRegistry, QuantileSketch, RollingWindow, SlowQueryLog
 from repro.obs.expo import render_json, render_prometheus
@@ -506,6 +506,7 @@ class TestExposition:
 
 
 class _FakeResult:
+    access_path = AccessPath.INDEX_SCAN
     plan_seconds = 0.001
     prune_seconds = 0.002
     refine_seconds = 0.017
@@ -575,6 +576,7 @@ class TestSlowQueryLog:
         entry = log.entries[-1]
         assert entry["source"] == "//article[title]"
         assert entry["epoch"].get("epoch", -1) >= 0  # pinned snapshot
+        assert entry["path"] == "structure-scan"
 
 
 class TestResourceSampler:

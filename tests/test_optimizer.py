@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FixIndex, FixIndexConfig
-from repro.core.optimizer import AccessPath, CostModel, QueryOptimizer
+from repro.core import FixIndex, FixIndexConfig, FixQueryProcessor
+from repro.core.optimizer import (
+    AccessPath,
+    CostModel,
+    QueryOptimizer,
+    choose_access_path,
+)
+from repro.core.structure import StructureDag
+from repro.engine import NavigationalEngine
 from repro.query import matching_elements, twig_of
 from repro.storage import PrimaryXMLStore
 from repro.xmltree import parse_xml
@@ -34,7 +41,8 @@ def optimizer() -> QueryOptimizer:
 class TestPlanning:
     def test_selective_query_uses_index(self, optimizer):
         plan = optimizer.plan("//rare[gem]")
-        assert plan.path is AccessPath.INDEX_SCAN
+        # The index side; no value literal, so its structure DAG answers.
+        assert plan.path is AccessPath.STRUCTURE_SCAN
         assert plan.covered
         assert plan.estimated_candidates < plan.total_units / 10
 
@@ -54,7 +62,8 @@ class TestPlanning:
 
     def test_describe_mentions_decision(self, optimizer):
         text = optimizer.plan("//rare[gem]").describe()
-        assert "plan: index-scan" in text
+        assert "plan: structure-scan" in text
+        assert "structure DAG" in text
         assert "estimated candidates" in text
 
     def test_cost_model_can_flip_decision(self):
@@ -64,7 +73,7 @@ class TestPlanning:
         greedy = QueryOptimizer(
             index, cost_model=CostModel(descent_cost=0.0, candidate_cost=0.0)
         )
-        assert greedy.plan("//common").path is AccessPath.INDEX_SCAN
+        assert greedy.plan("//common").path is AccessPath.STRUCTURE_SCAN
         # Outrageously expensive candidates: the index always loses.
         frugal = QueryOptimizer(
             index, cost_model=CostModel(candidate_cost=10_000.0)
@@ -118,3 +127,48 @@ class TestExecution:
         assert plan.path is AccessPath.FULL_SCAN
         # One unit pointer per matching *document*, at its root.
         assert [(p.doc_id, p.node_id) for p in result.results] == [(0, 0)]
+
+
+class TestTheRule:
+    """``choose_access_path`` splits the index side into the structure
+    scan and the index scan; the processor and the optimizer both
+    apply it."""
+
+    def test_values_and_an_explicit_refiner_keep_the_index_scan(self):
+        valued = twig_of('//rare[gem = "x"]')
+        structural = twig_of("//rare[gem]")
+        assert choose_access_path(valued, False) is AccessPath.INDEX_SCAN
+        assert choose_access_path(structural, True) is AccessPath.INDEX_SCAN
+        assert choose_access_path(structural, False) is AccessPath.STRUCTURE_SCAN
+
+    def test_optimizer_and_processor_agree(self):
+        store = PrimaryXMLStore()
+        for i in range(12):
+            store.add_document(
+                parse_xml(f"<db><row><rare><gem>{i % 3}</gem></rare></row></db>")
+            )
+        index = FixIndex.build(store, FixIndexConfig(depth_limit=3, value_buckets=8))
+        optimizer = QueryOptimizer(index, cost_model=CostModel(scan_cost=1e6))
+        for query, path in [
+            ("//rare[gem]", AccessPath.STRUCTURE_SCAN),
+            ("/db/row", AccessPath.STRUCTURE_SCAN),
+            ('//rare[gem = "1"]', AccessPath.INDEX_SCAN),
+        ]:
+            plan, result = optimizer.execute(query)
+            assert plan.path is result.access_path is path, plan.describe()
+            assert f"plan: {path.value}" in plan.describe()
+        explicit = FixQueryProcessor(index, refiner=NavigationalEngine(store))
+        assert explicit.query("//rare[gem]").access_path is AccessPath.INDEX_SCAN
+
+    def test_planning_reads_no_structure(self, optimizer, monkeypatch):
+        """``plan()`` runs outside any epoch pin, so it must not touch
+        the DAG a writer may be changing; only the processor's pinned
+        query collects candidate vertices."""
+
+        def unpinned(*args):
+            raise AssertionError("plan() read the structure DAG")
+
+        for reader in ("extents", "carriers", "document_roots"):
+            monkeypatch.setattr(StructureDag, reader, unpinned)
+        for query in ["//rare[gem]", "//common", "/db/row", "//db/row/rare/gem"]:
+            optimizer.plan(query)

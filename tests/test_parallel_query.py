@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FixIndex, FixIndexConfig, FixQueryProcessor
+from repro.core import AccessPath, FixIndex, FixIndexConfig, FixQueryProcessor
 from repro.engine import NavigationalEngine, StructuralJoinEngine
 from repro.query import matching_elements, query_matches_document, twig_of
 from repro.storage import NodePointer, PrimaryXMLStore
 from repro.xmltree import parse_xml
+from tests.test_structure_refine import index_scan_forced
 
 WORKER_COUNTS = [1, 2, 4]
 
@@ -187,8 +188,18 @@ class TestGroupedFetchAccounting:
             processor.refiner.stats.documents_opened - opened_before
             == len(candidate_docs)
         )
-        # Left to the structure DAG, the same query fetches none of them.
-        decided = FixQueryProcessor(index).query(query)
+        # Left to the structure DAG, the same query is a structure scan:
+        # no refinement, so no tree fetched and none to avoid.
+        default = FixQueryProcessor(index)
+        scanned = default.query(query)
+        assert scanned.results == result.results
+        assert scanned.access_path is AccessPath.STRUCTURE_SCAN
+        assert scanned.documents_fetched == scanned.fetches_avoided == 0
+        # On the index scan the DAG decides every candidate: it fetches
+        # none of them.
+        with index_scan_forced():
+            decided = default.query(query)
+        assert decided.access_path is AccessPath.INDEX_SCAN
         assert decided.results == result.results
         assert decided.documents_fetched == 0
         assert decided.fetches_avoided == len(candidate_docs)

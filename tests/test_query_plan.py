@@ -6,12 +6,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
+    AccessPath,
     FixIndex,
     FixIndexConfig,
     FixQueryProcessor,
     PlanCache,
     build_plan,
 )
+from repro.engine import NavigationalEngine
 from repro.query import twig_of
 from repro.storage import PrimaryXMLStore
 from repro.xmltree import parse_xml
@@ -92,19 +94,29 @@ class TestPlanCache:
 class TestPruningPhaseAccounting:
     def test_rooted_query_candidates_match_prune_output(self):
         # Satellite: the non-root-candidate filter for '/'-rooted queries
-        # on depth-limited indexes runs *inside* the pruning phase, so
-        # candidate_count == len(prune()) and the false-positive count
-        # never goes negative.
+        # on depth-limited indexes runs *inside* the pruning phase, so on
+        # the index scan candidate_count == len(prune()) and the
+        # false-positive count never goes negative.  (An explicit refiner
+        # keeps the query on the index scan.)
         index = FixIndex.build(site_store(), FixIndexConfig(depth_limit=4))
-        processor = FixQueryProcessor(index)
+        processor = FixQueryProcessor(
+            index, refiner=NavigationalEngine(index.store)
+        )
         twig = twig_of("/site/people")
         candidates = processor.prune(twig)
         assert candidates  # the roots survive
         assert all(e.pointer.node_id == 0 for e in candidates)
         result = processor.query(twig)
+        assert result.access_path is AccessPath.INDEX_SCAN
         assert result.candidate_count == len(candidates)
         assert result.false_positive_count >= 0
         assert result.result_count <= result.candidate_count
+        # A structure scan judges the documents' roots: one candidate
+        # per document, the same answer.
+        scanned = FixQueryProcessor(index).query(twig)
+        assert scanned.access_path is AccessPath.STRUCTURE_SCAN
+        assert scanned.candidate_count == index.store.document_count
+        assert scanned.results == result.results
 
     def test_intersection_matches_naive_reference(self):
         # Satellite: the incremental most-selective-first intersection

@@ -28,6 +28,7 @@ from repro.core import (
 from repro.errors import PageError, ShardError, StorageError
 from repro.storage import PrimaryXMLStore
 from repro.xmltree import parse_xml
+from tests.test_structure_refine import index_scan_forced
 
 _ROOTS = ["book", "article", "journal", "report"]
 
@@ -464,7 +465,10 @@ class TestShardDamage:
             handle.write(b"\xff" * size)
         loaded = ShardedFixIndex.load(directory, shard_workers=shard_workers)
         processor = FixQueryProcessor(loaded, pushdown=pushdown)
-        with pytest.raises(ShardError) as excinfo:
+        # A structure scan reads no B-tree page; the index scan does.
+        intact = FixQueryProcessor(sharded).query("//meta").results
+        assert processor.query("//meta").results == intact
+        with index_scan_forced(), pytest.raises(ShardError) as excinfo:
             processor.query("//meta")
         assert excinfo.value.shard == victim
         assert f"shard {victim}" in str(excinfo.value)

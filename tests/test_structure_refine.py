@@ -1,16 +1,21 @@
-"""Refinement on the structure DAG (DESIGN.md §14) against the oracle.
+"""Answers off the structure DAG (DESIGN.md §14) against the oracle.
 
 One differential test over random collections and random twigs —
 branches, interior ``//``, ``/``- and ``//``-leading, value literals —
 across ``depth_limit`` 0 / 3 x ``value_buckets`` None / 8 x shards 1 / 4
 x workers 1 / 2 x push-down off / on, fresh, after add / remove churn
-and after save + load: what the processor answers equals the
-``repro.query.match`` ground truth over the candidates pruning offered
-(pruning's own misses are DESIGN.md §5a's subject, not this file's) and
-equals the answer of ``refiner=NavigationalEngine(index.store)``.  The
-verdict recursion has three copies — ``TwigVerdicts``,
-``NavigationalEngine._verify``, ``FBEvaluator._matches`` — and all three
-are pinned to that one oracle here.
+and after save + load, with one oracle per access path: where the rule
+picks the structure scan, the processor's answer equals the whole
+``repro.query.match`` ground truth — no pruning applied, so nothing
+lost to DESIGN.md §5a's gap; on the index scan (value literals,
+structural twigs with the index scan forced, and
+``refiner=NavigationalEngine(index.store)``, which always takes it) it
+equals that truth over the candidates pruning offered (pruning's own
+misses are §5a's subject, not this file's).  After every stage the
+per-vertex extents are the inverse of the slots.  The verdict recursion
+has three copies — ``TwigVerdicts``, ``NavigationalEngine._verify``,
+``FBEvaluator._matches`` — and all three are pinned to that one oracle
+here.
 
 Then what only the DAG path promises: a sidecar whose bytes do not
 depend on the worker count or on a save/load round trip, zero
@@ -23,6 +28,7 @@ getting its structure back at load.
 from __future__ import annotations
 
 import os
+import contextlib
 import tempfile
 import threading
 
@@ -30,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.processor as processor_module
 import repro.storage.primary as primary
 from repro.cli import main as cli_main
 from repro.core import (
@@ -42,7 +49,13 @@ from repro.core import (
     verify_index,
 )
 from repro.core.construction import GeneratorSettings
-from repro.core.structure import STRUCTURE_FILE, StructureDag, TwigVerdicts
+from repro.core.optimizer import AccessPath
+from repro.core.structure import (
+    STRUCTURE_FILE,
+    StructureDag,
+    TwigVerdicts,
+    pack_pointer,
+)
 from repro.datasets import load_dataset
 from repro.engine import NavigationalEngine
 from repro.errors import IndexCoverageError, StorageError
@@ -135,9 +148,55 @@ def _truth(index, processor: FixQueryProcessor, query: str) -> list[NodePointer]
     return accepted
 
 
+def _full_truth(index, query: str) -> list[NodePointer]:
+    """Every unit ``repro.query.match`` accepts, in pointer order: a
+    document root per matching document on a collection index, every
+    element the twig root binds to otherwise."""
+    twig = twig_of(query)
+    found = []
+    for doc_id in sorted(index.store.doc_ids()):
+        document = index.store.get_document(doc_id)
+        if index.config.depth_limit <= 0:
+            if query_matches_document(twig, document):
+                found.append(NodePointer(doc_id, document.root.node_id))
+        else:
+            found.extend(
+                NodePointer(doc_id, element.node_id)
+                for element in matching_elements(twig, document)
+            )
+    return found
+
+
+def _expected(index, processor, query: str, result) -> list[NodePointer]:
+    """The oracle of the path ``result`` took: the whole truth for a
+    structure scan, the truth over pruning's candidates for an index
+    scan."""
+    if result.access_path is AccessPath.STRUCTURE_SCAN:
+        return _full_truth(index, query)
+    return _truth(index, processor, query)
+
+
+@contextlib.contextmanager
+def index_scan_forced():
+    """Every query inside takes the index scan, as the rule sends a
+    value twig there: the DAG-decided refinement of a structural twig,
+    which the rule itself never picks, stays under test."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            processor_module,
+            "choose_access_path",
+            lambda twig, explicit_refiner: AccessPath.INDEX_SCAN,
+        )
+        yield
+
+
 def _check(index, queries, workers: int, pushdown: bool) -> int:
-    """Every coverable query: DAG-decided answer == oracle == explicit
-    navigational refiner.  Returns how many queries were coverable."""
+    """Every coverable query, one oracle per access path: the default
+    processor's structure scan equals the whole truth; its index scan
+    (a value twig, or a structural one with the index scan forced) and
+    the explicit navigational refiner's equal the truth over pruning's
+    candidates, and the DAG decides a structural twig without a fetch
+    on either path.  Returns how many queries were coverable."""
     decided = FixQueryProcessor(index, workers=workers, pushdown=pushdown)
     fetching = FixQueryProcessor(
         index,
@@ -153,11 +212,43 @@ def _check(index, queries, workers: int, pushdown: bool) -> int:
             continue
         covered += 1
         truth = _truth(index, decided, query)
-        assert answer.results == truth, query
-        assert fetching.query(query).results == truth, query
-        if not twig_of(query).has_values():
+        if twig_of(query).has_values():
+            assert answer.access_path is AccessPath.INDEX_SCAN, query
+            assert answer.results == truth, query
+        else:
+            assert answer.access_path is AccessPath.STRUCTURE_SCAN, query
+            assert answer.results == _full_truth(index, query), query
             assert answer.documents_fetched == 0, query
+            with index_scan_forced():
+                indexed = decided.query(query)
+            assert indexed.access_path is AccessPath.INDEX_SCAN, query
+            assert indexed.results == truth, query
+            assert indexed.documents_fetched == 0, query
+        paired = fetching.query(query)
+        assert paired.access_path is AccessPath.INDEX_SCAN, query
+        assert paired.results == truth, query
     return covered
+
+
+def _assert_extents_invert_slots(index) -> None:
+    """Each DAG's extents (and per-label carrier sets) are exactly
+    what its slot arrays give."""
+    for shard in getattr(index, "shards", [index]):
+        dag = shard.structure
+        rebuilt: dict[int, list[int]] = {}
+        for doc_id in dag.doc_ids():
+            for node_id, slot in enumerate(dag.slots_of(doc_id)):
+                if slot:
+                    rebuilt.setdefault(slot - 1, []).append(pack_pointer(doc_id, node_id))
+        assert {vertex: list(extent) for vertex, extent in dag.extents().items()} == {
+            vertex: sorted(pointers) for vertex, pointers in rebuilt.items()
+        }
+        by_label: dict[str, set[int]] = {}
+        for vertex in rebuilt:
+            by_label.setdefault(dag.label_of(vertex), set()).add(vertex)
+        assert {label: set(dag.carriers(label)) for label in dag.labels} == {
+            label: by_label.get(label, set()) for label in dag.labels
+        }
 
 
 def _build(sources, config):
@@ -215,6 +306,7 @@ def test_dag_refinement_equals_the_oracle(
         shard_workers=workers,
     )
     index = _build(sources, config)
+    _assert_extents_invert_slots(index)
     _check(index, queries, workers, pushdown)
 
     for source in added:
@@ -223,6 +315,7 @@ def test_dag_refinement_equals_the_oracle(
     for position in removed:
         if position < len(live) and index.store.document_count > 1:
             index.remove_document(live[position])
+    _assert_extents_invert_slots(index)
     _check(index, queries, workers, pushdown)
 
     with tempfile.TemporaryDirectory() as directory:
@@ -232,6 +325,7 @@ def test_dag_refinement_equals_the_oracle(
                 shard.structure is not None
                 for shard in getattr(reloaded, "shards", [reloaded])
             )
+            _assert_extents_invert_slots(reloaded)
             _check(reloaded, queries, workers, pushdown)
         finally:
             _close(reloaded)
@@ -355,8 +449,8 @@ def test_saved_structure_holds_only_live_vertices(tmp_path):
 
 def test_structural_queries_parse_nothing(tmp_path, monkeypatch):
     """File-backed, reopened, caches far smaller than the collection: a
-    structural query parses no document at all; a value query parses
-    exactly the documents whose structure passed."""
+    structural query — a structure scan — parses no document at all; a
+    value query parses exactly the documents whose structure passed."""
     sources = _xbench_sources(scale=0.1)
     index = _build(sources, FixIndexConfig(depth_limit=0, value_buckets=8))
     directory = str(tmp_path / "index")
@@ -377,10 +471,19 @@ def test_structural_queries_parse_nothing(tmp_path, monkeypatch):
     processor = FixQueryProcessor(reopened)
     for query in ("//article/prolog/title", "//prolog[dateline]//name", "/article//p"):
         result = processor.query(query)
+        assert result.access_path is AccessPath.STRUCTURE_SCAN
         assert result.result_count > 0
-        assert result.documents_fetched == 0
-        assert result.fetches_avoided == result.candidate_count
+        assert result.documents_fetched == result.fetches_avoided == 0
         assert result.dag_verdicts <= reopened.structure.vertex_count * 4
+        # The index scan decides the same twig on the DAG: every
+        # candidate's fetch is avoided.
+        with index_scan_forced():
+            indexed = processor.query(query)
+        assert indexed.access_path is AccessPath.INDEX_SCAN
+        assert set(indexed.results) <= set(result.results)
+        assert indexed.documents_fetched == 0
+        assert indexed.fetches_avoided == indexed.candidate_count
+        assert indexed.dag_verdicts <= reopened.structure.vertex_count * 4
     assert parses[0] == 0
 
     year = next(
@@ -391,6 +494,7 @@ def test_structural_queries_parse_nothing(tmp_path, monkeypatch):
     )
     valued = f'//prolog[dateline = "{year}"]'
     result = processor.query(valued)
+    assert result.access_path is AccessPath.INDEX_SCAN
     structural = processor.query("//prolog[dateline]")
     offered = {entry.pointer for entry in processor.prune(valued)}
     passed = offered & set(structural.results)
@@ -406,14 +510,29 @@ def test_structural_queries_parse_nothing(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("shards", (1, 4))
-def test_a_pinned_query_sees_the_pre_mutation_structure(shards, monkeypatch):
+def test_a_pinned_query_sees_the_pre_mutation_structure(shards):
+    """On either access path a query answers off the structure its
+    epoch pinned while a writer waits for it: the structure scan is
+    held once it has its candidate vertices, the index scan once it
+    has pruned."""
+    held = _query_with_a_writer_queued(shards, "_choose_path")
+    assert held is AccessPath.STRUCTURE_SCAN
+    with index_scan_forced():
+        held = _query_with_a_writer_queued(shards, "_pruned_candidates")
+    assert held is AccessPath.INDEX_SCAN
+
+
+def _query_with_a_writer_queued(shards: int, hooked: str) -> AccessPath:
+    """Run ``//b[c]`` with a remove + add queued behind its pin at
+    ``processor.<hooked>``; check the answers before and after, and
+    return the path the held query took."""
     sources = [
         "<a><b><c/></b></a>", "<a><b/></a>", "<a><b><c/><d/></b></a>", "<e><b><c/></b></e>",
     ]
     index = _build(sources, FixIndexConfig(depth_limit=0, shards=shards))
     processor = FixQueryProcessor(index)
     query = "//b[c]"
-    before = _truth(index, processor, query)
+    before = _full_truth(index, query)
     victim, newcomer = before[0].doc_id, len(sources)
     done = threading.Event()
 
@@ -422,12 +541,12 @@ def test_a_pinned_query_sees_the_pre_mutation_structure(shards, monkeypatch):
         index.add_document(parse_xml("<a><b><c/></b><f/></a>"))
         done.set()
 
-    pruned = processor._pruned_candidates
+    original = getattr(processor, hooked)
     writer = threading.Thread(target=mutate)
 
-    def prune_then_let_the_writer_queue(plan):
+    def run_then_let_the_writer_queue(*args):
         # Inside the query's pin: the writer must wait for it.
-        candidates = pruned(plan)
+        found = original(*args)
         writer.start()
         for _ in range(2000):
             if index.epochs.writers_waiting:
@@ -435,21 +554,23 @@ def test_a_pinned_query_sees_the_pre_mutation_structure(shards, monkeypatch):
             threading.Event().wait(0.001)
         assert index.epochs.writers_waiting == 1
         assert index.structure_of(victim).slots_of(victim) is not None
-        return candidates
+        return found
 
-    monkeypatch.setattr(processor, "_pruned_candidates", prune_then_let_the_writer_queue)
-    assert processor.query(query).results == before
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(processor, hooked, run_then_let_the_writer_queue)
+        answer = processor.query(query)
+    assert answer.results == before
     writer.join(timeout=30)
     assert done.is_set()
     after = processor.query(query).results
-    assert after == _truth(index, processor, query)
+    assert after == _full_truth(index, query)
     assert victim not in {p.doc_id for p in after}
     assert newcomer in {p.doc_id for p in after}
     assert all(
         shard.structure.slots_of(victim) is None
         for shard in getattr(index, "shards", [index])
     )
+    return answer.access_path
 
 
 # --------------------------------------------------------------------- #
@@ -558,7 +679,8 @@ def test_a_directory_without_the_file_still_answers(saved, capsys, monkeypatch):
     assert parses[0] == 0
     monkeypatch.undo()
     for query in queries:
-        assert processor.query(query).results == _truth(legacy, processor, query)
+        result = processor.query(query)
+        assert result.results == _expected(legacy, processor, query, result)
     assert verify_index(legacy).ok
     assert cli_main(["stats", saved]) == 0
     assert "vertices" in capsys.readouterr().out
@@ -616,7 +738,8 @@ def test_staged_structures_are_absorbed_as_recording_in_place_would(dataset, dep
     processor = FixQueryProcessor(index)
     for label in sorted(index.structure.labels)[:12]:
         query = f"//{label}"
-        assert processor.query(query).results == _truth(index, processor, query)
+        result = processor.query(query)
+        assert result.results == _expected(index, processor, query, result)
 
 
 @pytest.mark.parametrize("depth", [0, 3])
@@ -640,6 +763,7 @@ def test_novel_document_churn_does_not_grow_the_dag(depth):
         largest = max(largest, index.structure.vertex_count)
     assert largest <= 2 * live + 16
     assert len(index.structure.keys) == index.structure.vertex_count
+    _assert_extents_invert_slots(index)
     fresh = FixIndex.build(index.store, config)
     assert index.structure.to_bytes() == fresh.structure.to_bytes()
     assert list(index.btree.items()) == list(fresh.btree.items())
@@ -649,3 +773,35 @@ def test_novel_document_churn_does_not_grow_the_dag(depth):
     # A re-added original is all classes met before: nothing to solve.
     staged = index.stage_document(99, index.store.get_document(0))
     assert staged.stats.cache_misses == 0 and staged.stats.cache_hits > 0
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+@pytest.mark.parametrize("shards", [1, 4])
+def test_extents_invert_the_slots_through_churn_and_reload(tmp_path, depth, shards):
+    """Extents are kept where slots are written — recording, absorbing,
+    dropping, compacting — and rebuilt from the slots at load: after
+    every mutation of an add / remove churn (long enough to compact)
+    and after save + load they are exactly the slots' inverse, and a
+    structure scan answers the whole truth."""
+    sources = _xbench_sources(scale=0.04)
+    index = _build(sources, FixIndexConfig(depth_limit=depth, shards=shards))
+    _assert_extents_invert_slots(index)
+    live = []
+    for step in range(40):
+        novel = f"<article><n{step}><title/></n{step}><prolog><title/></prolog></article>"
+        live.append(index.add_document(parse_xml(novel)))
+        if step % 3:
+            index.remove_document(live.pop(0))
+        if step % 8 == 0:
+            index.remove_document(next(iter(index.store.doc_ids())))
+        _assert_extents_invert_slots(index)
+    reloaded = _save_and_reload(index, str(tmp_path / "index"))
+    try:
+        _assert_extents_invert_slots(reloaded)
+        processor = FixQueryProcessor(reloaded)
+        for query in ("//article/prolog/title", "/article[prolog]", "//title"):
+            result = processor.query(query)
+            assert result.access_path is AccessPath.STRUCTURE_SCAN
+            assert result.results == _full_truth(reloaded, query)
+    finally:
+        _close(reloaded)
