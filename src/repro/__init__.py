@@ -18,41 +18,78 @@ Quickstart::
 
 See ``examples/`` for runnable end-to-end scenarios, ``DESIGN.md`` for the
 system inventory, and ``EXPERIMENTS.md`` for the paper-vs-measured record.
+
+``import repro`` loads no subpackage: each name in ``__all__`` imports
+its module at first use (PEP 562), so a command-line process pays only
+for the layers its subcommand runs.
 """
 
-from repro.core import (
-    FeatureHistogram,
-    FixIndex,
-    FixIndexConfig,
-    FixQueryProcessor,
-    FixQueryResult,
-    PlanCache,
-    PruningMetrics,
-    QueryPlan,
-    ValueHasher,
-    evaluate_pruning,
-)
-from repro.core.optimizer import AccessPath, CostModel, QueryOptimizer
-from repro.core.persistence import load_index, save_index
-from repro.obs import MetricsRegistry, Obs, ObsConfig, Tracer
-from repro.spatial import SpatialFeatureIndex
-from repro.engine import NavigationalEngine, StructuralJoinEngine
-from repro.errors import ReproError
-from repro.fb import FBEvaluator, FBIndex
-from repro.query import (
-    TwigQuery,
-    decompose,
-    matching_elements,
-    parse_query,
-    query_matches_document,
-    twig_of,
-)
-from repro.spectral import EdgeLabelEncoder, FeatureKey, FeatureRange
-from repro.storage import NodePointer, PrimaryXMLStore
-from repro.xmltree import Document, Element, Text, parse_xml, serialize
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.query import TwigQuery
+    from repro.xmltree import Document, Element
+
+#: public name -> defining module, by layer.
+_EXPORTS = {
+    # XML data model and parsing
+    "Document": "repro.xmltree",
+    "Element": "repro.xmltree",
+    "Text": "repro.xmltree",
+    "parse_xml": "repro.xmltree",
+    "serialize": "repro.xmltree",
+    # Primary storage
+    "NodePointer": "repro.storage",
+    "PrimaryXMLStore": "repro.storage",
+    # Path expressions and the ground-truth matcher
+    "TwigQuery": "repro.query",
+    "decompose": "repro.query",
+    "matching_elements": "repro.query",
+    "parse_query": "repro.query",
+    "query_matches_document": "repro.query",
+    "twig_of": "repro.query",
+    # Spectral feature keys (Section 3)
+    "EdgeLabelEncoder": "repro.spectral",
+    "FeatureKey": "repro.spectral",
+    "FeatureRange": "repro.spectral",
+    # The FIX index (Algorithm 1) and its persistence
+    "FixIndex": "repro.core.index",
+    "FixIndexConfig": "repro.core.index",
+    "ValueHasher": "repro.core.values",
+    "load_index": "repro.core.persistence",
+    "save_index": "repro.core.persistence",
+    # Query processing (Algorithm 2) and the optimizer
+    "FixQueryProcessor": "repro.core.processor",
+    "FixQueryResult": "repro.core.processor",
+    "PlanCache": "repro.core.plan",
+    "QueryPlan": "repro.core.plan",
+    "AccessPath": "repro.core.optimizer",
+    "CostModel": "repro.core.optimizer",
+    "QueryOptimizer": "repro.core.optimizer",
+    "FeatureHistogram": "repro.core.stats",
+    "PruningMetrics": "repro.core.metrics",
+    "evaluate_pruning": "repro.core.metrics",
+    # Refinement engines and the comparison indexes
+    "NavigationalEngine": "repro.engine",
+    "StructuralJoinEngine": "repro.engine",
+    "FBEvaluator": "repro.fb",
+    "FBIndex": "repro.fb",
+    "SpatialFeatureIndex": "repro.spatial",
+    # Observability
+    "MetricsRegistry": "repro.obs",
+    "Obs": "repro.obs",
+    "ObsConfig": "repro.obs",
+    "Tracer": "repro.obs",
+    # Errors
+    "ReproError": "repro.errors",
+}
 
 
-def select(document: Document, query: "TwigQuery | str") -> list[Element]:
+def select(document: Document, query: TwigQuery | str) -> list[Element]:
     """Evaluate a path expression against one in-memory document.
 
     A convenience wrapper over the ground-truth matcher for scripts and
@@ -67,52 +104,14 @@ def select(document: Document, query: "TwigQuery | str") -> list[Element]:
     For repeated queries over large data, build a :class:`FixIndex` and
     use :class:`FixQueryProcessor` instead.
     """
+    from repro.query import TwigQuery, matching_elements, twig_of
+
     twig = query if isinstance(query, TwigQuery) else twig_of(query)
     return matching_elements(twig, document)
 
+
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccessPath",
-    "CostModel",
-    "Document",
-    "QueryOptimizer",
-    "SpatialFeatureIndex",
-    "EdgeLabelEncoder",
-    "Element",
-    "FBEvaluator",
-    "FBIndex",
-    "FeatureHistogram",
-    "FeatureKey",
-    "FeatureRange",
-    "FixIndex",
-    "FixIndexConfig",
-    "FixQueryProcessor",
-    "FixQueryResult",
-    "MetricsRegistry",
-    "NavigationalEngine",
-    "NodePointer",
-    "Obs",
-    "ObsConfig",
-    "Tracer",
-    "PlanCache",
-    "PrimaryXMLStore",
-    "PruningMetrics",
-    "QueryPlan",
-    "ReproError",
-    "StructuralJoinEngine",
-    "Text",
-    "TwigQuery",
-    "ValueHasher",
-    "decompose",
-    "matching_elements",
-    "query_matches_document",
-    "evaluate_pruning",
-    "load_index",
-    "save_index",
-    "select",
-    "parse_query",
-    "parse_xml",
-    "serialize",
-    "twig_of",
-]
+__all__ = [*_EXPORTS, "select"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

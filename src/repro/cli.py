@@ -31,6 +31,10 @@ Examples::
     python -m repro top /tmp/idx/trace.jsonl --once
     python -m repro stats /tmp/idx
     python -m repro bench table2 --scale 0.3
+
+Each command imports what it runs, when it runs: a structural query or
+``stats`` on a saved index loads neither numpy nor the builder's
+eigensolver (DESIGN.md §14, "Cold start").
 """
 
 from __future__ import annotations
@@ -40,20 +44,7 @@ import os
 import sys
 import time
 
-from repro.core import (
-    FixIndex,
-    FixIndexConfig,
-    FixQueryProcessor,
-    ShardedFixIndex,
-    evaluate_pruning,
-    load_index,
-    save_index,
-)
-from repro.core.persistence import saved_config
 from repro.errors import ReproError
-from repro.query import twig_of
-from repro.storage import PrimaryXMLStore
-from repro.xmltree import parse_xml_file
 
 
 def _positive_int(text: str) -> int:
@@ -154,7 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--no-plan-cache", action="store_true",
-        help="re-plan (parse/decompose/eigensolve) on every repetition",
+        help="plan every repetition afresh: parse and decompose, plus the "
+        "feature keys (coverage check and eigensolve) when the query takes "
+        "the index scan",
     )
     query.add_argument(
         "--repeat", type=int, default=1, metavar="K",
@@ -291,6 +284,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from repro.core.index import FixIndex, FixIndexConfig
+    from repro.core.persistence import save_index
+    from repro.core.sharding import ShardedFixIndex
+    from repro.obs import ObsConfig
+    from repro.storage import PrimaryXMLStore
+    from repro.xmltree import parse_xml_file
+
     store = PrimaryXMLStore()
     depth_limit = args.depth_limit
     if args.dataset:
@@ -308,8 +308,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             print(f"loaded {path}")
         if depth_limit is None:
             depth_limit = 0
-    from repro.obs import ObsConfig
-
     overrides = {}
     if args.page_cache_pages is not None:
         overrides["page_cache_pages"] = args.page_cache_pages
@@ -387,6 +385,10 @@ def _open(
     or single — returning ``(store, index)``.  ``page_cache_pages``
     (else the saved bound) caps every pager opened: the B-tree's and
     the store's."""
+    from repro.core.persistence import load_index, saved_config
+    from repro.core.sharding import ShardedFixIndex
+    from repro.storage import PrimaryXMLStore
+
     if ShardedFixIndex.is_sharded(index_dir):
         index = ShardedFixIndex.load(
             index_dir,
@@ -408,7 +410,9 @@ def _open(
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.core.processor import FixQueryProcessor
     from repro.obs import Obs
+    from repro.query import twig_of
 
     store, index = _open(
         args.index_dir, args.page_cache_pages, args.shard_workers
@@ -465,6 +469,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if result.result_count > args.limit:
         print(f"  ... and {result.result_count - args.limit} more")
     if args.metrics:
+        from repro.core.metrics import evaluate_pruning
+
         metrics = evaluate_pruning(index, twig, processor=processor)
         print(
             f"sel={metrics.sel:.2%} pp={metrics.pp:.2%} fpr={metrics.fpr:.2%} "
@@ -484,6 +490,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _save_mutated(index, store, index_dir: str) -> None:
     """Persist an index mutated in place by ``add``/``remove``."""
+    from repro.core.persistence import save_index
+    from repro.core.sharding import ShardedFixIndex
+
     if isinstance(index, ShardedFixIndex):
         index.save(index_dir)
     else:
@@ -492,6 +501,8 @@ def _save_mutated(index, store, index_dir: str) -> None:
 
 
 def _cmd_add(args: argparse.Namespace) -> int:
+    from repro.xmltree import parse_xml_file
+
     store, index = _open(args.index_dir)
     for path in args.xml:
         started = time.perf_counter()
@@ -522,6 +533,8 @@ def _cmd_remove(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.core.sharding import ShardedFixIndex
+
     _, index = _open(args.index_dir)
     config = index.config
     sharded = isinstance(index, ShardedFixIndex)
@@ -697,6 +710,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.core.sharding import ShardedFixIndex
     from repro.core.verify import verify_index
 
     _, index = _open(args.index_dir)

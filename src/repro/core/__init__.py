@@ -12,43 +12,46 @@
   false-negative accounting this reproduction adds (DESIGN.md §5a).
 * :mod:`~repro.core.stats` — the λ_max histogram the paper suggests for
   optimizer cost estimation, with candidate-count estimation.
+
+Importing this package imports none of its modules: each name below
+loads its module at first use (PEP 562).
 """
 
-from repro.core.epoch import EpochManager, EpochSnapshot
-from repro.core.index import FixIndex, FixIndexConfig, IndexEntry, StagedMutation
-from repro.core.metrics import PruningMetrics, evaluate_pruning
-from repro.core.optimizer import AccessPath, CostModel, ExplainedPlan, QueryOptimizer
-from repro.core.persistence import load_index, save_index
-from repro.core.plan import PlanCache, QueryPlan, build_plan
-from repro.core.processor import FixQueryProcessor, FixQueryResult
-from repro.core.sharding import ShardedFixIndex
-from repro.core.stats import FeatureHistogram
-from repro.core.values import ValueHasher
-from repro.core.verify import VerificationReport, verify_index
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessPath",
-    "CostModel",
-    "EpochManager",
-    "EpochSnapshot",
-    "ExplainedPlan",
-    "FeatureHistogram",
-    "StagedMutation",
-    "QueryOptimizer",
-    "FixIndex",
-    "FixIndexConfig",
-    "FixQueryProcessor",
-    "FixQueryResult",
-    "IndexEntry",
-    "load_index",
-    "save_index",
-    "PlanCache",
-    "PruningMetrics",
-    "QueryPlan",
-    "ShardedFixIndex",
-    "ValueHasher",
-    "build_plan",
-    "evaluate_pruning",
-    "VerificationReport",
-    "verify_index",
-]
+#: public name -> defining module, by layer.
+_EXPORTS = {
+    # Index construction and maintenance (Algorithm 1)
+    "FixIndex": "repro.core.index",
+    "FixIndexConfig": "repro.core.index",
+    "IndexEntry": "repro.core.index",
+    "StagedMutation": "repro.core.index",
+    "ValueHasher": "repro.core.values",
+    "ShardedFixIndex": "repro.core.sharding",
+    "EpochManager": "repro.core.epoch",
+    "EpochSnapshot": "repro.core.epoch",
+    # Persistence and checking
+    "load_index": "repro.core.persistence",
+    "save_index": "repro.core.persistence",
+    "VerificationReport": "repro.core.verify",
+    "verify_index": "repro.core.verify",
+    # Query processing (Algorithm 2)
+    "FixQueryProcessor": "repro.core.processor",
+    "FixQueryResult": "repro.core.processor",
+    "PlanCache": "repro.core.plan",
+    "QueryPlan": "repro.core.plan",
+    "build_plan": "repro.core.plan",
+    # Optimizer
+    "AccessPath": "repro.core.optimizer",
+    "CostModel": "repro.core.optimizer",
+    "ExplainedPlan": "repro.core.optimizer",
+    "QueryOptimizer": "repro.core.optimizer",
+    "FeatureHistogram": "repro.core.stats",
+    # Section 6.2 metrics
+    "PruningMetrics": "repro.core.metrics",
+    "evaluate_pruning": "repro.core.metrics",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

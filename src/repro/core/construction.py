@@ -47,8 +47,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import PatternTooLargeError
 from repro.bisim import BisimGraphBuilder, PatternTable
@@ -63,10 +62,11 @@ from repro.spectral import (
     EdgeLabelEncoder,
     FeatureKey,
     FeatureRange,
-    pattern_matrix,
-    solve_batch,
 )
 from repro.xmltree import Document, Element
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -176,6 +176,16 @@ class PhaseTimings(CounterBlock):
 
 #: the Table-1 phases, in presentation order.
 BUILD_PHASES = tuple(f.name for f in fields(PhaseTimings))
+
+
+def solve_batch(matrices: list[np.ndarray]):
+    """:func:`repro.spectral.kernel.solve_batch`, the one eigensolve of
+    entry generation.  The kernel (and numpy with it) is imported at
+    the first flush, so a process that opens an index and only reads
+    it never loads either."""
+    from repro.spectral.kernel import solve_batch
+
+    return solve_batch(matrices)
 
 
 def seed_encoder(
@@ -493,6 +503,8 @@ class EntryGenerator:
         space, which the matrix builder fills as it orders dimensions,
         so each pattern vertex is digested once per document.
         """
+        from repro.spectral.matrix import pattern_matrix
+
         started = time.perf_counter()
         try:
             return pattern_matrix(

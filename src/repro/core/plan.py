@@ -2,15 +2,19 @@
 
 Algorithm 2's lines 1-5 — parse the path expression, decompose it at
 interior ``//`` edges, extract each pruning fragment's feature key —
-are pure functions of the query text and the index's encoder, yet they
-contain the query side's only O(n³) step (the eigensolve inside
-:meth:`FixIndex.query_features`, which runs on the same real-arithmetic
-kernel of :mod:`repro.spectral.kernel` as the build, so build- and
-query-side ranges come from the same arithmetic).  A
-:class:`QueryPlan` captures that work once; a
-:class:`PlanCache` memoizes plans per (query source, index
-generation), so repeated queries pay only the pruning scan and the
-refinement.
+are pure functions of the query text and the index's encoder.  A
+:class:`QueryPlan` captures that work once; a :class:`PlanCache`
+memoizes plans per (query source, index generation), so repeated
+queries pay only the scan and the refinement.
+
+Only the index scan reads the keys, so a plan computes them — the
+coverage check and the eigensolve inside :meth:`FixIndex.query_features`,
+which runs on the same real-arithmetic kernel of
+:mod:`repro.spectral.kernel` as the build — the first time
+:attr:`QueryPlan.feature_keys` is read, and keeps them.  A structure
+scan never reads them: its plan is the parse, the decomposition and the
+refined twig, and a twig deeper than the index's depth limit still has
+one (coverage limits the B-tree's patterns, not the DAG).
 
 Plans are invalidated by *epoch*, scoped per root label: a plan records
 the epoch it was computed under and the root labels of its pruning
@@ -25,7 +29,7 @@ confines to the touched root labels) matter to plan freshness.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.epoch import EpochSnapshot
 from repro.query.ast import Axis
@@ -36,8 +40,8 @@ from repro.spectral import FeatureKey
 
 @dataclass(frozen=True, slots=True)
 class QueryPlan:
-    """Everything the two-phase pipeline needs that is derivable from
-    the query text alone (under one index generation)."""
+    """Everything the query pipeline needs that is derivable from the
+    query text alone (under one index generation)."""
 
     #: the query's surface syntax (cache key; may be empty for
     #: hand-built twigs, which are then never cached).
@@ -48,8 +52,6 @@ class QueryPlan:
     #: depth-limited indexes, every decomposed fragment for collection
     #: indexes (Section 5).
     fragments: tuple[TwigQuery, ...]
-    #: one feature key per pruning fragment.
-    feature_keys: tuple[FeatureKey, ...]
     #: per-fragment: does the root label anchor the scan?
     anchored: tuple[bool, ...]
     #: the twig refinement runs (leading ``//`` rewritten to ``/`` for
@@ -61,18 +63,41 @@ class QueryPlan:
     root_filter: bool
     #: the index epoch the plan was computed under.
     generation: int
-    #: root labels of the pruning fragments' feature keys — the plan's
-    #: invalidation scope (a mutation touching none of them keeps the
-    #: plan valid).
+    #: root labels of the pruning fragments (their feature keys' labels)
+    #: — the plan's invalidation scope (a mutation touching none of them
+    #: keeps the plan valid).
     labels: frozenset[str] = frozenset()
+    #: the index the plan was made for, which computes the keys.
+    index: object = field(default=None, repr=False, compare=False)
+    _keys: tuple[FeatureKey, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def feature_keys(self) -> tuple[FeatureKey, ...]:
+        """One feature key per pruning fragment, computed at the first
+        read and kept (a cached plan never solves twice).
+
+        Raises:
+            IndexCoverageError: when the index cannot answer a pruning
+                fragment without false negatives.
+        """
+        if self._keys is None:
+            # Two queries reading a cached plan at once may both compute
+            # the keys; they compute the same bytes, so either may win.
+            keys = []
+            for fragment in self.fragments:
+                self.index.ensure_covers(fragment)
+                keys.append(self.index.query_features(fragment))
+            object.__setattr__(self, "_keys", tuple(keys))
+        return self._keys
 
 
 def build_plan(index, query: TwigQuery | str) -> QueryPlan:
-    """Plan ``query`` against ``index`` (Algorithm 2, lines 1-5).
+    """Plan ``query`` against ``index`` (Algorithm 2, lines 1-5; the
+    keys of lines 3-5 on first use, :attr:`QueryPlan.feature_keys`).
 
     Raises:
-        IndexCoverageError: when the index cannot answer a pruning
-            fragment without false negatives.
         UnsupportedQueryError: malformed queries (via the parser).
     """
     twig = query if isinstance(query, TwigQuery) else twig_of(query)
@@ -85,12 +110,6 @@ def build_plan(index, query: TwigQuery | str) -> QueryPlan:
     else:
         # Collection index: every fragment prunes; candidates intersect.
         prune_fragments = tuple(fragments)
-    keys: list[FeatureKey] = []
-    anchored: list[bool] = []
-    for fragment in prune_fragments:
-        index.ensure_covers(fragment)
-        keys.append(index.query_features(fragment))
-        anchored.append(depth_limited or fragment.leading_axis is Axis.CHILD)
     refined = twig
     root_filter = False
     if depth_limited:
@@ -102,12 +121,15 @@ def build_plan(index, query: TwigQuery | str) -> QueryPlan:
         source=twig.source,
         twig=twig,
         fragments=prune_fragments,
-        feature_keys=tuple(keys),
-        anchored=tuple(anchored),
+        anchored=tuple(
+            depth_limited or fragment.leading_axis is Axis.CHILD
+            for fragment in prune_fragments
+        ),
         refined=refined,
         root_filter=root_filter,
         generation=index.generation,
-        labels=frozenset(key.root_label for key in keys),
+        labels=frozenset(fragment.root_label for fragment in prune_fragments),
+        index=index,
     )
 
 

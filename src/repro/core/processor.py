@@ -1,22 +1,27 @@
 """Two-phase query processing (Algorithm 2), and the structure scan
 beside it.
 
-Phase 0 — *planning*: the query is parsed, decomposed (Section 5), and
-its pruning fragments' feature keys extracted — the query side's only
-eigensolve.  Plans are memoized per (query source, index generation) in
-a :class:`~repro.core.plan.PlanCache`, so repeated queries skip straight
+Phase 0 — *planning*: the query is parsed and decomposed (Section 5),
+and one rule (:func:`~repro.core.optimizer.choose_access_path`) picks
+the access path.  Only the index scan needs the pruning fragments'
+feature keys — coverage and an eigensolve per fragment — so they are
+extracted here only when the rule picks it.  Plans, keys included once
+computed, are memoized per (query source, index generation) in a
+:class:`~repro.core.plan.PlanCache`, so repeated queries skip straight
 to the scan.
 
-Then one rule (:func:`~repro.core.optimizer.choose_access_path`) picks
-the access path.  The *structure scan* (DESIGN.md §14) answers a twig without
+The *structure scan* (DESIGN.md §14) answers a twig without
 value literals on the index's bisimulation DAG alone: the twig root's
 candidate vertices — the root label's vertices that carry an entry; the
 documents' root vertices for a ``/``-leading twig on a depth-limited
 index; every entry vertex for a ``//``-leading twig on a collection —
 each get one verdict, and the accepted ones' extents, merged in pointer
-order, are the answer.  It needs no B-tree and loses no answer to the
-Theorem 5 gap (DESIGN.md §5a).  Otherwise the *index scan* runs the
-paper's two phases:
+order, are the answer.  It needs no B-tree, no feature key and no
+coverage (a twig deeper than the depth limit is answered too), and
+loses no answer to the Theorem 5 gap (DESIGN.md §5a).  Otherwise the
+*index scan* runs the paper's two phases, and raises
+:class:`~repro.errors.IndexCoverageError` for a twig the index does not
+cover:
 
 Phase 1 — *pruning*: each fragment's feature key is range-scanned on
 the B-tree for covering entries (Section 3.4).  With a collection
@@ -102,7 +107,8 @@ class FixQueryResult:
     plan_seconds: float = 0.0
     prune_seconds: float = 0.0
     refine_seconds: float = 0.0
-    #: True when the plan came out of the cache (no eigensolve paid).
+    #: True when the plan came out of the cache (no parse paid, nor an
+    #: eigensolve the cached plan already made).
     plan_cached: bool = False
     #: trees the refinement phase fetched (documents plus clustered
     #: copy units); 0 when the structure DAG decided every candidate,
@@ -342,15 +348,22 @@ class FixQueryProcessor:
     # Access path
     # ------------------------------------------------------------------ #
 
-    def _choose_path(
-        self, plan: QueryPlan, result: FixQueryResult
-    ) -> list[StructureCandidates]:
-        """Set ``result.access_path`` by the one rule and, for a
-        structure scan, collect its candidate vertices under the pinned
-        epoch (none for the index scan)."""
+    def _choose_path(self, plan: QueryPlan, result: FixQueryResult) -> None:
+        """Set ``result.access_path`` by the one rule.  The index scan
+        reads the plan's keys, so they are computed here, as planning:
+        the coverage check and the eigensolve land in ``plan_seconds``
+        and a structure scan pays neither."""
         result.access_path = choose_access_path(
             plan.refined, explicit_refiner=not self._decide_on_structure
         )
+        if result.access_path is AccessPath.INDEX_SCAN:
+            plan.feature_keys  # noqa: B018 - computed and kept on the plan
+
+    def _structure_candidates(
+        self, plan: QueryPlan, result: FixQueryResult
+    ) -> list[StructureCandidates]:
+        """A structure scan's candidate vertices, collected under the
+        pinned epoch (none for the index scan)."""
         if result.access_path is not AccessPath.STRUCTURE_SCAN:
             return []
         scans = structure_candidates(self.index, plan)
@@ -519,6 +532,7 @@ class FixQueryProcessor:
                 with self.obs.span("query.plan"):
                     started = time.perf_counter()
                     plan, cached = self._plan_for(query)
+                    self._choose_path(plan, result)
                     result.plan_seconds = time.perf_counter() - started
                 result.plan_cached = cached
 
@@ -526,7 +540,7 @@ class FixQueryProcessor:
                     result.pushdown = True
                     with self.obs.span("query.pushdown") as push_span:
                         started = time.perf_counter()
-                        scans = self._choose_path(plan, result)
+                        scans = self._structure_candidates(plan, result)
                         result.prune_seconds = time.perf_counter() - started
                         self._query_pushdown(plan, scans, result)
                         push_span.set(
@@ -537,7 +551,7 @@ class FixQueryProcessor:
                 else:
                     with self.obs.span("query.prune") as prune_span:
                         started = time.perf_counter()
-                        scans = self._choose_path(plan, result)
+                        scans = self._structure_candidates(plan, result)
                         scanning = result.access_path is AccessPath.STRUCTURE_SCAN
                         if scanning:
                             prune_span.set(vertices=result.candidate_vertices)

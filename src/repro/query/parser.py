@@ -11,7 +11,13 @@ import re
 from repro.errors import QuerySyntaxError, UnsupportedQueryError
 from repro.query.ast import Axis, PathExpr, Predicate, Step
 
-_NAME_RE = re.compile(r"[A-Za-z_\u0080-\U0010FFFF][-A-Za-z0-9._\u0080-\U0010FFFF]*")
+# A NameTest: an ASCII letter, "_" or any character from U+0080 up, then
+# any run of those, digits, "-" and ".".  Each class is spelled as the
+# ASCII characters it excludes: a range reaching U+10FFFF admits the
+# same code points but is slow to compile.
+_NAME_START = r"[^\x00-\x40\x5b-\x5e\x60\x7b-\x7f]"
+_NAME_CHAR = r"[^\x00-\x2c\x2f\x3a-\x40\x5b-\x5e\x60\x7b-\x7f]"
+_NAME_RE = re.compile(_NAME_START + _NAME_CHAR + "*")
 _UNSUPPORTED_KINDTESTS = {
     "node", "text", "comment", "processing-instruction", "element", "attribute",
 }

