@@ -11,17 +11,21 @@ Contents:
 
 * :class:`~repro.bisim.graph.BisimVertex` / ``BisimGraph`` — the DAG.
 * :class:`~repro.bisim.builder.BisimGraphBuilder` — the single-pass,
-  stack-of-signatures construction of CONSTRUCT-ENTRIES (Algorithm 1).
-  Its ``open`` / ``text`` / ``close`` methods are the paper's SAX
-  handlers; ``walk`` runs them over a numbered tree and yields the
-  per-element ``(vertex, start_ptr)`` pairs that drive subpattern
-  enumeration.
+  stack-of-signatures construction of CONSTRUCT-ENTRIES (Algorithm 1) as
+  a per-document graph of vertex objects.  Its ``open`` / ``text`` /
+  ``close`` methods are the paper's SAX handlers; ``walk`` runs them
+  over a numbered tree and yields the per-element ``(vertex,
+  start_ptr)`` pairs.  It is a *view* — for query twigs, the F&B
+  baseline, the ablations and the tests: index construction runs the
+  same walk but interns every close straight into the collection's
+  structure DAG (``repro.core.construction``).
 * :func:`~repro.bisim.traveler.depth_limited_graph` — the BISIM-TRAVELER
   of Section 4.4: the minimal graph of a vertex's depth-limited
   unfolding, built by truncating the DAG in place (interning the distinct
   ``(vertex, remaining depth)`` classes) rather than walking the
   unfolding.  :class:`~repro.bisim.traveler.PatternTable` is the same
-  thing holding its intern table across the vertices of one graph.
+  thing holding its intern table across the vertices of one graph —
+  a graph of vertex objects, or a structure DAG's arrays.
 * :mod:`~repro.bisim.dag` — small DAG utilities (edges, topological
   order, canonical keys for isomorphism testing).
 """

@@ -13,12 +13,17 @@ The paper specifies CONSTRUCT-ENTRIES as a pair of SAX handlers over a
 
 ``close`` resolves the completed element's signature to a vertex
 (creating one if needed) and returns the ``(vertex, start_ptr)`` pair.
-FIX index construction with a positive depth limit hangs GEN-SUBPATTERN
-off exactly this per-element result (one B-tree entry per element —
-Theorem 4), while depth-limit-0 construction only uses the final root
-vertex.  :meth:`BisimGraphBuilder.walk` drives the handlers over a
-numbered tree, which is the only document representation the parser
-produces.
+:meth:`BisimGraphBuilder.walk` drives the handlers over a numbered tree,
+which is the only document representation the parser produces.
+
+This builder is a *view*: it gives one document's graph as vertex
+objects, for query twigs, the F&B baseline, the ablations and the tests.
+Index construction runs the same walk in
+:meth:`repro.core.construction.EntryGenerator.entries_for`, with the
+collection-wide structure DAG as its signature map — every close is
+interned there directly, and GEN-SUBPATTERN hangs off each close (one
+B-tree entry per element, Theorem 4) — so the two number a document's
+classes in the same first-close order.
 
 Text is ignored unless a ``text_label`` mapping is supplied, in which
 case each text node becomes a leaf child vertex labeled by the mapped

@@ -7,7 +7,7 @@ edge list in a deterministic order), the F&B baseline, and the test suite
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from hashlib import blake2b
 
 from repro.bisim.graph import BisimGraph, BisimVertex
@@ -111,15 +111,23 @@ def vertex_signature(
         if node.vid in memo:
             continue
         if ready:
-            digest = blake2b(digest_size=SIGNATURE_BYTES)
-            digest.update(node.label.encode("utf-8"))
-            digest.update(b"\x00")
-            for child_sig in sorted(memo[child.vid] for child in node.children):
-                digest.update(child_sig)
-            memo[node.vid] = digest.digest()
+            memo[node.vid] = signature_of(
+                node.label, [memo[child.vid] for child in node.children]
+            )
             continue
         stack.append((node, True))
         for child in node.children:
             if child.vid not in memo:
                 stack.append((child, False))
     return memo[vertex.vid]
+
+
+def signature_of(label: str, child_signatures: Iterable[bytes]) -> bytes:
+    """One step of :func:`vertex_signature`: the digest of a vertex
+    labelled ``label`` whose children digest to ``child_signatures``."""
+    digest = blake2b(digest_size=SIGNATURE_BYTES)
+    digest.update(label.encode("utf-8"))
+    digest.update(b"\x00")
+    for child_signature in sorted(child_signatures):
+        digest.update(child_signature)
+    return digest.digest()

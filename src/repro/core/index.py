@@ -21,6 +21,7 @@ label.  Values:
 from __future__ import annotations
 
 import dataclasses
+import struct
 import time
 from dataclasses import dataclass, field
 from collections.abc import Iterator
@@ -59,6 +60,10 @@ from repro.storage import (
     PrimaryXMLStore,
     RecordPointer,
 )
+
+#: an unclustered entry's value: the packed ``NodePointer`` (doc id,
+#: node id), written without building one.
+_POINTER = struct.Struct("<II")
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,8 +392,7 @@ class FixIndex:
         structure = StructureDag()
         shadow = self._settings.generator(self.encoder, structure=structure)
         for doc_id in self.store.doc_ids():
-            for _ in shadow.entries_for(self.store.get_document(doc_id), doc_id):
-                pass
+            shadow.entries_for(self.store.get_document(doc_id), doc_id)
         self.set_structure(structure)
 
     def structure_of(self, doc_id: int) -> StructureDag:
@@ -529,7 +533,7 @@ class FixIndex:
             # order up front, so code assignment (hence every
             # eigenvalue) is independent of the staging strategy.  See
             # DESIGN.md §7.  The serial loop below registers the same
-            # pairs in the same order, document by document.
+            # pairs in the same order, each document in its one walk.
             timings = self._generator.timings
             for doc_id in doc_ids:
                 started = time.perf_counter()
@@ -580,10 +584,8 @@ class FixIndex:
         # matching what a per-entry insert loop would have produced —
         # but loaded bottom-up like the clustered path, which packs
         # pages tighter and skips per-entry root-to-leaf descents.
-        pairs = [
-            (key, NodePointer(doc_id, node_id).pack())
-            for key, doc_id, node_id in staged
-        ]
+        pack = _POINTER.pack
+        pairs = [(key, pack(doc_id, node_id)) for key, doc_id, node_id in staged]
         pairs.sort(key=lambda pair: pair[0])
         if not self.btree.pager.in_memory:
             self.btree.pager.close()  # release the stale spill file
@@ -662,8 +664,8 @@ class FixIndex:
             self.encoder, structure=structure, known=self._keyed_structure()
         )
         entries = tuple(
-            (entry.raw_key, NodePointer(doc_id, entry.node_id).pack())
-            for entry in shadow.entries_for(document, doc_id)
+            (key, _POINTER.pack(doc_id, node_id))
+            for key, _, node_id in shadow.entries_for(document, doc_id)
         )
         return StagedMutation(
             doc_id=doc_id,

@@ -41,11 +41,9 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left, insort
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
-from hashlib import blake2b
+from collections.abc import Collection, Iterable, Iterator, Mapping
 
-from repro.bisim.dag import SIGNATURE_BYTES
-from repro.bisim.graph import BisimVertex
+from repro.bisim.dag import signature_of
 from repro.errors import StorageError
 from repro.query.ast import Axis
 from repro.query.twig import QueryNode, TwigQuery
@@ -201,11 +199,10 @@ class StructureDag:
         return roots
 
     def signature(self, vertex: int, memo: dict[int, bytes]) -> bytes:
-        """The canonical digest of ``vertex`` — blake2b over its label
-        and the sorted digests of its children, the definition of
-        :func:`repro.bisim.vertex_signature` — so vertices of two DAGs
-        can be compared for bisimilarity.  ``memo`` (vertex -> digest)
-        is shared across calls over one DAG."""
+        """The canonical digest of ``vertex`` (:func:`repro.bisim.dag.
+        signature_of` over its label and its children's digests), so
+        vertices of two DAGs can be compared for bisimilarity.  ``memo``
+        (vertex -> digest) is shared across calls over one DAG."""
         stack = [vertex]
         while stack:
             current = stack[-1]
@@ -217,44 +214,26 @@ class StructureDag:
             if missing:
                 stack.extend(missing)
                 continue
-            digest = blake2b(digest_size=SIGNATURE_BYTES)
-            digest.update(self.label_of(current).encode("utf-8"))
-            digest.update(b"\x00")
-            for child_digest in sorted(memo[child] for child in children):
-                digest.update(child_digest)
-            memo[current] = digest.digest()
+            memo[current] = signature_of(
+                self.label_of(current), [memo[child] for child in children]
+            )
             stack.pop()
         return memo[vertex]
+
+    def find(self, label: str, children: Iterable[int]) -> int | None:
+        """The vertex ``(label, children)`` is interned as — ``None``
+        when this DAG does not hold it, or has no intern table (a loaded
+        DAG before :meth:`restore_keys`).  Inserts nothing, so a staging
+        thread may ask it of the index's DAG outside the write latch."""
+        label_id = self._label_ids.get(label)
+        interned = self._interned
+        if label_id is None or not interned:
+            return None
+        return interned.get((label_id, tuple(sorted(set(children)))))
 
     # ------------------------------------------------------------------ #
     # The per-vertex keys
     # ------------------------------------------------------------------ #
-
-    def keys_of(self, vertices: Sequence[BisimVertex]) -> list[bytes | None]:
-        """The key of each class of a finished bisimulation graph
-        (``vertices`` in vid order, children before parents), by vid:
-        ``None`` for a class this DAG does not hold or has no key for.
-        The interning walk of :meth:`add_document`, inserting nothing —
-        so a staging thread may ask it of the index's DAG outside the
-        write latch."""
-        found: list[bytes | None] = [None] * len(vertices)
-        keys, interned = self.keys, self._interned
-        if not keys or not interned:
-            return found
-        label_ids = self._label_ids
-        mapped = [-1] * len(vertices)
-        for vertex in vertices:
-            label_id = label_ids.get(vertex.label)
-            if label_id is None:
-                continue
-            children = sorted([mapped[child.vid] for child in vertex.children])
-            if children and children[0] < 0:
-                continue
-            here = interned.get((label_id, tuple(children)))
-            if here is not None:
-                mapped[vertex.vid] = here
-                found[vertex.vid] = keys[here]
-        return found
 
     def entries_of(self, doc_id: int) -> Iterator[tuple[bytes | None, int]]:
         """``(key, node id)`` of each index entry of a recorded
@@ -300,16 +279,18 @@ class StructureDag:
                     f"is keyed {known.hex()} by one entry and {key.hex()} by "
                     f"the entry of ({doc_id}, {node_id})"
                 )
-        self._intern_table()
+        self.intern_table()
         self.keys = keys
 
     # ------------------------------------------------------------------ #
     # Growing
     # ------------------------------------------------------------------ #
 
-    def _intern_table(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        """``_interned``, rebuilt off the arrays when a load or a
-        process boundary left it behind."""
+    def intern_table(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """``(label id, children) -> vertex`` for every vertex — rebuilt
+        off the arrays when a load or a process boundary left it behind.
+        Only :meth:`intern` and :meth:`rollback` write it; a walk reads
+        it to skip the call for a close whose class exists."""
         if self._interned is None:
             self._interned = {
                 (self.vertex_labels[vertex], tuple(self.children_of(vertex))): vertex
@@ -317,14 +298,21 @@ class StructureDag:
             }
         return self._interned
 
-    def _intern(self, label: str, children: tuple[int, ...]) -> int:
-        """The vertex for ``(label, children)`` — ``children`` ascending
-        and already interned — created when new."""
-        interned = self._intern_table()
+    def add_label(self, label: str) -> int:
+        """The id of ``label``, assigned when new."""
         label_id = self._label_ids.get(label)
         if label_id is None:
             label_id = self._label_ids[label] = len(self.labels)
             self.labels.append(label)
+        return label_id
+
+    def intern(self, label_id: int, children: tuple[int, ...]) -> int:
+        """The vertex for ``(label id, children)`` — ``children``
+        ascending, distinct and already interned — created when new:
+        one close of Algorithm 1's walk."""
+        interned = self._interned
+        if interned is None:
+            interned = self.intern_table()
         key = (label_id, children)
         vertex = interned.get(key)
         if vertex is None:
@@ -334,36 +322,40 @@ class StructureDag:
             self.child_offsets.append(len(self.child_ids))
             if self.keys is not None:
                 self.keys.append(None)
-            # Last: a concurrent keys_of that finds the vertex finds
-            # its row in every array.
+            # Last: a concurrent find that hits the vertex finds its
+            # row in every array.
             interned[key] = vertex
         return vertex
 
-    def add_document(
-        self,
-        doc_id: int,
-        vertices: Sequence[BisimVertex],
-        emitted: Sequence[tuple[BisimVertex, int]],
-        keys: Sequence[bytes | None],
-    ) -> None:
-        """Record one document: ``vertices`` is its finished
-        bisimulation graph in vid order (children before parents),
-        ``emitted`` the ``(vertex, node id)`` pair of each index entry,
-        ``keys`` the key of each class by vid (``None`` where the
-        document has no entry at it)."""
-        mapped = [0] * len(vertices)
-        for vertex in vertices:
-            mapped[vertex.vid] = self._intern(
-                vertex.label,
-                tuple(sorted(mapped[child.vid] for child in vertex.children)),
-            )
+    def mark(self) -> tuple[int, int]:
+        """The extent of the DAG now — vertices and labels — for a
+        :meth:`rollback` to return to."""
+        return self.vertex_count, len(self.labels)
+
+    def rollback(self, mark: tuple[int, int]) -> None:
+        """Forget every vertex and label interned since :meth:`mark`
+        returned ``mark``: what a document whose walk or feature step
+        raised had interned.  Nothing recorded may reach them — slots
+        and keys are written only once a document succeeds."""
+        vertices, labels = mark
+        interned = self.intern_table()
+        for vertex in range(vertices, self.vertex_count):
+            del interned[(self.vertex_labels[vertex], tuple(self.children_of(vertex)))]
+        del self.child_ids[self.child_offsets[vertices] :]
+        del self.child_offsets[vertices + 1 :]
+        del self.vertex_labels[vertices:]
         if self.keys is not None:
-            for vertex, key in zip(mapped, keys):
-                if key is not None:
-                    self.keys[vertex] = key
-        slots = array("I", bytes(4 * (1 + max(node_id for _, node_id in emitted))))
-        for vertex, node_id in emitted:
-            slots[node_id] = mapped[vertex.vid] + 1
+            del self.keys[vertices:]
+        for label in self.labels[labels:]:
+            del self._label_ids[label]
+        del self.labels[labels:]
+
+    def record(self, doc_id: int, slots: array, keys: Mapping[int, bytes]) -> None:
+        """Record one document: its ``slots`` (see the class docstring)
+        and the key of each class an entry of it sits at."""
+        if self.keys is not None:
+            for vertex, key in keys.items():
+                self.keys[vertex] = key
         self._set_slots(doc_id, slots)
 
     def absorb(self, other: "StructureDag") -> None:
@@ -390,15 +382,19 @@ class StructureDag:
                 if reachable[vertex]:
                     for child in child_ids[offsets[vertex] : offsets[vertex + 1]]:
                         reachable[child] = 1
-        labels, intern = other.labels, self._intern
+        # Labels are numbered in first-intern order here too.
+        labels, label_ids = other.labels, [-1] * len(other.labels)
+        intern = self.intern
         carried = other.keys if self.keys is not None else None
         mapped = [0] * count
         for vertex, label_id in enumerate(other.vertex_labels):
             if reachable is None or reachable[vertex]:
+                here_label = label_ids[label_id]
+                if here_label < 0:
+                    here_label = label_ids[label_id] = self.add_label(labels[label_id])
                 children = child_ids[offsets[vertex] : offsets[vertex + 1]]
                 here = mapped[vertex] = intern(
-                    labels[label_id],
-                    tuple(sorted([mapped[child] for child in children])),
+                    here_label, tuple(sorted([mapped[child] for child in children]))
                 )
                 if carried is not None and carried[vertex] is not None:
                     self.keys[here] = carried[vertex]

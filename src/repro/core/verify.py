@@ -87,9 +87,8 @@ def verify_index(index: FixIndex, recompute_keys: bool = True) -> VerificationRe
         )
         for doc_id in index.store.doc_ids():
             document = index.store.get_document(doc_id)
-            for entry in shadow.entries_for(document, doc_id):
-                pointer = NodePointer(doc_id, entry.node_id)
-                expected[pointer] = entry.raw_key
+            for key, _, node_id in shadow.entries_for(document, doc_id):
+                expected[NodePointer(doc_id, node_id)] = key
         _compare_structures(report, structure, rebuilt)
 
     # 2, 3, 4, 5. Walk every stored entry.

@@ -18,10 +18,12 @@ acyclic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import PatternTooLargeError
-from repro.bisim.dag import reachable_vertices, vertex_signature
+from repro.bisim.dag import reachable_vertices, signature_of, vertex_signature
 from repro.bisim.graph import BisimGraph
 from repro.spectral.encoding import EdgeLabelEncoder
 
@@ -73,6 +75,61 @@ def pattern_matrix(
             rows.append(i)
             cols.append(index_of[child.vid])
             weights.append(encoder.encode(label, child.label))
+    return _antisymmetric(n, rows, cols, weights)
+
+
+def dag_matrix(
+    dag,
+    vertices: Sequence[int],
+    encoder: EdgeLabelEncoder,
+    max_vertices: int | None = None,
+    signatures: dict[int, bytes] | None = None,
+) -> np.ndarray:
+    """:func:`pattern_matrix` of a pattern read straight off a
+    :class:`~repro.core.structure.StructureDag` — a document unit's
+    graph, with no copy made.
+
+    ``vertices`` are every vertex of ``dag`` the pattern's root reaches,
+    each child before its parents (a walk's first-close order, or
+    ascending ids).  ``signatures`` is a vertex → digest memo over
+    ``dag``, so across calls each DAG vertex is digested once.  A DAG is
+    minimal, so no two vertices share a digest and the dimension order
+    — hence every byte of the matrix — is the one :func:`pattern_matrix`
+    gives the same pattern as a :class:`BisimGraph`.
+    """
+    n = len(vertices)
+    if max_vertices is not None and n > max_vertices:
+        raise PatternTooLargeError(
+            f"pattern has {n} vertices, above the cap of {max_vertices}",
+            size=n,
+        )
+    if signatures is None:
+        signatures = {}
+    label_of, children_of = dag.label_of, dag.children_of
+    for vertex in vertices:
+        if vertex not in signatures:
+            signatures[vertex] = signature_of(
+                label_of(vertex), [signatures[child] for child in children_of(vertex)]
+            )
+    order = sorted(vertices, key=signatures.__getitem__)
+    index_of = {vertex: i for i, vertex in enumerate(order)}
+    rows: list[int] = []
+    cols: list[int] = []
+    weights: list[int] = []
+    for i, parent in enumerate(order):
+        label = label_of(parent)
+        for child in children_of(parent):
+            rows.append(i)
+            cols.append(index_of[child])
+            weights.append(encoder.encode(label, label_of(child)))
+    return _antisymmetric(n, rows, cols, weights)
+
+
+def _antisymmetric(
+    n: int, rows: list[int], cols: list[int], weights: list[int]
+) -> np.ndarray:
+    """The ``(n, n)`` matrix with ``M[i, j] = w`` and ``M[j, i] = -w``
+    for each edge ``(i, j, w)``."""
     matrix = np.zeros((n, n), dtype=np.float64)
     if rows:
         i = np.asarray(rows, dtype=np.intp)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import repro.core.construction as construction
 import repro.storage.primary as primary
-from repro.bisim import BisimGraphBuilder
 from repro.btree import encode_feature_key, encode_float
 from repro.errors import BTreeError, IndexCoverageError, RecordError
 from repro.core import (
@@ -215,7 +214,7 @@ class TestRemovalReadsItsKeys:
             index = load_index(directory, store)
             assert index.structure.keys is None  # not in the sidecar
         parses = _calls_counted(monkeypatch, primary, "parse_xml")
-        walks = _calls_counted(monkeypatch, BisimGraphBuilder, "walk")
+        walks = _calls_counted(monkeypatch, construction.EntryGenerator, "_walk")
         solves = _calls_counted(monkeypatch, construction, "solve_batch")
         assert index.remove_document(0) == removed
         assert parses[0] == walks[0] == solves[0] == 0

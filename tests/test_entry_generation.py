@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 import repro.bisim.dag as dag
 import repro.storage.primary as primary
 from repro.bisim import PatternTable, bisim_graph_of_document
+from repro.btree.keys import decode_feature_key
 from repro.core import FixIndex, FixIndexConfig
 from repro.core.construction import EntryGenerator, GeneratorSettings, seed_encoder
 from repro.core.structure import StructureDag
 from repro.datasets import dataset_names, load_dataset
 from repro.datasets.base import store_of
 from repro.spectral import EdgeLabelEncoder, pattern_matrix
+from repro.spectral.matrix import dag_matrix
 from repro.storage import NodePointer, PrimaryXMLStore
 from repro.xmltree import Document, Element, parse_xml
 
@@ -81,7 +83,7 @@ class TestNoStateOutlivesADocument:
         entries = list(reused.entries_for(following, 1))
         assert entries == list(fresh.entries_for(following, 1))
         assert reused.structure.to_bytes() == fresh.structure.to_bytes()
-        assert {entry.key.root_label for entry in entries} == set("npoq")
+        assert {decode_feature_key(key)[0] for key, _, _ in entries} == set("npoq")
         for field in dataclasses.fields(fresh.stats):
             was = getattr(before, field.name)
             now = getattr(reused.stats, field.name)
@@ -97,9 +99,9 @@ class TestNoStateOutlivesADocument:
                 assert now - was == want, field.name
 
     def test_failed_feature_step_leaves_the_dag_untouched(self, monkeypatch):
-        """The DAG is written once per document, after every class has
-        its key: a document whose eigensolve raises records nothing —
-        no slots, no vertices, no keys."""
+        """The walk interns straight into the DAG, and a document whose
+        eigensolve raises is rolled back: it records nothing — no slots,
+        no vertices, no keys."""
         import repro.core.construction as construction
 
         dag = StructureDag()
@@ -283,16 +285,16 @@ class TestSharedSignatureMemo:
     def test_each_pattern_vertex_is_digested_at_most_once(
         self, dataset, monkeypatch
     ):
-        """Over one build: at most one digest per pattern-table vertex
-        (subpattern mode) or per unit-graph vertex (unit mode) — the
+        """Unit mode digests each structure-DAG vertex at most once per
+        build (one memo over the DAG, kept across documents); subpattern
+        mode each pattern-table vertex at most once per document — the
         cache key and the matrix order come out of one memo."""
         bundle = load_dataset(dataset, scale=0.1, seed=42)
         budget = 0
         for document in bundle.documents:
-            graph = bisim_graph_of_document(document)
             if bundle.depth_limit <= 0:
-                budget += graph.vertex_count()
-                continue
+                break
+            graph = bisim_graph_of_document(document)
             table = PatternTable()
             for vertex in graph.vertices:
                 table.pattern(vertex, bundle.depth_limit)
@@ -301,8 +303,61 @@ class TestSharedSignatureMemo:
         index = FixIndex.build(
             bundle.store(), FixIndexConfig(depth_limit=bundle.depth_limit)
         )
+        if bundle.depth_limit <= 0:
+            budget = index.structure.vertex_count
+            per_document = sum(index.report.stats.per_document_vertices)
+            assert budget < per_document  # classes recur across documents
         assert index.report.stats.cache_misses > 0
         assert 0 < digests[0] <= budget
+
+    @pytest.mark.parametrize("buckets", [None, 8])
+    @pytest.mark.parametrize("dataset", dataset_names())
+    def test_unit_matrix_off_the_dag_is_the_graph_matrix(self, dataset, buckets):
+        """A unit's matrix is read straight off the structure DAG (no
+        per-document graph): byte for byte the matrix of the document's
+        own bisimulation graph, with one digest memo across documents."""
+        bundle = load_dataset(dataset, scale=0.05, seed=42)
+        structure = StructureDag()
+        encoder = EdgeLabelEncoder()
+        generator = GeneratorSettings(
+            depth_limit=0, value_buckets=buckets, max_pattern_vertices=800
+        ).generator(encoder, structure=structure)
+        digests: dict[int, bytes] = {}
+        for doc_id, document in enumerate(bundle.documents):
+            generator.entries_for(document, doc_id)
+            below, pending = set(), [structure.vertex_of(doc_id, 0)]
+            while pending:
+                vertex = pending.pop()
+                if vertex not in below:
+                    below.add(vertex)
+                    pending.extend(structure.children_of(vertex))
+            off_dag = dag_matrix(structure, sorted(below), encoder, signatures=digests)
+            graph = bisim_graph_of_document(document, text_label=generator.text_label)
+            assert off_dag.tobytes() == pattern_matrix(graph, encoder).tobytes()
+
+
+class TestTheWalkSeedsTheEncoder:
+    @pytest.mark.parametrize("buckets", [None, 8])
+    @pytest.mark.parametrize("dataset", dataset_names())
+    def test_serial_build_codes_equal_the_pre_pass(self, dataset, buckets):
+        """The fan-out (DESIGN.md §7) seeds its workers with a
+        ``seed_encoder`` pre-pass in doc-id order; a serial build seeds
+        in its one walk, and must leave the identical code table."""
+        bundle = load_dataset(dataset, scale=0.1, seed=42)
+        store = bundle.store()
+        index = FixIndex.build(
+            store,
+            FixIndexConfig(depth_limit=bundle.depth_limit, value_buckets=buckets),
+        )
+        seeded = EdgeLabelEncoder()
+        for doc_id in store.doc_ids():
+            seed_encoder(
+                seeded, store.get_document(doc_id), text_label=index.value_hasher
+            )
+        assert list(index.encoder.to_dict().items()) == list(
+            seeded.to_dict().items()
+        )
+        assert index.report.timings.encode == 0.0
 
 
 class TestSerialBuildParsesOnce:

@@ -10,6 +10,7 @@ import struct
 
 import pytest
 
+import repro.core.construction as construction
 from repro.errors import (
     BTreeError,
     PageError,
@@ -30,6 +31,9 @@ from repro.core import (
     load_index,
     save_index,
 )
+from repro.core.construction import GeneratorSettings, seed_encoder
+from repro.core.structure import StructureDag
+from repro.spectral import EdgeLabelEncoder
 from repro.storage import Pager, PrimaryXMLStore, RecordFile, RecordPointer
 from repro.xmltree import parse_xml
 
@@ -391,3 +395,73 @@ class TestParserResilience:
         attrs = " ".join(f'a{i}="{i}"' for i in range(500))
         document = parse_xml(f"<e {attrs}/>")
         assert len(document.root.attributes) == 500
+
+
+class TestFailedDocumentRollsBack:
+    """The build's walk interns every close straight into the structure
+    DAG, so a document whose feature step raises must be rolled back:
+    the DAG is as it was before the document, and the next document is
+    numbered as if the failed one never ran."""
+
+    SOURCES = [
+        f"<r{i}><a{i}><b>x{i}</b><c/></a{i}><d{i}><b>y</b></d{i}></r{i}>"
+        for i in range(4)
+    ]
+
+    @staticmethod
+    def _state(dag: StructureDag):
+        return (
+            dag.vertex_count,
+            list(dag.labels),
+            dict(dag._interned),
+            list(dag.keys),
+            dag.to_bytes(),
+        )
+
+    @pytest.mark.parametrize("buckets", [None, 4])
+    @pytest.mark.parametrize("depth_limit", [0, 2])
+    def test_the_third_document_raising_leaves_the_dag_as_before(
+        self, monkeypatch, depth_limit, buckets
+    ):
+        documents = [parse_xml(source) for source in self.SOURCES]
+        settings = GeneratorSettings(
+            depth_limit=depth_limit, value_buckets=buckets, max_pattern_vertices=800
+        )
+        # One seeding over all four documents for both runs: the failed
+        # document's codes are registered either way, so keys compare.
+        seeded = EdgeLabelEncoder()
+        for document in documents:
+            seed_encoder(seeded, document, text_label=settings.value_hasher())
+
+        def staged(doc_ids):
+            dag = StructureDag()
+            generator = settings.generator(
+                EdgeLabelEncoder.from_dict(seeded.to_dict()), structure=dag
+            )
+            return dag, generator, generator.stage(doc_ids, documents.__getitem__)
+
+        before, _, _ = staged([0, 1])
+        solved = construction.solve_batch
+        calls = [0]
+
+        def third_raises(matrices):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise RuntimeError("solver down")
+            return solved(matrices)
+
+        monkeypatch.setattr(construction, "solve_batch", third_raises)
+        dag = StructureDag()
+        generator = settings.generator(
+            EdgeLabelEncoder.from_dict(seeded.to_dict()), structure=dag
+        )
+        with pytest.raises(RuntimeError, match="solver down"):
+            generator.stage([0, 1, 2, 3], documents.__getitem__)
+        assert calls[0] == 3  # every document is new: one solve each
+        assert self._state(dag) == self._state(before)
+        assert dag.doc_ids() == [0, 1]
+
+        entries = generator.stage([3], documents.__getitem__)
+        reference, _, expected = staged([0, 1, 3])
+        assert self._state(dag) == self._state(reference)
+        assert entries == [entry for entry in expected if entry[1] == 3]

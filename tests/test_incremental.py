@@ -73,6 +73,22 @@ class TestAddDocument:
         after = {p.doc_id for p in processor.query("//author").results}
         assert before == after
 
+    @pytest.mark.parametrize("depth_limit", [0, 2, 3])
+    def test_an_add_with_new_edge_labels_is_a_rebuild(self, depth_limit):
+        """A staged add walks its document like a build does, seeding
+        the encoder in preorder, so new edge labels get the codes — and
+        the B-tree the entries — a from-scratch build of the same
+        documents gives."""
+        index = fresh_index(depth_limit)
+        index.add_document(
+            parse_xml("<bib><misc><note><url/></note><isbn/></misc><cite><url/></cite></bib>")
+        )
+        rebuilt = rebuild_equivalent(index)
+        assert list(index.encoder.to_dict().items()) == list(
+            rebuilt.encoder.to_dict().items()
+        )
+        assert sorted(index.btree.items()) == sorted(rebuilt.btree.items())
+
     def test_clustered_rejects_mutation(self):
         store = PrimaryXMLStore()
         store.add_document(parse_xml(DOCS[0]))

@@ -668,8 +668,8 @@ def test_a_checksummed_file_that_is_not_a_dag_is_refused():
     """A cycle or a forward edge would make a verdict loop or lie; a
     well-checksummed file describing one is still refused."""
     dag = StructureDag()
-    leaf = dag._intern("a", ())
-    dag._intern("b", (leaf,))
+    leaf = dag.intern(dag.add_label("a"), ())
+    dag.intern(dag.add_label("b"), (leaf,))
     dag._slots[0] = __import__("array").array("I", [2])
     dag.child_ids[0] = 1  # b -> b
     with pytest.raises(StorageError, match="invalid child"):
